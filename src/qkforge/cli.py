@@ -15,14 +15,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cm_arith import (
-    CURVE_DISC4,
-    CURVE_DISC7,
-    count_points,
-    depths,
-    frobenius_pi,
-    rho0_select,
-)
+from .cm_arith import CURVES, count_points, depths, frobenius_pi, rho0_select
 from .dynamics import build_graph, component_stats, export_dot
 from .errors import (
     QkforgeError,
@@ -38,7 +31,7 @@ from .ffpoly import (
     is_prime,
     parse_poly,
 )
-from .qk import CLASS_NAMES, classify_k, find_k, qk_transform
+from .qk import CLASSES, classify_k, find_k, qk_transform
 from .seqgen import (
     KIND_DOUBLED,
     KIND_INITIAL,
@@ -49,14 +42,8 @@ from .seqgen import (
     verify_against_schedule,
 )
 
-_SCHEDULE_CLASSES = ("C2", "C3", "C3-")
-
-_CONGRUENCE_TEXT = {
-    "C1": "defined for every odd prime",
-    "C2": "requires p = 1 (mod 4)",
-    "C3": "requires p in {1, 2, 4} (mod 7)",
-    "C3-": "requires p in {1, 2, 4} (mod 7)",
-}
+# The classes with a CM order, hence a depth pair and a degree schedule.
+_SCHEDULE_CLASSES = tuple(name for name, spec in CLASSES.items() if spec.disc is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +55,6 @@ _CONGRUENCE_TEXT = {
 class RunConfig:
     """Validated inputs of one CLI invocation."""
 
-    subcommand: str
     p: int
     k: int
     f0: Optional[Poly] = None
@@ -90,7 +76,7 @@ def _check_prime(p: int) -> int:
 
 def _normalize_class(token: str) -> str:
     name = token.strip().upper()
-    if name not in CLASS_NAMES:
+    if name not in CLASSES:
         raise UsageError(
             f"unknown class {token!r}; expected one of c1, c2, c3, c3-"
         )
@@ -123,7 +109,7 @@ def cmd_find_k(p: int, class_token: str) -> int:
     p = _check_prime(p)
     name = _normalize_class(class_token)
     values = find_k(p, name)
-    print(f"p = {p}: class {name} admissible ({_CONGRUENCE_TEXT[name]})")
+    print(f"p = {p}: class {name} admissible ({CLASSES[name].congruence_text()})")
     print(", ".join(str(v) for v in values))
     return 0
 
@@ -133,15 +119,13 @@ def cmd_predict(p: int, k: int, n: int) -> int:
     p = _check_prime(p)
     report = predict_schedule(p, k, n)
     name = report.class_name
-    curve = CURVE_DISC4 if name == "C2" else CURVE_DISC7
     pi = frobenius_pi(p, name)
     payload: dict = {
-        "a_p": p + 1 - count_points(curve, p),
+        "a_p": p + 1 - count_points(CURVES[pi.disc], p),
         "pi": [pi.a, pi.b],
     }
-    if name in ("C3", "C3-"):
-        k_pos = report.k % p if name == "C3" else (-report.k) % p
-        rho = rho0_select(p, k_pos, pi)
+    if pi.disc == -7:
+        rho = rho0_select(p, report.k, pi)
         payload["rho0"] = [rho.a, rho.b]
     payload["e0"] = report.e0
     payload["e1"] = report.e1
@@ -308,11 +292,10 @@ def _sweep_primes(max_p: int):
 def cmd_sweep_lemmas(max_p: int = 300, max_n: int = 6, max_m: int = 3, max_i: int = 3) -> int:
     """Check the depth-pair laws for every admissible multiplier below max_p.
 
-    For paired-doubling multipliers: e0 >= 2, e0 = 2 forces e1 >= 3,
-    e0 >= 3 forces e1 = 2, doubling the extension degree sends (e0, e1) to
-    (e0 + e1, 2), and afterwards each doubling adds exactly 2 to e0.  For
-    steady-doubling multipliers the same shape holds with bounds 1/2/1 and
-    increment 1.  Any failed identity exits with code 3.
+    With (f0, f1, inc) the class's depth-law floors in qk.CLASSES: e0 >= f0,
+    e0 = f0 forces e1 >= f1, e0 > f0 forces e1 = f1 - 1, doubling the
+    extension degree sends (e0, e1) to (e0 + e1, f1 - 1), and afterwards each
+    doubling adds exactly inc to e0.  Any failed identity exits with code 3.
     """
     violations: list[str] = []
     checked = 0
@@ -329,7 +312,7 @@ def cmd_sweep_lemmas(max_p: int = 300, max_n: int = 6, max_m: int = 3, max_i: in
                 ks = find_k(p, name)
             except UnsupportedPrimeError:
                 continue
-            low_e0, low_e1, inc = (2, 3, 2) if name == "C2" else (1, 2, 1)
+            low_e0, low_e1, inc = CLASSES[name].floors
             for k in ks:
                 for n in range(1, max_n + 1):
                     dp = depths(p, k, n)
@@ -444,7 +427,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     if cmd == "generate":
         p = _check_prime(args.p)
         config = RunConfig(
-            subcommand=cmd,
             p=p,
             k=_resolve_k(p, args.k),
             f0=parse_poly(args.f0, p),
@@ -459,7 +441,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         p = _check_prime(args.p)
         modulus = parse_poly(args.modulus, p) if args.modulus else None
         config = RunConfig(
-            subcommand=cmd,
             p=p,
             k=_resolve_k(p, args.k),
             n=args.n,

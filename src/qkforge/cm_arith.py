@@ -38,7 +38,7 @@ from .errors import (
     UsageError,
 )
 from .ffpoly import inv_mod, is_prime
-from .qk import classify_k
+from .qk import CLASSES, classify_k
 
 _SUPPORTED_DISCS = (-4, -7)
 
@@ -117,58 +117,31 @@ def one(disc: int) -> QuadInt:
     return QuadInt(1, 0, disc)
 
 
-def quad_mul(x: QuadInt, y: QuadInt) -> QuadInt:
-    """Ring product (same as the * operator)."""
-    return x * y
-
-
-def norm(z: QuadInt) -> int:
-    """a^2 + b^2 (disc -4) or a^2 + ab + 2b^2 (disc -7)."""
-    return z.norm()
-
-
 @dataclass(frozen=True)
 class CurveParams:
-    """Short Weierstrass curve y^2 = x^3 + a4*x + a6 with CM by the order,
-    plus the congruence p must satisfy for the order's prime to split."""
+    """Short Weierstrass curve y^2 = x^3 + a4*x + a6 with CM by the order of
+    discriminant disc."""
 
     disc: int
     a4: int
     a6: int
-    congruence_mod: int
-    congruence_residues: tuple[int, ...]
 
 
-CURVE_DISC4 = CurveParams(-4, 1, 0, 4, (1,))
-CURVE_DISC7 = CurveParams(-7, -35, 98, 7, (1, 2, 4))
-
-
-def _curve_for(disc: int) -> CurveParams:
-    if disc == -4:
-        return CURVE_DISC4
-    if disc == -7:
-        return CURVE_DISC7
-    raise UsageError(f"unsupported discriminant {disc}")
-
-
-def _disc_for_class(class_name: str) -> int:
-    if class_name == "C2":
-        return -4
-    if class_name in ("C3", "C3-"):
-        return -7
-    raise UsageError(
-        f"no CM order is attached to class {class_name!r}; expected C2, C3, or C3-"
-    )
+CURVE_DISC4 = CurveParams(-4, 1, 0)
+CURVE_DISC7 = CurveParams(-7, -35, 98)
+CURVES = {curve.disc: curve for curve in (CURVE_DISC4, CURVE_DISC7)}
 
 
 def _check_split_prime(p: int, curve: CurveParams) -> None:
+    """p must split in the curve's order, i.e. satisfy the congruence of the
+    multiplier classes attached to that order."""
     if p == 2 or not is_prime(p):
         raise UsageError(f"p must be an odd prime, got {p}")
-    if p % curve.congruence_mod not in curve.congruence_residues:
-        residues = ", ".join(str(r) for r in curve.congruence_residues)
+    spec = next(s for s in CLASSES.values() if s.disc == curve.disc)
+    if not spec.admits(p):
         raise UnsupportedPrimeError(
-            f"p={p} fails the congruence p = {residues} (mod {curve.congruence_mod}) "
-            f"required by the disc {curve.disc} order"
+            f"p={p} fails the congruence of the disc {curve.disc} order: "
+            f"it {spec.congruence_text()}"
         )
 
 
@@ -190,7 +163,7 @@ def count_points(curve: CurveParams, p: int) -> int:
 
 @lru_cache(maxsize=None)
 def _frobenius_pi_disc(p: int, disc: int) -> QuadInt:
-    curve = _curve_for(disc)
+    curve = CURVES[disc]
     _check_split_prime(p, curve)
     t = p + 1 - count_points(curve, p)
     if disc == -4:
@@ -221,25 +194,32 @@ def frobenius_pi(p: int, class_name: str) -> QuadInt:
     C3 / C3- (disc -7): pi = u + v*alpha with v = isqrt((4p - t^2)/7),
     u = (t - v)/2.
     """
-    return _frobenius_pi_disc(p, _disc_for_class(class_name))
+    spec = CLASSES.get(class_name)
+    if spec is None or spec.disc is None:
+        raise UsageError(
+            f"no CM order is attached to class {class_name!r}; expected C2, C3, or C3-"
+        )
+    return _frobenius_pi_disc(p, spec.disc)
 
 
 def rho0_select(p: int, k: int, pi: QuadInt) -> QuadInt:
-    """The prime above 2 in Z[alpha] matching the C3 multiplier k.
+    """The prime above 2 in Z[alpha] matching the C3 or C3- multiplier k.
 
-    2k + 1 is a root of x^2 - x + 2 mod p (the minimal polynomial of alpha),
-    so it is the residue of exactly one of alpha, conj(alpha) modulo pi;
-    return that one.
+    k solves 2k^2 + bk + 1 = 0 with b = 1 (C3) or b = -1 (C3-), so 2bk + 1
+    is a root of x^2 - x + 2 mod p (the minimal polynomial of alpha), hence
+    the residue of exactly one of alpha, conj(alpha) modulo pi; return that
+    one.
     """
     if pi.disc != -7:
         raise UsageError("rho0 selection lives in the disc -7 order")
     k %= p
-    if "C3" not in classify_k(p, k).matches:
-        raise UsageError(f"k={k} is not a C3 multiplier mod {p}")
+    spec = classify_k(p, k).spec
+    if spec is None or spec.disc != -7:
+        raise UsageError(f"k={k} is not a C3 or C3- multiplier mod {p}")
     u, v = pi.a, pi.b
     if v % p == 0:
         raise InternalConsistencyError("Frobenius with p | v cannot happen for split p")
-    sigma = (2 * k + 1) % p
+    sigma = (2 * spec.b * k + 1) % p
     alpha_res = (-u) * inv_mod(v, p) % p
     if alpha_res == sigma:
         return QuadInt(0, 1, -7)
@@ -322,22 +302,20 @@ def depths(p: int, k: int, n: int, exponent_cap: int = DEFAULT_EXPONENT_CAP) -> 
     """
     if n < 1:
         raise UsageError("extension degree must be positive")
-    name = classify_k(p, k).name
-    if name not in ("C2", "C3", "C3-"):
+    kc = classify_k(p, k)
+    name = kc.name
+    if kc.spec is None or kc.spec.disc is None:
         raise UsageError(
             f"depth pairs are defined for C2, C3, and C3- multipliers; "
             f"k={k} mod {p} is {name}"
         )
-    if name == "C2":
-        pi = frobenius_pi(p, "C2")
-        z = pi**n
+    pi = frobenius_pi(p, name)
+    z = pi**n
+    if pi.disc == -4:
         e0 = _nu2((z - one(-4)).norm(), exponent_cap)
         e1 = _nu2((z + one(-4)).norm(), exponent_cap)
     else:
-        pi = frobenius_pi(p, name)
-        k_pos = k % p if name == "C3" else (-k) % p
-        rho0 = rho0_select(p, k_pos, pi)
-        z = pi**n
+        rho0 = rho0_select(p, k, pi)
         e0 = rho_valuation(z - one(-7), rho0, exponent_cap)
         e1 = rho_valuation(z + one(-7), rho0, exponent_cap)
     return DepthPair(e0, e1, p, n, name)

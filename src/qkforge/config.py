@@ -2,13 +2,14 @@
 
 Walking orbits and building full functional graphs touch every element of
 F_{p^n}; the default cap keeps that tractable.  The environment variable
-QKFORGE_CAP overrides the default field-size cap globally, and every
-cap-sensitive function also accepts an explicit ``field_cap=`` argument.
+QKFORGE_CAP, a positive integer, replaces the default field-size cap.
 """
 
 from __future__ import annotations
 
 import os
+
+from .errors import UsageError
 
 DEFAULT_FIELD_CAP = 2**22
 
@@ -19,11 +20,15 @@ DEFAULT_EXPONENT_CAP = 64
 ENV_FIELD_CAP = "QKFORGE_CAP"
 
 
-def field_cap(override: int | None = None) -> int:
-    """Resolve the field-size cap: explicit argument > env var > default."""
-    if override is not None:
-        return int(override)
+def field_cap() -> int:
+    """The field-size cap: QKFORGE_CAP if set, else the default."""
     env = os.environ.get(ENV_FIELD_CAP)
-    if env is not None:
-        return int(env)
-    return DEFAULT_FIELD_CAP
+    if env is None:
+        return DEFAULT_FIELD_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise UsageError(f"{ENV_FIELD_CAP} must be a positive integer, got {env!r}")
+    return cap

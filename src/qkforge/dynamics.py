@@ -81,7 +81,7 @@ class FunctionalGraph:
 
 def _check_size_cap(p: int, n: int) -> int:
     size = p**n + 1
-    limit = field_cap(None)
+    limit = field_cap()
     if size > limit:
         raise ResourceCapError(
             f"graph on {size} nodes exceeds the configured cap {limit}; "

@@ -227,10 +227,6 @@ class Poly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def of(cls, coeffs, p: int) -> "Poly":
-        return cls(tuple(coeffs), p)
-
-    @classmethod
     def zero(cls, p: int) -> "Poly":
         return cls((), p)
 
@@ -241,10 +237,6 @@ class Poly:
     @classmethod
     def x(cls, p: int) -> "Poly":
         return cls((0, 1), p)
-
-    @classmethod
-    def constant(cls, c: int, p: int) -> "Poly":
-        return cls((c,), p)
 
     # -- basic queries -------------------------------------------------------
 
@@ -319,14 +311,6 @@ class Poly:
 
     def __str__(self) -> str:
         return format_poly(self)
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    return divmod(a, b)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -586,6 +570,9 @@ def parse_poly(text: str, p: int) -> Poly:
     s = text.strip()
     if not s:
         raise MalformedInputError("empty polynomial")
+    if not s.isascii():
+        # str.isdigit and int() would accept other scripts' digits
+        raise MalformedInputError(f"polynomial text must be ASCII: {text!r}")
     if all(ch.isdigit() or ch in ",- " for ch in s):
         try:
             return Poly(tuple(int(tok) for tok in s.split(",")), p)

@@ -9,15 +9,10 @@ a monic degree-2n polynomial with constant term 1 whose coefficient tuple is
 palindromic.  Roots of the transform are exactly the preimages of the roots of
 f under the degree-2 map theta(x) = k(x + 1/x) on the projective line.
 
-Multipliers fall into named classes, each defined by a quadratic congruence:
-
-    C1:  4k^2 - 1 = 0        (k = 1/2 or -1/2)
-    C2:  4k^2 + 1 = 0        (exists iff p = 1 mod 4)
-    C3:  2k^2 + k + 1 = 0    (exists iff -7 is a square mod p)
-    C3-: 2k^2 - k + 1 = 0    (negatives of the C3 multipliers)
-
-The classes are pairwise disjoint for every odd prime; the classifier still
-reports every match defensively.
+Multipliers fall into named classes, each defined by a quadratic congruence
+on k and a congruence on p.  The table CLASSES is the one place that states
+them, together with the CM order, doubling pattern and depth-law floors of
+each class.  The classes are pairwise disjoint for every odd prime.
 """
 
 from __future__ import annotations
@@ -28,7 +23,50 @@ from .errors import InternalConsistencyError, UnsupportedPrimeError, UsageError
 from .extfield import ExtField, FqElem, min_poly_of_element
 from .ffpoly import Poly, _mul_raw, inv_mod, is_irreducible, is_prime, sqrt_mod_p
 
-CLASS_NAMES = ("C1", "C2", "C3", "C3-")
+
+@dataclass(frozen=True)
+class ClassSpec:
+    """One multiplier class: the roots k of a*k^2 + b*k + c mod p, for the
+    primes p with p mod `modulus` in `residues`, which are exactly the odd
+    primes where the quadratic has two distinct roots.  Classes with a CM order also carry its
+    discriminant, the asymptotic doubling pattern of their sequences, and
+    the depth-law floors (e0 floor, e1 floor, e0 increment per doubling)."""
+
+    name: str
+    a: int
+    b: int
+    c: int
+    modulus: int
+    residues: tuple[int, ...]
+    disc: int | None = None
+    pattern: str | None = None
+    floors: tuple[int, int, int] | None = None
+
+    def admits(self, p: int) -> bool:
+        return p % self.modulus in self.residues
+
+    def congruence_text(self) -> str:
+        if self.modulus == 1:
+            return "defined for every odd prime"
+        if len(self.residues) == 1:
+            return f"requires p = {self.residues[0]} (mod {self.modulus})"
+        residues = ", ".join(str(r) for r in self.residues)
+        return f"requires p in {{{residues}}} (mod {self.modulus})"
+
+
+# C3 and C3- share the order Z[(1 + sqrt(-7))/2]; their multipliers exist
+# iff -7 is a square mod p, i.e. iff p splits there.
+_DISC7 = dict(modulus=7, residues=(1, 2, 4), disc=-7, pattern="one-per-step", floors=(1, 2, 1))
+
+CLASSES = {
+    spec.name: spec
+    for spec in (
+        ClassSpec("C1", 4, 0, -1, 1, (0,)),  # k = +-1/2
+        ClassSpec("C2", 4, 0, 1, 4, (1,), -4, "pairs-every-two-steps", (2, 3, 2)),  # k = +-i/2
+        ClassSpec("C3", 2, 1, 1, **_DISC7),
+        ClassSpec("C3-", 2, -1, 1, **_DISC7),  # the negatives of the C3 multipliers
+    )
+}
 GENERIC = "Generic"
 
 
@@ -108,79 +146,50 @@ def is_palindromic(f: Poly) -> bool:
 
 @dataclass(frozen=True)
 class KClass:
-    """Classification result for a multiplier: the first matching class name
-    (or 'Generic'), the witness k, and every satisfied class predicate."""
+    """Classification result for a multiplier: its class name (or
+    'Generic') and the witness k."""
 
     name: str
     k: int
-    matches: tuple[str, ...]
 
-
-def _class_matches(p: int, k: int) -> tuple[str, ...]:
-    out = []
-    if (4 * k * k - 1) % p == 0:
-        out.append("C1")
-    if p % 4 == 1 and (4 * k * k + 1) % p == 0:
-        out.append("C2")
-    if p % 7 in (1, 2, 4):
-        if (2 * k * k + k + 1) % p == 0:
-            out.append("C3")
-        if (2 * k * k - k + 1) % p == 0:
-            out.append("C3-")
-    return tuple(out)
+    @property
+    def spec(self) -> ClassSpec | None:
+        """The class's row of CLASSES; None for Generic."""
+        return CLASSES.get(self.name)
 
 
 def classify_k(p: int, k: int) -> KClass:
-    """Classify k mod p, checking C1, C2, C3, C3- in that order.
-
-    Class membership includes the congruence condition on p (C2 needs
-    p = 1 mod 4; C3/C3- need p in {1,2,4} mod 7, which excludes p = 7).
-    The classes are disjoint for odd p, but every match is reported."""
+    """Classify k mod p by the first row of CLASSES whose quadratic k solves
+    and whose congruence p satisfies; the congruence excludes, for example,
+    k = 5 at p = 7, a double root of the C3 quadratic."""
     _check_odd_prime(p)
     k = _check_k(k, p)
-    matches = _class_matches(p, k)
-    return KClass(matches[0] if matches else GENERIC, k, matches)
-
-
-_CONGRUENCE_HINT = {
-    "C2": "C2 requires p = 1 (mod 4)",
-    "C3": "C3 requires p = 1, 2, or 4 (mod 7)",
-    "C3-": "C3- requires p = 1, 2, or 4 (mod 7)",
-}
+    for spec in CLASSES.values():
+        if (spec.a * k * k + spec.b * k + spec.c) % p == 0 and spec.admits(p):
+            return KClass(spec.name, k)
+    return KClass(GENERIC, k)
 
 
 def find_k(p: int, class_name: str) -> list[int]:
-    """All multipliers of the given class mod p, sorted ascending.
+    """All multipliers of the given class mod p, sorted ascending: the roots
+    (-b +- sqrt(b^2 - 4ac)) / 2a of the class's quadratic.
 
     Raises UnsupportedPrimeError, naming the required congruence, when no
     such multiplier exists at p."""
     _check_odd_prime(p)
-    inv2 = inv_mod(2, p)
-    if class_name == "C1":
-        roots = {inv2, p - inv2}
-    elif class_name == "C2":
-        if p % 4 != 1:
-            raise UnsupportedPrimeError(f"p={p}: {_CONGRUENCE_HINT['C2']}, got p = {p % 4} (mod 4)")
-        r = sqrt_mod_p(p - 1, p)
-        if r is None:
-            raise InternalConsistencyError(f"-1 must be a square mod {p}")
-        roots = {r * inv2 % p, (p - r) * inv2 % p}
-    elif class_name in ("C3", "C3-"):
-        if p % 7 not in (1, 2, 4):
-            raise UnsupportedPrimeError(
-                f"p={p}: {_CONGRUENCE_HINT[class_name]}, got p = {p % 7} (mod 7)"
-            )
-        s = sqrt_mod_p(-7 % p, p)
-        if s is None:
-            raise InternalConsistencyError(f"-7 must be a square mod {p}")
-        inv4 = inv_mod(4, p)
-        if class_name == "C3":
-            roots = {(-1 + s) * inv4 % p, (-1 - s) * inv4 % p}
-        else:
-            roots = {(1 + s) * inv4 % p, (1 - s) * inv4 % p}
-    else:
-        raise UsageError(f"unknown multiplier class {class_name!r}; expected one of {CLASS_NAMES}")
-    return sorted(roots)
+    spec = CLASSES.get(class_name)
+    if spec is None:
+        raise UsageError(f"unknown multiplier class {class_name!r}; expected one of {tuple(CLASSES)}")
+    if not spec.admits(p):
+        raise UnsupportedPrimeError(
+            f"p={p}: {class_name} {spec.congruence_text()}, got p = {p % spec.modulus} (mod {spec.modulus})"
+        )
+    disc = spec.b * spec.b - 4 * spec.a * spec.c
+    s = sqrt_mod_p(disc % p, p)
+    if s is None:
+        raise InternalConsistencyError(f"{disc} must be a square mod {p}")
+    inv2a = inv_mod(2 * spec.a, p)
+    return sorted({(-spec.b + s) * inv2a % p, (-spec.b - s) * inv2a % p})
 
 
 def min_poly_theta(f: Poly, k: int) -> Poly:

@@ -23,7 +23,7 @@ irreducibility and degree-ratio invariants apply.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .config import field_cap
@@ -34,9 +34,9 @@ from .errors import (
     UsageError,
 )
 from .extfield import FqElem
-from .ffpoly import Poly, equal_degree_factorize, is_irreducible, poly_gcd
-from .qk import INFINITY, classify_k, is_palindromic, qk_transform, theta_eval
-from .cm_arith import depths
+from .ffpoly import Poly, equal_degree_factorize, inv_mod, is_irreducible
+from .qk import CLASSES, GENERIC, INFINITY, classify_k, qk_transform, theta_eval
+from .cm_arith import DepthPair, depths
 
 KIND_INITIAL = "initial"
 KIND_DOUBLED = "transform-irreducible"
@@ -51,9 +51,6 @@ STEP_KINDS = (
     KIND_SPLIT_SECOND,
     KIND_BACKTRACKED,
 )
-
-PATTERN_C2 = "pairs-every-two-steps"
-PATTERN_C3 = "one-per-step"
 
 RNG_NAME = "mt19937"
 
@@ -137,7 +134,7 @@ class SequenceRecord:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=False)
 
     @classmethod
-    def from_json_dict(cls, data: dict, *, check_irreducible: bool = True) -> "SequenceRecord":
+    def from_json_dict(cls, data: dict) -> "SequenceRecord":
         try:
             p = int(data["p"])
             k = int(data["k"])
@@ -162,56 +159,19 @@ class SequenceRecord:
                 raise MalformedInputError(
                     f"step {i}: declared degree {degree} but coefficients give {poly.degree}"
                 )
-            if check_irreducible and not is_irreducible(poly):
+            if not is_irreducible(poly):
                 raise MalformedInputError(f"step {i}: polynomial is not irreducible")
             steps.append(Step(i, poly, kind))
         return cls(p=p, k=k, class_name=class_name, seed=seed, steps=tuple(steps))
 
 
 @dataclass(frozen=True)
-class ScheduleReport:
-    """Predicted degree schedule for (p, k, n): the depth pair, the bounds it
-    implies, the class's asymptotic doubling pattern, and (optionally) the
-    observed flat-step counts of a checked record."""
+class ScheduleReport(DepthPair):
+    """Predicted degree schedule for (p, k, n): the depth pair with the bounds
+    it implies, and the class's asymptotic doubling pattern."""
 
-    p: int
     k: int
-    n: int
-    class_name: str
-    e0: int
-    e1: int
     pattern: str
-    observed_s: Optional[int] = None
-    observed_t: Optional[int] = None
-
-    @property
-    def s_bound(self) -> int:
-        return max(self.e0, self.e1)
-
-    @property
-    def st_bound(self) -> int:
-        return self.e0 + self.e1
-
-    def with_observations(self, s: int, t: int) -> "ScheduleReport":
-        return replace(self, observed_s=s, observed_t=t)
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "p": self.p,
-            "k": self.k,
-            "n": self.n,
-            "class": self.class_name,
-            "e0": self.e0,
-            "e1": self.e1,
-            "s_bound": self.s_bound,
-            "st_bound": self.st_bound,
-            "pattern": self.pattern,
-        }
-        if self.observed_s is not None:
-            out["observed_s"] = self.observed_s
-        if self.observed_t is not None:
-            out["observed_t"] = self.observed_t
-        return out
 
 
 def predict_schedule(p: int, k: int, n: int) -> ScheduleReport:
@@ -221,25 +181,18 @@ def predict_schedule(p: int, k: int, n: int) -> ScheduleReport:
     prediction; C1 and Generic multipliers are rejected.
     """
     kc = classify_k(p, k)
-    if kc.name not in ("C2", "C3", "C3-"):
+    if kc.spec is None or kc.spec.disc is None:
         raise UsageError(
             f"no schedule prediction exists for class {kc.name}; "
             "supported classes are C2, C3, and C3-"
         )
     dp = depths(p, kc.k, n)
-    pattern = PATTERN_C2 if kc.name == "C2" else PATTERN_C3
-    return ScheduleReport(
-        p=p, k=kc.k, n=n, class_name=kc.name, e0=dp.e0, e1=dp.e1, pattern=pattern
-    )
+    return ScheduleReport(dp.e0, dp.e1, p, n, kc.name, kc.k, kc.spec.pattern)
 
 
 # ---------------------------------------------------------------------------
 # single step
 # ---------------------------------------------------------------------------
-
-
-def _derivative(f: Poly) -> Poly:
-    return Poly(tuple(i * c % f.p for i, c in enumerate(f.coeffs) if i), f.p)
 
 
 def _check_irr_input(f: Poly) -> None:
@@ -267,16 +220,15 @@ def next_poly(f: Poly, k: int, seed: int = 0) -> tuple[Poly, Optional[Poly], str
     big = qk_transform(f, k)
     if is_irreducible(big):
         return big, None, KIND_DOUBLED
-    sqfree_gcd = poly_gcd(big, _derivative(big))
-    if sqfree_gcd.degree > 0:
-        # Repeated factors occur only for the ramified inputs x -+ 2k, whose
-        # transform is the square (x -+ 1)^2; both "factors" coincide then.
-        root = sqfree_gcd.monic()
-        if root * root == big and root.degree == n and is_irreducible(root):
-            return root, root, KIND_SPLIT_FIRST
-        raise TheoremViolationError(
-            f"transform of {f} is reducible with an unexpected repeated factor"
-        )
+    p = f.p
+    c0 = f.coefficient(0)
+    if n == 1 and c0 in (2 * k % p, -2 * k % p):
+        # A repeated root of the transform is a double preimage under theta,
+        # i.e. one of the critical points +-1, whose images are +-2k.  So only
+        # the ramified inputs x -+ 2k have a repeated factor: their transform
+        # is the square (x -+ 1)^2, and both "factors" coincide.
+        root = Poly((c0 * inv_mod(2 * k, p), 1), p)
+        return root, root, KIND_SPLIT_FIRST
     try:
         parts = equal_degree_factorize(big, n, seed=seed)
     except MalformedInputError as exc:
@@ -324,11 +276,11 @@ def generate_sequence(f0: Poly, k: int, num_steps: int, seed: int = 0) -> Sequen
     _check_irr_input(f0)
     p = f0.p
     kc = classify_k(p, k)
-    if kc.name not in ("C1", "C2", "C3", "C3-"):
+    if kc.name == GENERIC:
         raise UsageError(
             f"k={k} mod {p} is {kc.name}; sequences need class C1, C2, C3, or C3-"
         )
-    enforce = kc.name != "C1"
+    enforce = kc.spec.disc is not None
     window = depths(p, kc.k, f0.degree).s_bound if enforce else 0
 
     steps: list[Step] = [Step(0, f0, KIND_INITIAL)]
@@ -435,7 +387,7 @@ def verify_against_schedule(record: SequenceRecord, report: ScheduleReport) -> l
     base = s + t
     for step in record.steps[base + 1:]:
         offset = step.index - base
-        if report.pattern == PATTERN_C2:
+        if report.pattern == CLASSES["C2"].pattern:
             level = (offset + 1) // 2 + 1
         else:
             level = offset + 1
@@ -453,14 +405,14 @@ def verify_against_schedule(record: SequenceRecord, report: ScheduleReport) -> l
 # ---------------------------------------------------------------------------
 
 
-def is_periodic(beta, k: int, cap: Optional[int] = None) -> tuple[bool, int, int]:
+def is_periodic(beta, k: int) -> tuple[bool, int, int]:
     """Brent cycle detection on the orbit of beta under x -> k(x + 1/x).
 
     Accepts a field element or INFINITY.  Returns (periodic, tail, cycle_len)
     where tail is the distance from beta to the cycle (0 iff periodic) and
     cycle_len the length of the cycle it falls into.
     """
-    limit = field_cap(cap)
+    limit = field_cap()
     if beta is INFINITY:
         return True, 0, 1
     if not isinstance(beta, FqElem):

@@ -25,24 +25,31 @@ SHORT_RUNS = (
 
 def test_find_k_lists_values(capsys):
     assert main(["find-k", "--p", "53", "--class", "c2"]) == 0
-    out = capsys.readouterr().out
-    assert "15, 38" in out
-    assert "admissible" in out
+    assert capsys.readouterr().out == (
+        "p = 53: class C2 admissible (requires p = 1 (mod 4))\n15, 38\n"
+    )
 
 
 def test_find_k_other_classes(capsys):
     assert main(["find-k", "--p", "53", "--class", "c3"]) == 0
-    assert "7, 19" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "p = 53: class C3 admissible (requires p in {1, 2, 4} (mod 7))\n7, 19\n"
+    )
     assert main(["find-k", "--p", "53", "--class", "c3-"]) == 0
-    assert "34, 46" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "p = 53: class C3- admissible (requires p in {1, 2, 4} (mod 7))\n34, 46\n"
+    )
     assert main(["find-k", "--p", "53", "--class", "C1"]) == 0
-    assert "26, 27" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "p = 53: class C1 admissible (defined for every odd prime)\n26, 27\n"
+    )
 
 
 def test_find_k_congruence_failure_exits_2(capsys):
     assert main(["find-k", "--p", "11", "--class", "c2"]) == 2
-    err = capsys.readouterr().err
-    assert "mod 4" in err
+    assert "mod 4" in capsys.readouterr().err
+    assert main(["find-k", "--p", "13", "--class", "c3-"]) == 2
+    assert "mod 7" in capsys.readouterr().err
 
 
 def test_find_k_unknown_class_exits_2(capsys):
@@ -156,6 +163,13 @@ def test_transform_rejects_non_monic(capsys):
 
 def test_transform_rejects_garbage(capsys):
     assert main(["transform", "--p", "53", "--k", "15", "--f0", "x^^2"]) == 2
+
+
+def test_transform_rejects_non_ascii_digits(capsys):
+    # str.isdigit accepts superscripts and other scripts' digits; int() then
+    # fails on some and silently converts others
+    for text in ("x^\u00b2+1", "\u00b2x+1", "\u0663,1", "x+\u0663"):
+        assert main(["transform", "--p", "53", "--k", "15", "--f0", text]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +349,13 @@ def test_explore_respects_cap_with_exit_4(monkeypatch, capsys):
     monkeypatch.setenv("QKFORGE_CAP", "50")
     assert main(["explore", "--p", "101", "--k", "5"]) == 4
     assert "QKFORGE_CAP" in capsys.readouterr().err
+
+
+def test_explore_rejects_invalid_cap_with_exit_2(monkeypatch, capsys):
+    for value in ("abc", "0", "-3", "2.5", ""):
+        monkeypatch.setenv("QKFORGE_CAP", value)
+        assert main(["explore", "--p", "11", "--k", "2"]) == 2
+        assert "QKFORGE_CAP" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,7 @@ from qkforge.cm_arith import (
     depths,
     exact_div,
     frobenius_pi,
-    norm,
     one,
-    quad_mul,
     rho0_select,
     rho_valuation,
 )
@@ -37,8 +35,7 @@ def test_gaussian_multiplication() -> None:
     # (1+2i)(3+4i) = -5 + 10i
     z = QuadInt(1, 2, -4) * QuadInt(3, 4, -4)
     assert (z.a, z.b) == (-5, 10)
-    assert quad_mul(QuadInt(1, 2, -4), QuadInt(3, 4, -4)) == z
-    assert norm(z) == 125
+    assert z.norm() == 125
 
 
 def test_conjugation_preserves_products() -> None:
@@ -47,9 +44,9 @@ def test_conjugation_preserves_products() -> None:
         for _ in range(25):
             z = QuadInt(rng.randrange(-9, 10), rng.randrange(-9, 10), disc)
             w = QuadInt(rng.randrange(-9, 10), rng.randrange(-9, 10), disc)
-            assert quad_mul(z, w).conj() == quad_mul(z.conj(), w.conj())
+            assert (z * w).conj() == z.conj() * w.conj()
             assert z.conj().conj() == z
-            assert norm(z.conj()) == norm(z)
+            assert z.conj().norm() == z.norm()
 
 
 def test_alpha_satisfies_its_equation() -> None:
@@ -189,7 +186,8 @@ def test_rho0_frozen_values() -> None:
 
 
 def test_rho0_residue_property() -> None:
-    # rho0 = a + b*alpha must land on 2k+1 when alpha is sent to -u/v mod p
+    # rho0 = a + b*alpha must land on 2k+1 when alpha is sent to -u/v mod p;
+    # a C3- multiplier k selects the same prime as the C3 multiplier -k
     from qkforge.ffpoly import inv_mod
     from qkforge.qk import find_k
 
@@ -200,6 +198,7 @@ def test_rho0_residue_property() -> None:
             rho = rho0_select(p, k, pi)
             got = (rho.a + rho.b * alpha_res) % p
             assert got == (2 * k + 1) % p
+            assert rho0_select(p, -k, pi) == rho
 
 
 def test_rho0_rejects_non_c3() -> None:
@@ -217,11 +216,11 @@ def test_valuations_at_conjugate_primes_sum_to_nu2_of_norm() -> None:
     checked = 0
     while checked < 40:
         z = QuadInt(rng.randrange(-50, 51), rng.randrange(-50, 51), -7)
-        if norm(z) == 0:
+        if z.norm() == 0:
             continue
         total = rho_valuation(z, alpha) + rho_valuation(z, alpha.conj())
         nu2 = 0
-        m = norm(z)
+        m = z.norm()
         while m % 2 == 0:
             m //= 2
             nu2 += 1

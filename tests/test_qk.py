@@ -195,17 +195,16 @@ def test_find_k_rejects_unknown_class() -> None:
 
 
 def test_classify_k_frozen_values() -> None:
-    assert classify_k(53, 27) == KClass("C1", 27, ("C1",))
+    assert classify_k(53, 27) == KClass("C1", 27)
     assert classify_k(53, 15).name == "C2"
     assert classify_k(53, 7).name == "C3"
     assert classify_k(53, 46).name == "C3-"
     generic = classify_k(53, 3)
     assert generic.name == "Generic"
-    assert generic.matches == ()
+    assert generic.spec is None
     # at p = 7 the C3 congruence has the root k = 5, but the class itself
     # requires p in {1,2,4} mod 7, so the multiplier is still Generic
     assert classify_k(7, 5).name == "Generic"
-    assert classify_k(7, 5).matches == ()
 
 
 def test_classify_roundtrips_find() -> None:
@@ -218,14 +217,23 @@ def test_classify_roundtrips_find() -> None:
             for k in ks:
                 got = classify_k(p, k)
                 assert got.name == name
-                assert got.matches == (name,)
                 assert got.k == k % p
 
 
 def test_classes_disjoint_for_odd_primes() -> None:
+    # The four class conditions, written out here rather than read from the
+    # table in qk: at most one holds for each k, and it is the one reported.
+    conditions = {
+        "C1": lambda p, k: (4 * k * k - 1) % p == 0,
+        "C2": lambda p, k: p % 4 == 1 and (4 * k * k + 1) % p == 0,
+        "C3": lambda p, k: p % 7 in (1, 2, 4) and (2 * k * k + k + 1) % p == 0,
+        "C3-": lambda p, k: p % 7 in (1, 2, 4) and (2 * k * k - k + 1) % p == 0,
+    }
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97):
         for k in range(1, p):
-            assert len(classify_k(p, k).matches) <= 1
+            held = [name for name, holds in conditions.items() if holds(p, k)]
+            assert len(held) <= 1
+            assert classify_k(p, k).name == (held[0] if held else "Generic")
 
 
 def test_classify_rejects_zero_k() -> None:

@@ -12,17 +12,14 @@ from qkforge.errors import (
 )
 from qkforge.extfield import ExtField
 from qkforge.ffpoly import Poly, smallest_irreducible
-from qkforge.qk import INFINITY, qk_transform, theta_eval
+from qkforge.qk import CLASSES, INFINITY, qk_transform, theta_eval
 from qkforge.seqgen import (
     KIND_BACKTRACKED,
     KIND_DOUBLED,
     KIND_INITIAL,
     KIND_SPLIT_FIRST,
-    PATTERN_C2,
-    PATTERN_C3,
     RNG_NAME,
     STEP_KINDS,
-    ScheduleReport,
     SequenceRecord,
     Step,
     generate_sequence,
@@ -35,6 +32,8 @@ from qkforge.seqgen import (
 
 P = 53
 F0 = Poly((51, 3, 0, 0, 0, 1), P)  # x^5 + 3x + 51
+PATTERN_C2 = CLASSES["C2"].pattern
+PATTERN_C3 = CLASSES["C3"].pattern
 
 
 def lin(a: int, p: int) -> Poly:
@@ -54,6 +53,7 @@ def prime_field(p: int) -> ExtField:
 def test_pattern_tokens_are_fixed_strings():
     assert PATTERN_C2 == "pairs-every-two-steps"
     assert PATTERN_C3 == "one-per-step"
+    assert CLASSES["C3-"].pattern == PATTERN_C3
 
 
 def test_rng_is_named_in_metadata_vocabulary():
@@ -108,19 +108,6 @@ def test_predict_schedule_rejects_classes_without_schedule():
         predict_schedule(53, 3, 1)  # unclassified multiplier
 
 
-def test_schedule_report_observations_and_json():
-    rep = predict_schedule(53, 15, 5)
-    base = rep.to_json_dict()
-    assert "observed_s" not in base and "observed_t" not in base
-    assert base["s_bound"] == 3 and base["st_bound"] == 5
-    seen = rep.with_observations(0, 3)
-    assert (seen.observed_s, seen.observed_t) == (0, 3)
-    d = seen.to_json_dict()
-    assert d["observed_s"] == 0 and d["observed_t"] == 3
-    # the original is unchanged
-    assert rep.observed_s is None
-
-
 # ---------------------------------------------------------------------------
 # single-step construction
 # ---------------------------------------------------------------------------
@@ -154,6 +141,13 @@ def test_next_poly_ramified_inputs_square_to_linear_roots():
     assert (chosen, alternate, kind) == (lin(1, 53), lin(1, 53), KIND_SPLIT_FIRST)
     chosen, alternate, kind = next_poly(lin(23, 53), 15)
     assert (chosen, alternate, kind) == (lin(-1, 53), lin(-1, 53), KIND_SPLIT_FIRST)
+    for p in (3, 5, 7, 11, 13, 29, 53):
+        for k in range(1, p):
+            for sign in (1, -1):
+                f = lin(sign * 2 * k, p)
+                chosen, alternate, kind = next_poly(f, k)
+                assert (chosen, alternate, kind) == (lin(sign, p), lin(sign, p), KIND_SPLIT_FIRST)
+                assert chosen * chosen == qk_transform(f, k)
 
 
 def test_next_poly_rejects_bad_inputs():
@@ -338,8 +332,6 @@ def test_record_parsing_checks_irreducibility_unless_disabled():
     data["steps"][1]["degree"] = 10
     with pytest.raises(MalformedInputError):
         SequenceRecord.from_json_dict(data)
-    relaxed = SequenceRecord.from_json_dict(data, check_irreducible=False)
-    assert relaxed.steps[1].poly.degree == 10
 
 
 def test_record_constructor_validates_structure():
@@ -481,7 +473,8 @@ def test_orbit_rejects_non_field_inputs():
         is_periodic(5, 3)
 
 
-def test_orbit_respects_the_field_cap():
+def test_orbit_respects_the_field_cap(monkeypatch):
     F53 = prime_field(53)
+    monkeypatch.setenv("QKFORGE_CAP", "4")
     with pytest.raises(ResourceCapError):
-        is_periodic(F53.from_int(2), 7, cap=4)
+        is_periodic(F53.from_int(2), 7)
