@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cm_arith import CURVES, count_points, depths, frobenius_pi, rho0_select
+from .cm_arith import depths, frobenius_pi, rho0_select
 from .dynamics import build_graph, component_stats, export_dot
 from .errors import (
     QkforgeError,
@@ -121,7 +121,7 @@ def cmd_predict(p: int, k: int, n: int) -> int:
     name = report.class_name
     pi = frobenius_pi(p, name)
     payload: dict = {
-        "a_p": p + 1 - count_points(CURVES[pi.disc], p),
+        "a_p": (pi + pi.conj()).a,
         "pi": [pi.a, pi.b],
     }
     if pi.disc == -7:

@@ -22,6 +22,12 @@ extension degree n:
   prime above 2 (alpha or its conjugate) whose residue mod pi matches
   2k + 1 mod p;
 * C3-: the same with k replaced by -k (a C3 multiplier).
+
+`depths` never forms pi^n, whose coordinates grow like p^(n/2): it takes
+z = pow(pi, n, 2^B), B = 2*(p.bit_length() + n.bit_length()) + 8, and reads
+the C2 depths off N(z -+ 1) mod 2^B and the C3 depths off x -+ 1 mod 2^B,
+where x is z with alpha sent to the 2-adic root of x^2 - x + 2 that lies in
+rho0 (the completion at rho0 is Z_2).  Every depth is below B (see `depths`).
 """
 
 from __future__ import annotations
@@ -30,17 +36,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .config import DEFAULT_EXPONENT_CAP
-from .errors import (
-    InternalConsistencyError,
-    ResourceCapError,
-    UnsupportedPrimeError,
-    UsageError,
-)
+from .errors import InternalConsistencyError, UnsupportedPrimeError, UsageError
 from .ffpoly import inv_mod, is_prime
 from .qk import CLASSES, classify_k
 
 _SUPPORTED_DISCS = (-4, -7)
+
+
+def _product(disc: int, a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """Coordinates of (a + b*w)(c + d*w) with w = i (disc -4) or alpha (-7)."""
+    if disc == -4:
+        return a * c - b * d, a * d + b * c
+    # alpha^2 = alpha - 2
+    return a * c - 2 * b * d, a * d + b * c + b * d
 
 
 @dataclass(frozen=True)
@@ -68,33 +76,27 @@ class QuadInt:
         self._check(other)
         return QuadInt(self.a - other.a, self.b - other.b, self.disc)
 
-    def __neg__(self) -> "QuadInt":
-        return QuadInt(-self.a, -self.b, self.disc)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QuadInt(self.a * other, self.b * other, self.disc)
+    def __mul__(self, other: "QuadInt") -> "QuadInt":
         self._check(other)
-        a, b, c, d = self.a, self.b, other.a, other.b
-        if self.disc == -4:
-            return QuadInt(a * c - b * d, a * d + b * c, -4)
-        # alpha^2 = alpha - 2
-        return QuadInt(a * c - 2 * b * d, a * d + b * c + b * d, -7)
+        return QuadInt(*_product(self.disc, self.a, self.b, other.a, other.b), self.disc)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "QuadInt":
+    def __pow__(self, e: int, mod: int | None = None) -> "QuadInt":
+        """self**e exactly, or pow(self, e, mod) with both coordinates
+        reduced mod `mod` after every product."""
         if e < 0:
             raise UsageError("negative powers are not defined here")
-        result = QuadInt(1, 0, self.disc)
-        acc = self
+        disc, a, b, c, d = self.disc, 1, 0, self.a, self.b
+        if mod is not None:
+            a, c, d = 1 % mod, c % mod, d % mod
         while e:
             if e & 1:
-                result = result * acc
+                a, b = _product(disc, a, b, c, d)
             e >>= 1
             if e:
-                acc = acc * acc
-        return result
+                c, d = _product(disc, c, d, c, d)
+            if mod is not None:
+                a, b, c, d = a % mod, b % mod, c % mod, d % mod
+        return QuadInt(a, b, disc)
 
     def conj(self) -> "QuadInt":
         if self.disc == -4:
@@ -111,10 +113,6 @@ class QuadInt:
     def __repr__(self) -> str:
         sym = "i" if self.disc == -4 else "alpha"
         return f"QuadInt({self.a} + {self.b}*{sym})"
-
-
-def one(disc: int) -> QuadInt:
-    return QuadInt(1, 0, disc)
 
 
 @dataclass(frozen=True)
@@ -228,50 +226,21 @@ def rho0_select(p: int, k: int, pi: QuadInt) -> QuadInt:
     raise InternalConsistencyError("neither embedding matches the multiplier residue")
 
 
-def exact_div(z: QuadInt, w: QuadInt) -> QuadInt | None:
-    """z / w when w divides z exactly in the order, else None."""
-    z._check(w)
-    nw = w.norm()
-    if nw == 0:
-        raise UsageError("division by zero")
-    num = z * w.conj()
-    if num.a % nw or num.b % nw:
-        return None
-    return QuadInt(num.a // nw, num.b // nw, z.disc)
-
-
-def rho_valuation(z: QuadInt, rho: QuadInt, exponent_cap: int = DEFAULT_EXPONENT_CAP) -> int:
-    """Largest e with rho^e dividing z, by repeated exact division.
-
-    rho must be a prime above 2, i.e. have norm exactly 2; anything else is
-    rejected so the valuation is guaranteed to be a genuine prime valuation.
-    """
-    if rho.norm() != 2:
-        raise UsageError(
-            f"valuations are taken at a prime above 2; norm(rho)={rho.norm()} != 2"
-        )
-    if z.norm() == 0:
-        raise UsageError("the zero element has infinite valuation")
-    e = 0
-    while True:
-        q = exact_div(z, rho)
-        if q is None:
-            return e
-        z = q
-        e += 1
-        if e > exponent_cap:
-            raise ResourceCapError(
-                f"valuation exceeded the exponent cap {exponent_cap}"
-            )
-
-
-def _nu2(m: int, exponent_cap: int) -> int:
+def _nu2(m: int) -> int:
+    """nu_2 of a residue mod 2^B; a zero residue means the bound on B failed."""
     if m == 0:
-        raise UsageError("the zero integer has infinite 2-adic valuation")
-    e = ((m & -m).bit_length()) - 1
-    if e > exponent_cap:
-        raise ResourceCapError(f"valuation exceeded the exponent cap {exponent_cap}")
-    return e
+        raise InternalConsistencyError("a depth reached the 2-adic precision bound")
+    return (m & -m).bit_length() - 1
+
+
+@lru_cache(maxsize=None)
+def _alpha_root_2adic(parity: int, bits: int) -> int:
+    """The root of x^2 - x + 2 in Z/2^bits with the given parity, lifted from
+    x = parity mod 2 by Newton's method (the derivative 2x - 1 is odd)."""
+    mod, x = 1 << bits, parity
+    for _ in range(bits.bit_length()):  # each step doubles the correct bits
+        x = (x - (x * x - x + 2) * pow(2 * x - 1, -1, mod)) % mod
+    return x
 
 
 @dataclass(frozen=True)
@@ -294,7 +263,7 @@ class DepthPair:
         return self.e0 + self.e1
 
 
-def depths(p: int, k: int, n: int, exponent_cap: int = DEFAULT_EXPONENT_CAP) -> DepthPair:
+def depths(p: int, k: int, n: int) -> DepthPair:
     """Depth pair for multiplier k at extension degree n.
 
     Raises UnsupportedPrimeError when the required CM structure does not
@@ -310,12 +279,17 @@ def depths(p: int, k: int, n: int, exponent_cap: int = DEFAULT_EXPONENT_CAP) -> 
             f"k={k} mod {p} is {name}"
         )
     pi = frobenius_pi(p, name)
-    z = pi**n
+    # The valuations depend only on pi^n mod 2^B.  Lifting the exponent
+    # bounds each of them by nu(pi - u) + 2*nu_2(n) + 6 for some unit u of
+    # the order, and nu(pi - u) <= log2 N(pi - u) < log2(4p), so every depth
+    # is below p.bit_length() + 2*n.bit_length() + 6 < B.
+    bits = 2 * (p.bit_length() + n.bit_length()) + 8
+    mod = 1 << bits
+    z = pow(pi, n, mod)
     if pi.disc == -4:
-        e0 = _nu2((z - one(-4)).norm(), exponent_cap)
-        e1 = _nu2((z + one(-4)).norm(), exponent_cap)
+        below, above = (z.a - 1) ** 2 + z.b**2, (z.a + 1) ** 2 + z.b**2
     else:
-        rho0 = rho0_select(p, k, pi)
-        e0 = rho_valuation(z - one(-7), rho0, exponent_cap)
-        e1 = rho_valuation(z + one(-7), rho0, exponent_cap)
-    return DepthPair(e0, e1, p, n, name)
+        # rho0 = alpha holds the even root, rho0 = 1 - alpha the odd one
+        x = z.a + z.b * _alpha_root_2adic(rho0_select(p, k, pi).a, bits)
+        below, above = x - 1, x + 1
+    return DepthPair(_nu2(below % mod), _nu2(above % mod), p, n, name)

@@ -3,6 +3,7 @@
 Walking orbits and building full functional graphs touch every element of
 F_{p^n}; the default cap keeps that tractable.  The environment variable
 QKFORGE_CAP, a positive integer, replaces the default field-size cap.
+Depth pairs need no cap: `cm_arith.depths` works modulo 2^B, B = O(log pn).
 """
 
 from __future__ import annotations
@@ -12,10 +13,6 @@ import os
 from .errors import UsageError
 
 DEFAULT_FIELD_CAP = 2**22
-
-# Exponent cap for Frobenius powers pi**n inside depth computations.  The
-# coordinates grow like p^(n/2); 64 keeps them comfortably exact yet instant.
-DEFAULT_EXPONENT_CAP = 64
 
 ENV_FIELD_CAP = "QKFORGE_CAP"
 

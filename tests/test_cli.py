@@ -94,6 +94,21 @@ def test_predict_steady_class_json(capsys):
     }
 
 
+def test_predict_large_degree_json(capsys):
+    # n = 2^19 at a 20-bit prime: the depths come from pi^n mod 2^B
+    assert main(["predict", "--p", "1000033", "--k", "c2", "--n", "524288"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data == {
+        "a_p": 1826,
+        "pi": [913, 408],
+        "e0": 44,
+        "e1": 2,
+        "s_bound": 44,
+        "st_bound": 46,
+        "pattern": "pairs-every-two-steps",
+    }
+
+
 def test_predict_mirror_class_uses_conjugate_prime(capsys):
     assert main(["predict", "--p", "53", "--k", "c3-", "--n", "1"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -12,18 +12,52 @@ from qkforge.cm_arith import (
     DepthPair,
     QuadInt,
     count_points,
+    _nu2,
     depths,
-    exact_div,
     frobenius_pi,
-    one,
     rho0_select,
-    rho_valuation,
 )
-from qkforge.errors import ResourceCapError, UnsupportedPrimeError, UsageError
+from qkforge.errors import InternalConsistencyError, UnsupportedPrimeError, UsageError
+from qkforge.ffpoly import is_prime
+from qkforge.qk import classify_k, find_k
 
 
 def pair(d: DepthPair) -> tuple[int, int]:
     return (d.e0, d.e1)
+
+
+def _nu2_exact(m: int) -> int:
+    e = 0
+    while m % 2 == 0:
+        m //= 2
+        e += 1
+    return e
+
+
+def _rho_valuation_exact(z: QuadInt, rho: QuadInt) -> int:
+    """Largest e with rho^e | z, by repeated exact division: rho has norm 2,
+    so z / rho = z * conj(rho) / 2 whenever both coordinates are even."""
+    e = 0
+    while True:
+        num = z * rho.conj()
+        if num.a % 2 or num.b % 2:
+            return e
+        z = QuadInt(num.a // 2, num.b // 2, z.disc)
+        e += 1
+
+
+def _exact_depths(p: int, k: int, n: int, pi: QuadInt | None = None) -> tuple[int, int]:
+    """The depth pair the slow way: pi**n in full, then nu_2 of the norm (C2)
+    or repeated exact division by rho0 (C3, C3-).  pi defaults to the
+    canonical Frobenius element."""
+    if pi is None:
+        pi = frobenius_pi(p, classify_k(p, k).name)
+    z = pi**n
+    unit = QuadInt(1, 0, pi.disc)
+    if pi.disc == -4:
+        return _nu2_exact((z - unit).norm()), _nu2_exact((z + unit).norm())
+    rho = rho0_select(p, k, pi)
+    return _rho_valuation_exact(z - unit, rho), _rho_valuation_exact(z + unit, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -51,11 +85,11 @@ def test_conjugation_preserves_products() -> None:
 
 def test_alpha_satisfies_its_equation() -> None:
     alpha = QuadInt(0, 1, -7)
-    assert alpha * alpha == alpha - one(-7) * 2  # alpha^2 = alpha - 2
+    assert alpha * alpha == alpha - QuadInt(2, 0, -7)  # alpha^2 = alpha - 2
     assert alpha.norm() == 2
     assert alpha.conj() == QuadInt(1, -1, -7)
     assert alpha * alpha.conj() == QuadInt(2, 0, -7)
-    assert alpha + alpha.conj() == one(-7)
+    assert alpha + alpha.conj() == QuadInt(1, 0, -7)
 
 
 def test_norms_are_multiplicative() -> None:
@@ -70,13 +104,17 @@ def test_norms_are_multiplicative() -> None:
 
 
 def test_pow_matches_repeated_mul() -> None:
-    z = QuadInt(-3, 2, -7)
-    acc = one(-7)
-    for e in range(8):
-        assert z**e == acc
-        acc = acc * z
-    with pytest.raises(UsageError):
-        z**-1
+    for z in (QuadInt(-3, 2, -7), QuadInt(5, -4, -4)):
+        acc = QuadInt(1, 0, z.disc)
+        for e in range(40):
+            assert z**e == acc
+            for mod in (1, 2, 7, 1 << 20):
+                assert pow(z, e, mod) == QuadInt(acc.a % mod, acc.b % mod, z.disc)
+            acc = acc * z
+        with pytest.raises(UsageError):
+            z**-1
+        with pytest.raises(UsageError):
+            pow(z, -1, 8)
 
 
 def test_mixed_disc_rejected() -> None:
@@ -189,7 +227,6 @@ def test_rho0_residue_property() -> None:
     # rho0 = a + b*alpha must land on 2k+1 when alpha is sent to -u/v mod p;
     # a C3- multiplier k selects the same prime as the C3 multiplier -k
     from qkforge.ffpoly import inv_mod
-    from qkforge.qk import find_k
 
     for p in (11, 23, 29, 37, 53, 67):
         pi = frobenius_pi(p, "C3")
@@ -209,60 +246,12 @@ def test_rho0_rejects_non_c3() -> None:
         rho0_select(53, 7, frobenius_pi(53, "C2"))  # wrong order
 
 
-def test_valuations_at_conjugate_primes_sum_to_nu2_of_norm() -> None:
-    # val(z, rho) + val(z, conj(rho)) accounts for every factor of 2 in norm(z)
-    alpha = QuadInt(0, 1, -7)
-    rng = random.Random(12)
-    checked = 0
-    while checked < 40:
-        z = QuadInt(rng.randrange(-50, 51), rng.randrange(-50, 51), -7)
-        if z.norm() == 0:
-            continue
-        total = rho_valuation(z, alpha) + rho_valuation(z, alpha.conj())
-        nu2 = 0
-        m = z.norm()
-        while m % 2 == 0:
-            m //= 2
-            nu2 += 1
-        assert total == nu2
-        checked += 1
-
-
 def test_depths_invariant_under_frobenius_conjugation() -> None:
     # recompute each depth pair with conj(pi) in place of pi; results must agree
-    from qkforge.cm_arith import _nu2, rho0_select as select
-
-    for p, k, n, name in ((53, 15, 1, "C2"), (53, 15, 4, "C2"), (13, 4, 3, "C2")):
-        pi_bar = frobenius_pi(p, name).conj()
-        z = pi_bar**n
-        e0 = _nu2((z - one(-4)).norm(), 64)
-        e1 = _nu2((z + one(-4)).norm(), 64)
-        assert pair(depths(p, k, n)) == (e0, e1)
-    for p, k, n in ((11, 3, 1), (11, 3, 2), (53, 7, 5), (23, 16, 2)):
-        pi_bar = frobenius_pi(p, "C3").conj()
-        rho = select(p, k, pi_bar)
-        z = pi_bar**n
-        e0 = rho_valuation(z - one(-7), rho)
-        e1 = rho_valuation(z + one(-7), rho)
-        assert pair(depths(p, k, n)) == (e0, e1)
-
-
-def test_exact_div_and_valuation() -> None:
-    alpha = QuadInt(0, 1, -7)
-    two = QuadInt(2, 0, -7)
-    assert exact_div(two, alpha) == alpha.conj()
-    assert exact_div(alpha.conj(), alpha) is None
-    assert rho_valuation(two, alpha) == 1
-    assert rho_valuation(QuadInt(8, 0, -7), alpha) == 3
-    assert rho_valuation(QuadInt(0, -8, -7), alpha) == 4  # -8*alpha
-    with pytest.raises(UsageError):
-        rho_valuation(QuadInt(0, 0, -7), alpha)
-    with pytest.raises(UsageError):
-        rho_valuation(two, two)  # norm 4, not a prime above 2
-    with pytest.raises(UsageError):
-        rho_valuation(two, QuadInt(1, 0, -7))  # a unit, norm 1
-    with pytest.raises(ResourceCapError):
-        rho_valuation(QuadInt(1 << 40, 0, -7), alpha, exponent_cap=5)
+    for p, k, n in ((53, 15, 1), (53, 15, 4), (13, 4, 3), (11, 3, 1), (11, 3, 2),
+                    (53, 7, 5), (23, 16, 2)):
+        pi_bar = frobenius_pi(p, classify_k(p, k).name).conj()
+        assert pair(depths(p, k, n)) == _exact_depths(p, k, n, pi_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +286,6 @@ def test_depth_bounds_properties() -> None:
 
 
 def test_depths_structure_small_sweep() -> None:
-    from qkforge.qk import find_k
-
     for p in (5, 13, 17, 29, 37, 41, 53):
         for k in find_k(p, "C2"):
             d = depths(p, k, 1)
@@ -325,8 +312,6 @@ def test_depths_structure_small_sweep() -> None:
 
 def test_depths_c3_minus_mirrors_negated_k() -> None:
     # k in C3- iff -k in C3, and the pair for k is computed through -k
-    from qkforge.qk import classify_k, find_k
-
     for p in (11, 23, 29, 53):
         for k in find_k(p, "C3-"):
             assert classify_k(p, (-k) % p).name == "C3"
@@ -343,5 +328,42 @@ def test_depths_errors() -> None:
         depths(53, 15, 0)
     with pytest.raises(UsageError):
         depths(7, 5, 1)  # the C3 congruence excludes p=7, so k=5 is Generic
-    with pytest.raises(ResourceCapError):
-        depths(53, 15, 2, exponent_cap=3)
+    with pytest.raises(InternalConsistencyError):
+        _nu2(0)  # a residue 0 mod 2^B: the precision bound failed
+
+
+def test_depths_match_exact_route_small_primes() -> None:
+    # the 2-adic route against pi**n in full, for every admissible (p, k)
+    ns = list(range(1, 33)) + [64, 128, 256, 512, 1024]
+    checked = 0
+    for p in range(3, 600, 2):
+        if not is_prime(p):
+            continue
+        for name in ("C2", "C3", "C3-"):
+            try:
+                ks = find_k(p, name)
+            except UnsupportedPrimeError:
+                continue
+            for k in ks:
+                pi = frobenius_pi(p, name)
+                for n in ns:
+                    assert pair(depths(p, k, n)) == _exact_depths(p, k, n, pi), (p, k, n)
+                    checked += 1
+    assert checked > 10000
+
+
+@pytest.mark.parametrize(
+    "p, k, inc, floor, e0_at_2_19, e0_at_2_60",
+    [
+        (1000033, 175252, 2, 2, 44, 126),  # C2
+        (1000099, 797403, 1, 1, 23, 64),  # C3
+        (1000099, 202696, 1, 1, 23, 64),  # C3-, the mirror of -202696 = 797403
+    ],
+)
+def test_depths_large_n_follow_the_doubling_law(p, k, inc, floor, e0_at_2_19, e0_at_2_60):
+    # past n = 2, each doubling adds inc to e0 and keeps e1 at its floor
+    base = depths(p, k, 2)
+    assert pair(base) == _exact_depths(p, k, 2)
+    assert base.e1 == floor
+    for j, want in ((19, e0_at_2_19), (60, e0_at_2_60)):
+        assert pair(depths(p, k, 1 << j)) == (base.e0 + inc * (j - 1), floor) == (want, floor)
