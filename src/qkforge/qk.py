@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import InternalConsistencyError, UnsupportedPrimeError, UsageError
 from .extfield import ExtField, FqElem, min_poly_of_element
-from .ffpoly import Poly, _mul_raw, inv_mod, is_irreducible, is_prime, sqrt_mod_p
+from .ffpoly import Poly, _mul_raw, inv_mod, is_irreducible, is_prime, legendre, sqrt_mod_p
 
 
 @dataclass(frozen=True)
@@ -137,6 +137,22 @@ def qk_transform(f: Poly, k: int) -> Poly:
         if i < n:
             pw = _mul_raw(pw, [1, 0, 1], p)
     return Poly(tuple(out), p)
+
+
+def transform_character(f: Poly, k: int) -> int:
+    """The quadratic character legendre(f(2k) * f(-2k), p), which decides
+    the transform of a monic irreducible f of degree n:
+
+    * -1: the transform is irreducible of degree 2n;
+    * +1: it splits into two distinct monic irreducibles of degree n, each
+      the reciprocal of the other;
+    * 0: f is a ramified input x -+ 2k, and the transform is (x -+ 1)^2.
+
+    The roots of the transform are those of x^2 - (alpha/k) x + 1 over the
+    roots alpha of f, and f(2k) * f(-2k) / k^(2n) is the norm to F_p of its
+    discriminant (alpha/k)^2 - 4 (Meyn's criterion with 2 scaled to 2k).
+    """
+    return legendre(f(2 * k) * f(-2 * k), f.p)
 
 
 def is_palindromic(f: Poly) -> bool:

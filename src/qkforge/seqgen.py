@@ -3,10 +3,14 @@ degree-doubling transforms, with factor selection, stall detection, and
 backtracking.
 
 Starting from a monic irreducible f_0 (not x) and a classified multiplier k,
-each step applies the transform to the current polynomial.  If the result is
-irreducible the degree doubles; otherwise it splits into exactly two monic
-irreducibles of the same degree and the generator keeps the canonically first
-one, remembering the other as an alternate.
+each step applies the transform to the current polynomial.  One quadratic
+character, chi = legendre(f(2k) * f(-2k), p), decides the step: for chi = -1
+the transform is irreducible and the degree doubles; for chi = +1 it splits
+into exactly two monic irreducibles of the same degree and the generator
+keeps the canonically first one, remembering the other as an alternate;
+chi = 0 only for the ramified inputs x -+ 2k.  Rabin's test runs once, on
+f_0; every later polynomial is irreducible by the character of the step
+that made it.
 
 For multipliers of class C2, C3, or C3- the depth pair (e0, e1) bounds how
 long the degree may stay flat: whenever a split at step j is not followed by
@@ -18,6 +22,10 @@ as a theorem violation carrying the full trace.
 
 Class C1 sequences are generated with no schedule enforcement; only the
 irreducibility and degree-ratio invariants apply.
+
+A record is verified as a certificate chain: f_0 passes Rabin's test, and
+each later step is the transform of its predecessor (chi = -1) or a monic
+divisor of it of the same degree (chi != -1), which makes it irreducible.
 """
 
 from __future__ import annotations
@@ -35,7 +43,15 @@ from .errors import (
 )
 from .extfield import FqElem
 from .ffpoly import Poly, equal_degree_factorize, inv_mod, is_irreducible
-from .qk import CLASSES, GENERIC, INFINITY, classify_k, qk_transform, theta_eval
+from .qk import (
+    CLASSES,
+    GENERIC,
+    INFINITY,
+    classify_k,
+    qk_transform,
+    theta_eval,
+    transform_character,
+)
 from .cm_arith import DepthPair, depths
 
 KIND_INITIAL = "initial"
@@ -209,6 +225,7 @@ def _check_irr_input(f: Poly) -> None:
 def next_poly(f: Poly, k: int, seed: int = 0) -> tuple[Poly, Optional[Poly], str]:
     """One construction step: transform f and resolve the dichotomy.
 
+    f must be monic, irreducible (checked by Rabin's test) and not x.
     Returns (chosen, alternate, kind).  When the transform is irreducible the
     degree doubles and there is no alternate.  Otherwise the transform splits
     into two monic irreducibles of degree n = deg f; the canonically first is
@@ -216,18 +233,24 @@ def next_poly(f: Poly, k: int, seed: int = 0) -> tuple[Poly, Optional[Poly], str
     the dichotomy altogether is a theorem violation.
     """
     _check_irr_input(f)
-    n = f.degree
+    return _step(f, k, seed)
+
+
+def _step(f: Poly, k: int, seed: int) -> tuple[Poly, Optional[Poly], str]:
+    """next_poly for an f already known to be irreducible: the transform
+    character decides the step, with no irreducibility test."""
     big = qk_transform(f, k)
-    if is_irreducible(big):
+    chi = transform_character(f, k)
+    if chi == -1:
         return big, None, KIND_DOUBLED
     p = f.p
-    c0 = f.coefficient(0)
-    if n == 1 and c0 in (2 * k % p, -2 * k % p):
+    n = f.degree
+    if chi == 0:
         # A repeated root of the transform is a double preimage under theta,
         # i.e. one of the critical points +-1, whose images are +-2k.  So only
         # the ramified inputs x -+ 2k have a repeated factor: their transform
         # is the square (x -+ 1)^2, and both "factors" coincide.
-        root = Poly((c0 * inv_mod(2 * k, p), 1), p)
+        root = Poly((f.coefficient(0) * inv_mod(2 * k, p), 1), p)
         return root, root, KIND_SPLIT_FIRST
     try:
         parts = equal_degree_factorize(big, n, seed=seed)
@@ -266,6 +289,7 @@ def _trace_text(steps: list[Step]) -> str:
 def generate_sequence(f0: Poly, k: int, num_steps: int, seed: int = 0) -> SequenceRecord:
     """Generate f_0 .. f_{num_steps} with stall detection and backtracking.
 
+    f0 must be monic, irreducible (checked by Rabin's test) and not x.
     The multiplier must classify as C1, C2, C3, or C3-.  For the three
     classes with a depth pair, a split that is not followed by a degree
     doubling within max(e0, e1) further steps is rewound (once per split);
@@ -289,7 +313,7 @@ def generate_sequence(f0: Poly, k: int, num_steps: int, seed: int = 0) -> Sequen
 
     i = 1
     while i <= num_steps:
-        chosen, alternate, kind = next_poly(steps[-1].poly, kc.k, seed)
+        chosen, alternate, kind = _step(steps[-1].poly, kc.k, seed)
         steps.append(Step(i, chosen, kind))
         if alternate is None:
             watches.clear()
@@ -355,13 +379,34 @@ def observed_flat_steps(record: SequenceRecord) -> tuple[int, int]:
     return sum(1 for d in degs if d == n), sum(1 for d in degs if d == 2 * n)
 
 
+def _broken_link(prev: Poly, cur: Poly, k: int) -> Optional[str]:
+    """Why cur, of degree deg(prev) or 2 deg(prev), is not certified
+    irreducible by an irreducible prev; None when it is."""
+    chi = transform_character(prev, k)
+    big = qk_transform(prev, k)
+    if cur.degree == big.degree:
+        if chi != -1:
+            return f"the transform of the previous step is reducible (character {chi})"
+        if cur != big:
+            return "it is not the transform of the previous step"
+        return None
+    if chi == -1:
+        return "the transform of the previous step is irreducible (character -1)"
+    if not cur.is_monic or not (big % cur).is_zero:
+        return "it does not divide the transform of the previous step"
+    return None
+
+
 def verify_against_schedule(record: SequenceRecord, report: ScheduleReport) -> list[str]:
     """Check a record against its predicted schedule; violations are returned
     as human-readable strings, an empty list meaning full conformance.
 
-    Checks: independent irreducibility of every step, degree monotonicity and
-    doubling ratios, s <= s_bound, s + t <= st_bound, and the exact class
-    pattern for all steps after s + t.
+    Checks: the irreducibility certificate of every step (f_0 passes Rabin's
+    test; a step of double degree equals the transform of its predecessor,
+    whose character is -1; a step of equal degree is a monic divisor of that
+    transform, whose character is not -1), degree monotonicity and doubling
+    ratios, s <= s_bound, s + t <= st_bound, and the exact class pattern for
+    all steps after s + t.
     """
     n = record.steps[0].degree
     if (record.p, record.k, n) != (report.p, report.k, report.n):
@@ -370,14 +415,19 @@ def verify_against_schedule(record: SequenceRecord, report: ScheduleReport) -> l
             f"({report.p},{report.k},{report.n}) disagree on (p, k, n)"
         )
     violations: list[str] = []
-    for step in record.steps:
-        if not is_irreducible(step.poly):
-            violations.append(f"step {step.index}: polynomial fails the irreducibility re-check")
+    if not is_irreducible(record.steps[0].poly):
+        violations.append("step 0: polynomial fails the irreducibility test")
     for prev, cur in zip(record.steps, record.steps[1:]):
         if cur.degree not in (prev.degree, 2 * prev.degree):
             violations.append(
                 f"step {cur.index}: degree {cur.degree} is neither equal to nor "
                 f"double the previous degree {prev.degree}"
+            )
+            continue
+        broken = _broken_link(prev.poly, cur.poly, record.k)
+        if broken:
+            violations.append(
+                f"step {cur.index}: polynomial fails the irreducibility certificate: {broken}"
             )
     s, t = observed_flat_steps(record)
     if s > report.s_bound:

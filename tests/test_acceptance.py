@@ -132,6 +132,9 @@ def test_acceptance_2_steady_class_reference_run():
     s, t = observed_flat_steps(record)
     if (s, t) != (0, 1):
         failures.append(f"flat steps ({s},{t}) != (0,1)")
+    for step in record.steps:
+        if not is_irreducible(step.poly):
+            failures.append(f"step {step.index} is not irreducible")
     late = [step.index for step in record.steps[2:]
             if step.kind not in (KIND_INITIAL, KIND_DOUBLED)]
     if late:

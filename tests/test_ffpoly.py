@@ -186,7 +186,7 @@ def test_newton_reduce_matches_divmod() -> None:
     rng = random.Random(11)
     for _ in range(20):
         p = rng.choice([5, 53, 997])
-        n = rng.randrange(48, 120)  # force the Newton path
+        n = rng.randrange(ModulusContext._NEWTON_CUTOFF, 120)  # force the Newton path
         m = [rng.randrange(p) for _ in range(n)] + [1]
         ctx = ModulusContext(Poly(tuple(m), p))
         assert ctx._inv_rev is not None

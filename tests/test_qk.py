@@ -7,7 +7,13 @@ import pytest
 
 from qkforge.errors import UnsupportedPrimeError, UsageError
 from qkforge.extfield import ExtField
-from qkforge.ffpoly import Poly, inv_mod, is_irreducible, random_irreducible
+from qkforge.ffpoly import (
+    Poly,
+    equal_degree_factorize,
+    inv_mod,
+    is_irreducible,
+    random_irreducible,
+)
 from qkforge.qk import (
     INFINITY,
     KClass,
@@ -17,6 +23,7 @@ from qkforge.qk import (
     min_poly_theta,
     qk_transform,
     theta_eval,
+    transform_character,
 )
 
 
@@ -155,6 +162,30 @@ def test_transform_dichotomy_small_fields() -> None:
                     assert parts[0] != parts[1]
                     assert all(is_irreducible(h) for h in parts)
                     assert parts[0] * parts[1] == g
+
+
+def test_transform_character_matches_rabin() -> None:
+    """chi = -1 exactly when Rabin's test finds the transform irreducible;
+    chi = +1 splits it into two monic reciprocal factors; chi = 0 only at
+    the ramified inputs x -+ 2k.  Every nonzero k, so every class."""
+    rng = random.Random(20260)
+    classes = set()
+    for p in (3, 5, 7, 11, 13, 29, 53, 113):
+        for n in range(1, 7):
+            f = random_irreducible(p, n, rng)
+            for k in range(1, p):
+                classes.add(classify_k(p, k).name)
+                chi = transform_character(f, k)
+                g = qk_transform(f, k)
+                tag = f"p={p} k={k} f={f.coeffs}"
+                assert (chi == -1) == is_irreducible(g), tag
+                if chi == 0:
+                    assert f.degree == 1 and f(2 * k) * f(-2 * k) % p == 0, tag
+                elif chi == 1:
+                    first, second = equal_degree_factorize(g, n, seed=0)
+                    assert first.is_monic and second.is_monic, tag
+                    assert second == Poly(first.coeffs[::-1], p).monic(), tag
+    assert classes == {"C1", "C2", "C3", "C3-", "Generic"}
 
 
 # ---------------------------------------------------------------------------

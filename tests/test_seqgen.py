@@ -2,6 +2,8 @@
 record serialization, and orbit analysis."""
 
 import json
+import random
+import sys
 
 import pytest
 
@@ -11,7 +13,7 @@ from qkforge.errors import (
     UsageError,
 )
 from qkforge.extfield import ExtField
-from qkforge.ffpoly import Poly, smallest_irreducible
+from qkforge.ffpoly import Poly, is_irreducible, random_irreducible, smallest_irreducible
 from qkforge.qk import CLASSES, INFINITY, qk_transform, theta_eval
 from qkforge.seqgen import (
     KIND_BACKTRACKED,
@@ -393,6 +395,77 @@ def test_verify_flags_reducible_steps():
     )
     violations = verify_against_schedule(forged, predict_schedule(53, 15, 5))
     assert any("irreducibility" in v for v in violations)
+
+
+def _forged_after(*polys: Poly) -> SequenceRecord:
+    """F0 followed by the given polynomials, as a k = 15 record over F_53."""
+    steps = [Step(0, F0, KIND_INITIAL)]
+    for j, f in enumerate(polys, start=1):
+        kind = KIND_DOUBLED if f.degree > steps[-1].degree else KIND_SPLIT_FIRST
+        steps.append(Step(j, f, kind))
+    return SequenceRecord(p=53, k=15, class_name="C2", seed=0, steps=tuple(steps))
+
+
+def _certificate_failures(record: SequenceRecord) -> list[str]:
+    violations = verify_against_schedule(record, predict_schedule(53, 15, 5))
+    return [v for v in violations if "fails the irreducibility" in v]
+
+
+def test_verify_flags_flat_step_outside_the_transform():
+    # an irreducible degree-10 polynomial that is not a factor of the split
+    # transform of f_1: Rabin's test alone would accept it
+    f1 = qk_transform(F0, 15)
+    stranger = random_irreducible(53, 10, random.Random(5))
+    assert is_irreducible(stranger) and not (qk_transform(f1, 15) % stranger).is_zero
+    failures = _certificate_failures(_forged_after(f1, stranger))
+    assert len(failures) == 1
+    assert failures[0].startswith("step 2:") and "does not divide" in failures[0]
+
+
+def test_verify_flags_doubled_step_whose_transform_splits():
+    f1 = qk_transform(F0, 15)
+    failures = _certificate_failures(_forged_after(f1, qk_transform(f1, 15)))
+    assert len(failures) == 1
+    assert failures[0].startswith("step 2:") and "reducible (character 1)" in failures[0]
+
+
+def test_verify_flags_flat_step_whose_transform_is_irreducible():
+    # the transform of F0 under k = 15 is irreducible, so no flat step may
+    # follow F0, even an irreducible one of the same degree
+    failures = _certificate_failures(_forged_after(smallest_irreducible(53, 5)))
+    assert len(failures) == 1
+    assert failures[0].startswith("step 1:") and "irreducible (character -1)" in failures[0]
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record the arguments of every call of qkforge.ffpoly.<name>, from
+    every qkforge module that imported it."""
+    original = getattr(sys.modules["qkforge.ffpoly"], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "qkforge" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_reference_chains_run_rabin_only_on_f0(monkeypatch):
+    rabin = _count_calls(monkeypatch, "is_irreducible")
+    splits = _count_calls(monkeypatch, "equal_degree_factorize")
+    for k, steps in ((7, 6), (15, 12)):
+        rabin.clear()
+        splits.clear()
+        rec = generate_sequence(F0, k, steps)
+        assert verify_against_schedule(rec, predict_schedule(53, k, 5)) == []
+        assert rabin == [(F0,), (F0,)]  # generate_sequence, then verify
+        if k == 7:
+            assert splits == []
+        else:
+            assert len(splits) == 6
 
 
 def test_verify_flags_flat_step_counts_beyond_bounds():
