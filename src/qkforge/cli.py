@@ -31,12 +31,12 @@ from .ffpoly import (
     is_prime,
     parse_poly,
 )
-from .qk import CLASSES, classify_k, find_k, qk_transform
+from .qk import CLASSES, classify_k, find_k, qk_transform, transform_character
 from .seqgen import (
     KIND_DOUBLED,
     KIND_INITIAL,
+    _step,
     generate_sequence,
-    next_poly,
     observed_flat_steps,
     predict_schedule,
     verify_against_schedule,
@@ -146,15 +146,15 @@ def cmd_transform(p: int, k: int, f0_text: str) -> int:
     print(f"input:       {format_poly_human(f)}")
     print(f"transform:   {format_poly_human(big)}")
     print(f"coefficients: {format_poly(big)}")
-    if is_irreducible(big):
+    # A reducible input has a reducible transform; for an irreducible input
+    # the transform character decides.  So Rabin's test runs once, at degree n.
+    irreducible_input = is_irreducible(f)
+    if irreducible_input and transform_character(f, k) == -1:
         print("irreducible: yes")
         return 0
     print("irreducible: no")
-    try:
-        chosen, alternate, _ = next_poly(f, k)
-    except UsageError:
-        return 0  # input outside the dichotomy (reducible, or f = x)
-    if alternate is not None:
+    if irreducible_input and f != Poly.x(p):  # the chain excludes f = x
+        chosen, alternate, _ = _step(f, k, 0)
         print(f"factor 1:    {format_poly_human(chosen)}")
         print(f"factor 2:    {format_poly_human(alternate)}")
     return 0

@@ -8,10 +8,11 @@ Supported discriminants:
   (1 + sqrt(-7))/2), attached to y^2 = x^3 - 35x + 98.  Elements are
   a + b*alpha with norm a^2 + ab + 2b^2.
 
-For a prime p split in the order, counting points on the attached curve
-pins down the Frobenius element pi up to conjugation and sign, and the
-conventions below (positive second coordinate, trace matching the point
-count) make it canonical.
+For a prime p split in the order, the Frobenius element pi of the attached
+curve has norm p, so Cornacchia's algorithm (one square root mod p and a
+Euclid loop) finds it up to conjugation and sign; a sign rule on the trace
+and a positive second coordinate make it canonical.  `count_points`, the
+O(p) character sum, stays as the slow reference for the trace.
 
 A multiplier k of class C2 / C3 / C3- determines a *depth pair* (e0, e1) at
 extension degree n:
@@ -37,7 +38,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .errors import InternalConsistencyError, UnsupportedPrimeError, UsageError
-from .ffpoly import inv_mod, is_prime
+from .ffpoly import inv_mod, is_prime, legendre, sqrt_mod_p
 from .qk import CLASSES, classify_k
 
 _SUPPORTED_DISCS = (-4, -7)
@@ -159,24 +160,49 @@ def count_points(curve: CurveParams, p: int) -> int:
     return total
 
 
+def _cornacchia(p: int, d: int) -> tuple[int, int]:
+    """(x, y) with x, y > 0 and p = x^2 + d*y^2, for d in (1, 7) and a prime p
+    split in Q(sqrt(-d)): Euclid's algorithm on p and a square root of -d
+    mod p, stopped at the first remainder below sqrt(p) (Cornacchia).  Both
+    forms have class number one, so a prime always has a solution; a p
+    without one is composite."""
+    a, x = p, sqrt_mod_p(-d, p)
+    if x is None:
+        raise UsageError(f"p={p} is not prime: -{d} has no square root mod p")
+    while x * x > p:
+        a, x = x, a % x
+    y2, rem = divmod(p - x * x, d)
+    y = isqrt(y2)
+    if rem or y * y != y2 or not x * y:
+        raise UsageError(f"p={p} is not prime: it is not of the form x^2 + {d}y^2")
+    return x, y
+
+
 @lru_cache(maxsize=None)
 def _frobenius_pi_disc(p: int, disc: int) -> QuadInt:
-    curve = CURVES[disc]
-    _check_split_prime(p, curve)
-    t = p + 1 - count_points(curve, p)
+    _check_split_prime(p, CURVES[disc])
     if disc == -4:
-        if t % 2 != 0:
-            raise InternalConsistencyError("odd trace for a curve with 2-torsion")
-        a = t // 2
-        b = isqrt(p - a * a)
-        pi = QuadInt(a, b, -4)
+        # p = a^2 + b^2 with a odd and pi = a + b*i.  For y^2 = x^3 + x the
+        # trace is 2a with a = 1 (mod 4): Ireland-Rosen, A Classical
+        # Introduction to Modern Number Theory, 2nd ed., Ch. 18 Sec. 4, on
+        # y^2 = x^3 - Dx with D = -1 (the primary pi times the quartic
+        # character (-1/pi)_4 = (-1)^((p-1)/4)).
+        x, y = _cornacchia(p, 1)
+        a, b = (x, y) if x % 2 else (y, x)
+        pi = QuadInt(a if a % 4 == 1 else -a, b, -4)
     else:
-        rem = 4 * p - t * t
-        if rem % 7 != 0:
-            raise InternalConsistencyError("trace incompatible with disc -7")
-        v = isqrt(rem // 7)
-        if v * v * 7 != rem or (t - v) % 2 != 0:
-            raise InternalConsistencyError("trace incompatible with disc -7")
+        # 4p = t^2 + 7v^2 with t the trace and pi = u + v*alpha, t = 2u + v.
+        # Odd t and v would give t^2 + 7v^2 = 0 (mod 8), so both are even:
+        # p = (t/2)^2 + 7(v/2)^2.  Sign rule for y^2 = x^3 - 35x + 98
+        # (Rubin-Silverberg, Choosing the correct elliptic curve in the CM
+        # method, Math. Comp. 79 (2010), the case j = -3375): legendre(t, 7)
+        # is +1 exactly when t = 2 (mod 4).  As pi = t/2 (mod sqrt(-7)) and
+        # t = 2 (mod 4) exactly when p = 1 (mod 4), the rule fixes the
+        # quadratic character of pi mod sqrt(-7) to legendre(-1, p).
+        x, y = _cornacchia(p, 7)
+        t, v = 2 * x, 2 * y
+        if (legendre(t, 7) == 1) != (t % 4 == 2):
+            t = -t
         pi = QuadInt((t - v) // 2, v, -7)
     if pi.norm() != p or pi.b <= 0:
         raise InternalConsistencyError(f"bad Frobenius normalization for p={p}")
@@ -185,12 +211,15 @@ def _frobenius_pi_disc(p: int, disc: int) -> QuadInt:
 
 def frobenius_pi(p: int, class_name: str) -> QuadInt:
     """The canonical Frobenius element of norm p and trace p + 1 - #E(F_p)
-    in the order attached to the multiplier class.
+    in the order attached to the multiplier class, found without counting
+    points.
 
     Canonical form: second coordinate positive; first coordinate determined
-    by the trace.  C2 (disc -4): pi = (t/2) + b*i with b = isqrt(p - (t/2)^2).
-    C3 / C3- (disc -7): pi = u + v*alpha with v = isqrt((4p - t^2)/7),
-    u = (t - v)/2.
+    by the trace t.  C2 (disc -4): p = a^2 + b^2 by Cornacchia, pi = a + b*i
+    with a = t/2 the odd coordinate, a = 1 (mod 4).  C3 / C3- (disc -7):
+    p = x^2 + 7y^2 by Cornacchia, pi = u + v*alpha with v = 2y,
+    t = +-2x signed so that legendre(t, 7) = +1 exactly when t = 2 (mod 4),
+    and u = (t - v)/2.
     """
     spec = CLASSES.get(class_name)
     if spec is None or spec.disc is None:

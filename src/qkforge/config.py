@@ -1,9 +1,11 @@
-"""Size caps for exhaustive-enumeration features.
+"""Size caps for exhaustive-enumeration features and parsed input.
 
 Walking orbits and building full functional graphs touch every element of
 F_{p^n}; the default cap keeps that tractable.  The environment variable
 QKFORGE_CAP, a positive integer, replaces the default field-size cap.
-Depth pairs need no cap: `cm_arith.depths` works modulo 2^B, B = O(log pn).
+`ffpoly.parse_poly` refuses a degree above MAX_POLY_DEGREE before it
+allocates the coefficients.  Depth pairs need no cap: `cm_arith.depths`
+works modulo 2^B, B = O(log pn).
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ import os
 from .errors import UsageError
 
 DEFAULT_FIELD_CAP = 2**22
+
+# The largest degree a parsed polynomial may have (fixed, no override).
+MAX_POLY_DEGREE = 2**16
 
 ENV_FIELD_CAP = "QKFORGE_CAP"
 

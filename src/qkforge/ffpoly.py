@@ -23,7 +23,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InternalConsistencyError, MalformedInputError, UsageError
+from .config import MAX_POLY_DEGREE
+from .errors import InternalConsistencyError, MalformedInputError, ResourceCapError, UsageError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -72,7 +73,9 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
     """Canonical square root of a mod p, or None for a non-residue.
 
     The canonical root is the smaller of the two, i.e. the one lying in
-    [0, (p-1)/2].  p must be an odd prime.
+    [0, (p-1)/2].  p must be an odd prime.  `is_prime` is only a strong
+    probable-prime test above 3.3e24, so the loops below are bounded and the
+    root is checked: a composite p that gets this far raises UsageError.
     """
     if not is_prime(p) or p == 2:
         raise UsageError(f"modulus must be an odd prime, got {p}")
@@ -81,6 +84,7 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
         return 0
     if legendre(a, p) != 1:
         return None
+    not_prime = UsageError(f"modulus {p} is not prime: no square root of {a} found")
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
     else:
@@ -88,20 +92,26 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
         while q % 2 == 0:
             q //= 2
             s += 1
-        z = 2
-        while legendre(z, p) != -1:
-            z += 1
+        # the least non-residue of a prime p is below 2*ln(p)^2 under GRH (Bach)
+        z = next((z for z in range(2, 2 + p.bit_length() ** 2) if legendre(z, p) == -1), None)
+        if z is None:
+            raise not_prime
         m, c = s, pow(z, q, p)
         t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
         while t != 1:
+            # for prime p the order of t is 2^i with i < m, so m falls each round
             t2, i = t, 0
-            while t2 != 1:
+            while t2 != 1 and i < m:
                 t2 = t2 * t2 % p
                 i += 1
+            if i == m:
+                raise not_prime
             b = pow(c, 1 << (m - i - 1), p)
             m, c = i, b * b % p
             t = t * c % p
             r = r * b % p
+    if r * r % p != a:
+        raise not_prime
     return min(r, p - r)
 
 
@@ -566,9 +576,19 @@ def format_poly_human(f: Poly, var: str = "x") -> str:
     return "+".join(terms)
 
 
+def _capped_degree(text: str) -> int:
+    """The decimal degree `text`, or ResourceCapError above
+    config.MAX_POLY_DEGREE; its length is checked before int() meets it."""
+    digits = text.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_POLY_DEGREE)) or int(digits) > MAX_POLY_DEGREE:
+        raise ResourceCapError(f"polynomial degree exceeds the cap of {MAX_POLY_DEGREE}")
+    return int(digits)
+
+
 def parse_poly(text: str, p: int) -> Poly:
     """Parse either coefficient-list form ('51,3,0,0,0,1', ascending) or the
-    human form ('x^5+3*x+51'); coefficients are reduced mod p."""
+    human form ('x^5+3*x+51'); coefficients are reduced mod p.  A degree
+    above config.MAX_POLY_DEGREE raises ResourceCapError."""
     s = text.strip()
     if not s:
         raise MalformedInputError("empty polynomial")
@@ -576,6 +596,7 @@ def parse_poly(text: str, p: int) -> Poly:
         # str.isdigit and int() would accept other scripts' digits
         raise MalformedInputError(f"polynomial text must be ASCII: {text!r}")
     if all(ch.isdigit() or ch in ",- " for ch in s):
+        _capped_degree(str(s.count(",")))
         try:
             return Poly(tuple(int(tok) for tok in s.split(",")), p)
         except ValueError:
@@ -602,18 +623,22 @@ def parse_poly(text: str, p: int) -> Poly:
             num += term[k]
             k += 1
         if k == len(term):
-            c, e = int(num), 0
+            e = 0
         elif term[k] == "x":
-            c = int(num) if num else 1
+            num = num or "1"
             rest = term[k + 1 :]
             if not rest:
                 e = 1
             elif rest.startswith("^") and rest[1:].isdigit():
-                e = int(rest[1:])
+                e = _capped_degree(rest[1:])
             else:
                 raise MalformedInputError(f"cannot parse term {term!r} in {text!r}")
         else:
             raise MalformedInputError(f"cannot parse term {term!r} in {text!r}")
+        try:
+            c = int(num)
+        except ValueError:  # more digits than int() converts
+            raise MalformedInputError(f"bad coefficient in {text!r}") from None
         coeffs[e] = coeffs.get(e, 0) + sign * c
         if j < len(compact):
             sign = -1 if compact[j] == "-" else 1

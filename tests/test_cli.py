@@ -2,15 +2,33 @@
 output, exit codes, and artifact determinism."""
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 import qkforge.cli as cli
 from qkforge.cli import main
+from qkforge.config import MAX_POLY_DEGREE
 from qkforge.errors import TheoremViolationError
-from qkforge.seqgen import SequenceRecord
+from qkforge.ffpoly import Poly, format_poly, format_poly_human, sqrt_mod_p
+from qkforge.qk import qk_transform
+from qkforge.seqgen import SequenceRecord, generate_sequence
 
 F0_TEXT = "51,3,0,0,0,1"
+
+# `predict` payloads for every C2/C3/C3- multiplier at p in {5, 11, 53, 113,
+# 1009} and n in {1, 5, 8192}, and `sweep-lemmas --max-p 600` stdout, as the
+# point-count route printed them
+GOLDEN = json.loads(Path(__file__).with_name("golden_predict.json").read_text())
+
+
+def _patch_everywhere(monkeypatch, name: str, replacement) -> None:
+    """Replace qkforge.ffpoly.<name> in every qkforge module that imported it."""
+    original = getattr(sys.modules["qkforge.ffpoly"], name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "qkforge" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, replacement)
 
 SHORT_RUNS = (
     (15, 3, (5, 10, 10, 10), False),
@@ -109,6 +127,84 @@ def test_predict_large_degree_json(capsys):
     }
 
 
+def test_predict_payloads_match_golden(capsys):
+    for p, k, n, want in GOLDEN["predict"]:
+        assert main(["predict", "--p", str(p), "--k", str(k), "--n", str(n)]) == 0
+        assert capsys.readouterr() == (want, ""), (p, k, n)
+
+
+def _ec_add(P, Q, a4: int, p: int):
+    """Affine addition on y^2 = x^3 + a4*x + a6, with None the point at infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2 and (y1 + y2) % p == 0:
+        return None
+    if P == Q:
+        lam = (3 * x1 * x1 + a4) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _ec_mul(m: int, P, a4: int, p: int):
+    R = None
+    while m:
+        if m & 1:
+            R = _ec_add(R, P, a4, p)
+        P = _ec_add(P, P, a4, p)
+        m >>= 1
+    return R
+
+
+@pytest.mark.parametrize(
+    "p, k",
+    [(10**29 + 481, "c2"), (10**99 + 289, "c2"), (10**99 + 289, "c3"), (10**99 + 289, "c3-")],
+)
+def test_predict_at_large_primes(p, k, capsys):
+    # a 30-digit and a 100-digit prime: far beyond any point count
+    assert main(["predict", "--p", str(p), "--k", k, "--n", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    data = json.loads(out)
+    a, b = data["pi"]
+    a_p = data["a_p"]
+    if k == "c2":
+        a4, a6, norm, trace = 1, 0, a * a + b * b, 2 * a
+    else:
+        a4, a6, norm, trace = -35, 98, a * a + a * b + 2 * b * b, 2 * a + b
+    assert (norm, trace) == (p, a_p)
+    assert b > 0
+    points = []
+    x = 2
+    while len(points) < 3:
+        rhs = (x**3 + a4 * x + a6) % p
+        y = sqrt_mod_p(rhs, p)
+        if y:
+            assert y * y % p == rhs
+            points.append((x, y))
+        x += 1
+    assert all(_ec_mul(p + 1 - a_p, P, a4, p) is None for P in points)
+    # the other sign is the order of the quadratic twist
+    assert any(_ec_mul(p + 1 + a_p, P, a4, p) is not None for P in points)
+
+
+def test_predict_rejects_composite_accepted_as_prime(monkeypatch, capsys):
+    # is_prime is a probable-prime test above 3.3e24; if it accepted
+    # 65 = 5 * 13 (= 1 mod 4, with C2 multiplier 4), the square root mod p
+    # must fail with a usage error rather than loop
+    real = sys.modules["qkforge.ffpoly"].is_prime
+    _patch_everywhere(monkeypatch, "is_prime", lambda n: n == 65 or real(n))
+    for k in ("4", "c2"):
+        assert main(["predict", "--p", "65", "--k", k, "--n", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: modulus 65 is not prime") and err.count("\n") == 1
+
+
 def test_predict_mirror_class_uses_conjugate_prime(capsys):
     assert main(["predict", "--p", "53", "--k", "c3-", "--n", "1"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -178,6 +274,45 @@ def test_transform_rejects_non_monic(capsys):
 
 def test_transform_rejects_garbage(capsys):
     assert main(["transform", "--p", "53", "--k", "15", "--f0", "x^^2"]) == 2
+
+
+def test_transform_runs_rabin_once_on_the_input(monkeypatch, capsys):
+    # the degree-160 step of the k = 7 reference chain doubles: Rabin's test
+    # at degree 160, then the transform character, and no test at degree 320
+    f160 = generate_sequence(Poly((51, 3, 0, 0, 0, 1), 53), 7, 5).steps[5].poly
+    assert f160.degree == 160
+    calls = []
+    real = sys.modules["qkforge.ffpoly"].is_irreducible
+    _patch_everywhere(monkeypatch, "is_irreducible", lambda f: calls.append(f) or real(f))
+    assert main(["transform", "--p", "53", "--k", "7", "--f0", format_poly(f160)]) == 0
+    assert calls == [f160]
+    big = qk_transform(f160, 7)
+    assert capsys.readouterr().out == (
+        f"input:       {format_poly_human(f160)}\n"
+        f"transform:   {format_poly_human(big)}\n"
+        f"coefficients: {format_poly(big)}\n"
+        "irreducible: yes\n"
+    )
+
+
+def test_transform_reducible_and_excluded_inputs(capsys):
+    # a reducible input has a reducible transform; f = x and reducible inputs
+    # print no factors, a ramified input prints its square root twice
+    for f0, factors in (("52,0,1", None), ("0,1", None), ("x+30", "x+1")):
+        assert main(["transform", "--p", "53", "--k", "15", "--f0", f0]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3] == "irreducible: no"
+        if factors is None:
+            assert len(lines) == 4
+        else:
+            assert lines[4:] == [f"factor 1:    {factors}", f"factor 2:    {factors}"]
+
+
+def test_transform_degree_cap_exits_4(capsys):
+    assert main(["transform", "--p", "53", "--k", "15", "--f0", "x^300000000+1"]) == 4
+    assert capsys.readouterr() == (
+        "", f"error: polynomial degree exceeds the cap of {MAX_POLY_DEGREE}\n"
+    )
 
 
 def test_transform_rejects_non_ascii_digits(capsys):
@@ -376,6 +511,11 @@ def test_explore_rejects_invalid_cap_with_exit_2(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 # sweep-lemmas
 # ---------------------------------------------------------------------------
+
+
+def test_sweep_lemmas_matches_golden(capsys):
+    assert main(["sweep-lemmas", "--max-p", "600"]) == 0
+    assert capsys.readouterr() == (GOLDEN["sweep_lemmas_max_p_600"], "")
 
 
 def test_sweep_lemmas_small_range(capsys):

@@ -19,7 +19,7 @@ from qkforge.cm_arith import (
 )
 from qkforge.errors import InternalConsistencyError, UnsupportedPrimeError, UsageError
 from qkforge.ffpoly import is_prime
-from qkforge.qk import classify_k, find_k
+from qkforge.qk import CLASSES, classify_k, find_k
 
 
 def pair(d: DepthPair) -> tuple[int, int]:
@@ -195,6 +195,34 @@ def test_frobenius_norm_and_trace() -> None:
         trace = (pi + pi.conj()).a
         assert trace == p + 1 - count_points(CURVE_DISC7, p)
         assert trace * trace <= 4 * p
+
+
+def _pi_from_point_count(p: int, disc: int) -> QuadInt:
+    """The Frobenius element the slow way: the trace t from count_points,
+    then the canonical pi of norm p and trace t with second coordinate > 0."""
+    curve = CURVE_DISC4 if disc == -4 else CURVE_DISC7
+    t = p + 1 - count_points(curve, p)
+    if disc == -4:
+        return QuadInt(t // 2, isqrt(p - (t // 2) ** 2), -4)
+    v = isqrt((4 * p - t * t) // 7)
+    return QuadInt((t - v) // 2, v, -7)
+
+
+def test_frobenius_matches_point_count_route() -> None:
+    # Cornacchia with the sign rules against the O(p) point count, for every
+    # admissible p < 10^4 and both discriminants
+    checked = 0
+    for p in range(3, 10**4, 2):
+        if not is_prime(p):
+            continue
+        for name, disc in (("C2", -4), ("C3", -7)):
+            if not CLASSES[name].admits(p):
+                continue
+            pi = _pi_from_point_count(p, disc)
+            assert pi.norm() == p
+            assert frobenius_pi(p, name) == pi, (p, name)
+            checked += 1
+    assert checked == 1216
 
 
 def test_frobenius_rejects_unknown_class() -> None:

@@ -9,7 +9,9 @@ import random
 
 import pytest
 
-from qkforge.errors import MalformedInputError, UsageError
+import qkforge.ffpoly as ffpoly
+from qkforge.config import MAX_POLY_DEGREE
+from qkforge.errors import MalformedInputError, ResourceCapError, UsageError
 from qkforge.ffpoly import (
     ModulusContext,
     Poly,
@@ -84,6 +86,22 @@ def test_sqrt_mod_p_exhaustive_small() -> None:
 def test_sqrt_mod_p_rejects_non_prime() -> None:
     with pytest.raises(UsageError):
         sqrt_mod_p(3, 15)
+
+
+def test_sqrt_mod_p_ends_on_composites_that_pass_as_prime(monkeypatch) -> None:
+    # is_prime is only a probable-prime test above 3.3e24; on a composite it
+    # let through, sqrt_mod_p returns a true root or None, or raises
+    monkeypatch.setattr(ffpoly, "is_prime", lambda n: True)
+    raised = 0
+    for n in (15, 21, 65, 85, 561, 1105, 1729):  # both n mod 4 classes
+        for a in range(n):
+            try:
+                r = sqrt_mod_p(a, n)
+            except UsageError:
+                raised += 1
+                continue
+            assert r is None or r * r % n == a
+    assert raised > 0
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +393,20 @@ def test_parse_poly_rejects_garbage() -> None:
     for bad in ("", "x^", "y+1", "1,,2", "3..1", "x^-2"):
         with pytest.raises(MalformedInputError):
             parse_poly(bad, 5)
+
+
+def test_parse_poly_degree_cap() -> None:
+    cap = MAX_POLY_DEGREE
+    assert parse_poly(f"x^{cap}+1", 5).degree == cap
+    assert parse_poly(",".join(["0"] * cap + ["1"]), 5).degree == cap
+    assert parse_poly("x^" + "0" * 30 + "2", 5).degree == 2  # leading zeros
+    for text in (f"x^{cap + 1}+1", "x^300000000+1", "3x^" + "9" * 5000,
+                 ",".join(["0"] * (cap + 1) + ["1"])):
+        with pytest.raises(ResourceCapError):
+            parse_poly(text, 5)
+    # more digits than int() converts is malformed, not a traceback
+    with pytest.raises(MalformedInputError):
+        parse_poly("x+" + "9" * 5000, 5)
 
 
 def test_format_roundtrip() -> None:
