@@ -319,7 +319,6 @@ def check_lemma_kk(
         raise UsageError("r_max must be >= 0")
     if r_max == 0:
         return True
-    modulus = _resolve_modulus(p, n, modulus) if modulus is not None else None
     g_pos = build_graph(p, n, k, modulus)
     g_neg = build_graph(p, n, -k, g_pos.modulus)
     s_pos = g_pos.successors

@@ -1,6 +1,5 @@
 """Iterative construction of irreducible-polynomial sequences by repeated
-degree-doubling transforms, with factor selection, stall detection, and
-backtracking.
+degree-doubling transforms, with factor selection.
 
 Starting from a monic irreducible f_0 (not x) and a classified multiplier k,
 each step applies the transform to the current polynomial.  One quadratic
@@ -13,12 +12,15 @@ f_0; every later polynomial is irreducible by the character of the step
 that made it.
 
 For multipliers of class C2, C3, or C3- the depth pair (e0, e1) bounds how
-long the degree may stay flat: whenever a split at step j is not followed by
-a doubling within max(e0, e1) further steps, the generator rewinds to step j
-and takes the alternate factor instead (recorded with kind "backtracked").
-Each split is rewound at most once and a small global budget guards against
-a broken schedule, which would falsify the underlying theory and is reported
-as a theorem violation carrying the full trace.
+long the degree may stay flat, and only one choice can break that bound:
+the first split before any doubling whose factors differ.  If its root
+lies on a cycle of x -> k(x + 1/x), one factor lies on the cycle too and
+can stall for ever.  So that split is raced: both factors are followed in
+lockstep, and the second is kept (recorded with kind "backtracked") only if
+it doubles strictly first, which happens exactly when the first lies on a
+cycle.  A race that neither factor wins within max(e0, e1) steps would
+falsify the underlying theory and is reported as a theorem violation
+carrying the trace.
 
 Class C1 sequences are generated with no schedule enforcement; only the
 irreducibility and degree-ratio invariants apply.
@@ -69,11 +71,6 @@ STEP_KINDS = (
 )
 
 RNG_NAME = "mt19937"
-
-# Total rewinds allowed in one generate_sequence call.  Theory predicts at
-# most one rewind is ever needed, so exceeding this signals a broken bound.
-REWIND_BUDGET = 8
-
 
 # ---------------------------------------------------------------------------
 # record types
@@ -266,18 +263,8 @@ def _step(f: Poly, k: int, seed: int) -> tuple[Poly, Optional[Poly], str]:
 
 
 # ---------------------------------------------------------------------------
-# full generation with backtracking
+# full generation
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Watch:
-    """Stall watch for the split at step `index`; `alternate` is consumed by
-    the one rewind this split is allowed."""
-
-    index: int
-    alternate: Optional[Poly]
-    rewound: bool = False
 
 
 def _trace_text(steps: list[Step]) -> str:
@@ -287,13 +274,17 @@ def _trace_text(steps: list[Step]) -> str:
 
 
 def generate_sequence(f0: Poly, k: int, num_steps: int, seed: int = 0) -> SequenceRecord:
-    """Generate f_0 .. f_{num_steps} with stall detection and backtracking.
+    """Generate f_0 .. f_{num_steps}, taking the canonically first factor of
+    every split except, possibly, the first.
 
     f0 must be monic, irreducible (checked by Rabin's test) and not x.
     The multiplier must classify as C1, C2, C3, or C3-.  For the three
-    classes with a depth pair, a split that is not followed by a degree
-    doubling within max(e0, e1) further steps is rewound (once per split);
-    exhausting the rewind budget raises a theorem violation with the trace.
+    classes with a depth pair, the first split before any doubling whose
+    two factors differ is settled by a race (see _race): the second factor
+    is kept, with kind "backtracked", when the first lies on a cycle.  A
+    race that neither factor wins within max(e0, e1) steps raises a theorem
+    violation with the trace.  The race does not depend on num_steps, so a
+    shorter run is a prefix of a longer one.
     """
     if num_steps < 0:
         raise UsageError("num_steps must be >= 0")
@@ -304,66 +295,55 @@ def generate_sequence(f0: Poly, k: int, num_steps: int, seed: int = 0) -> Sequen
         raise UsageError(
             f"k={k} mod {p} is {kc.name}; sequences need class C1, C2, C3, or C3-"
         )
-    enforce = kc.spec.disc is not None
-    window = depths(p, kc.k, f0.degree).s_bound if enforce else 0
+    # C1 has no depth pair, so nothing bounds its stalls and it is not raced.
+    racing = kc.spec.disc is not None
+    rounds = depths(p, kc.k, f0.degree).s_bound if racing else 0
 
     steps: list[Step] = [Step(0, f0, KIND_INITIAL)]
-    watches: list[_Watch] = []
-    rewinds = 0
-
-    i = 1
-    while i <= num_steps:
+    while len(steps) <= num_steps:
         chosen, alternate, kind = _step(steps[-1].poly, kc.k, seed)
-        steps.append(Step(i, chosen, kind))
-        if alternate is None:
-            watches.clear()
-        else:
-            watches.append(_Watch(i, alternate))
-            if enforce:
-                rewound_to = _handle_stall(steps, watches, window, i)
-                if rewound_to is not None:
-                    rewinds += 1
-                    if rewinds > REWIND_BUDGET:
-                        raise TheoremViolationError(
-                            "rewind budget exhausted; the degree schedule bound "
-                            f"appears to fail: {_trace_text(steps)}"
-                        )
-                    i = rewound_to
-        i += 1
+        run = [Step(len(steps), chosen, kind)]
+        # A doubling (no alternate) ends the chance to race; a ramified step
+        # (both factors equal) leaves nothing to choose and keeps it open.
+        if racing and alternate != chosen:
+            racing = False
+            if alternate is not None:
+                run = _race(steps, run[0], alternate, kc.k, seed, rounds)
+        steps.extend(run[: num_steps + 1 - len(steps)])
 
     return SequenceRecord(
         p=p, k=kc.k, class_name=kc.name, seed=seed, steps=tuple(steps)
     )
 
 
-def _handle_stall(
-    steps: list[Step], watches: list[_Watch], window: int, i: int
-) -> Optional[int]:
-    """Detect and repair a stall after emitting the split step i.
+def _race(
+    steps: list[Step], first: Step, alternate: Poly, k: int, seed: int, rounds: int
+) -> list[Step]:
+    """Follow first factors from both factors of a split in lockstep, and
+    return the run (the split step up to its doubling) of the factor that
+    doubles strictly first, or of `first` on a tie.
 
-    A watch placed at split j expires when step j + window is reached with no
-    doubling in between (a doubling clears all watches).  The earliest expired
-    un-rewound split is rewound: the record is truncated to j - 1 and the
-    split's alternate emitted at j with kind "backtracked".  Returns the index
-    rewound to, or None.  Expired watches that were already rewound hand
-    responsibility to the next split; if the stall truly persists, the caller's
-    rewind budget converts it into a theorem violation.
+    The functional graph of x -> k(x + 1/x) is cycles with perfect binary
+    trees of depth e0 or e1 hanging off them.  A split whose root lies on a
+    cycle has one factor on the cycle, whose first factors can stall for
+    ever, and one at depth 1 of a tree, which reaches a leaf and doubles
+    within max(e0, e1) = `rounds` steps; a root off the cycle has both
+    factors at the same depth, so they tie.  A doubled step's root lies on
+    no cycle, so after the first doubling no choice changes the degrees.
     """
-    while watches and i - watches[0].index >= window:
-        expired = watches[0]
-        if expired.rewound:
-            # Already swapped once; pass responsibility to the next split.
-            watches.pop(0)
-            continue
-        target = expired.index
-        alternate = expired.alternate
-        assert alternate is not None
-        del steps[target:]
-        steps.append(Step(target, alternate, KIND_BACKTRACKED))
-        watches[:] = [w for w in watches if w.index < target]
-        watches.append(_Watch(target, None, rewound=True))
-        return target
-    return None
+    runs = ([first], [Step(first.index, alternate, KIND_BACKTRACKED)])
+    for _ in range(rounds):
+        for run in runs:
+            last = run[-1]
+            chosen, _, kind = _step(last.poly, k, seed)
+            run.append(Step(last.index + 1, chosen, kind))
+            if kind == KIND_DOUBLED:
+                return run
+    raise TheoremViolationError(
+        f"neither factor of the split at step {first.index} doubles within "
+        f"s_bound={rounds} steps; the degree schedule bound appears to fail: "
+        f"{_trace_text(steps + runs[0])}"
+    )
 
 
 # ---------------------------------------------------------------------------

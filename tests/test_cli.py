@@ -384,6 +384,16 @@ def test_generate_half_of_one_class_skips_schedule(capsys):
     assert data["class"] == "C1"
 
 
+def test_generate_races_a_first_split_on_a_cycle(capsys):
+    # C3 with (e0, e1) = (2, 1): the first factor of the first split lies on
+    # a cycle and doubles only after two steps, the second after one
+    assert main(["generate", "--p", "113", "--k", "21", "--f0", "1,6,110,1",
+                 "--steps", "5"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [s["degree"] for s in data["steps"]] == [3, 3, 6, 6, 12, 24]
+    assert data["steps"][1]["kind"] == "backtracked"
+
+
 def test_generate_rejects_bad_inputs(capsys):
     assert main(["generate", "--p", "53", "--k", "15", "--f0", "52,0,1",
                  "--steps", "2"]) == 2  # reducible

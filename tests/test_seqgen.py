@@ -7,14 +7,24 @@ import sys
 
 import pytest
 
+import qkforge.seqgen as seqgen
+from qkforge.cm_arith import DepthPair
 from qkforge.errors import (
     MalformedInputError,
     ResourceCapError,
+    TheoremViolationError,
+    UnsupportedPrimeError,
     UsageError,
 )
 from qkforge.extfield import ExtField
-from qkforge.ffpoly import Poly, is_irreducible, random_irreducible, smallest_irreducible
-from qkforge.qk import CLASSES, INFINITY, qk_transform, theta_eval
+from qkforge.ffpoly import (
+    Poly,
+    is_irreducible,
+    is_prime,
+    random_irreducible,
+    smallest_irreducible,
+)
+from qkforge.qk import CLASSES, INFINITY, find_k, qk_transform, theta_eval
 from qkforge.seqgen import (
     KIND_BACKTRACKED,
     KIND_DOUBLED,
@@ -245,13 +255,13 @@ def test_generate_rejects_reducible_start():
 
 
 # ---------------------------------------------------------------------------
-# stall detection and backtracking
+# the first split's race
 # ---------------------------------------------------------------------------
 
 
 def test_stalled_choice_is_rewound_and_final_record_conforms():
-    # starting from x - 8 over F_11 the canonically-first factors walk a
-    # cycle, the watch expires, and the generator swaps in the alternate
+    # starting from x - 8 over F_11 the canonically-first factor of the first
+    # split lies on a cycle, so the race keeps the other one
     rec = generate_sequence(lin(8, 11), 2, 6)
     assert rec.degrees() == [1, 1, 1, 2, 4, 8, 16]
     assert rec.steps[1].kind == KIND_BACKTRACKED
@@ -266,6 +276,79 @@ def test_rewind_also_occurs_for_paired_class():
     assert rec.degrees() == [1, 1, 1, 2, 2, 2, 4]
     assert rec.steps[1].kind == KIND_BACKTRACKED
     assert verify_against_schedule(rec, predict_schedule(13, 4, 1)) == []
+
+
+def test_race_that_neither_factor_wins_is_a_theorem_violation(monkeypatch):
+    # from x - 8 over F_11 the kept factor needs two steps to double, so a
+    # depth pair (1, 0) leaves the race without a winner
+    monkeypatch.setattr(
+        seqgen, "depths", lambda p, k, n: DepthPair(1, 0, p, n, "C3")
+    )
+    with pytest.raises(TheoremViolationError) as info:
+        generate_sequence(lin(8, 11), 2, 6)
+    message = str(info.value)
+    assert "split at step 1" in message
+    assert "degrees [1,1,1] kinds [initial,split-took-first,split-took-first]" in message
+
+
+def _root_is_periodic(f: Poly, k: int) -> bool:
+    return is_periodic(ExtField(f).gen(), k)[0]
+
+
+def _seeded_schedule_starts(count: int) -> list[tuple[int, int, Poly]]:
+    """(p, k, f0) with k of class C2, C3 or C3- mod a prime p < 400, f0 of
+    degree <= 3 or a ramified x -+ 2k; only schedules with s + t <= 5, so
+    that no chain outgrows a quick Cantor-Zassenhaus split."""
+    rng = random.Random(1)
+    primes = [p for p in range(3, 400) if is_prime(p)]
+    starts = []
+    while len(starts) < count:
+        p = rng.choice(primes)
+        try:
+            k = rng.choice(find_k(p, rng.choice(("C2", "C3", "C3-"))))
+        except UnsupportedPrimeError:
+            continue
+        if rng.random() < 0.25:
+            f0 = lin(rng.choice((2 * k, -2 * k)), p)
+        else:
+            f0 = random_irreducible(p, rng.randint(1, 3), rng)
+            if f0 == lin(0, p):
+                continue
+        if predict_schedule(p, k, f0.degree).st_bound <= 5:
+            starts.append((p, k, f0))
+    return starts
+
+
+def test_seeded_chains_conform_are_prefix_stable_and_race_off_the_cycle():
+    raced = on_cycle = 0
+    for p, k, f0 in _seeded_schedule_starts(60):
+        report = predict_schedule(p, k, f0.degree)
+        num_steps = report.st_bound + 2
+        rec = generate_sequence(f0, k, num_steps)
+        case = (p, k, f0)
+        assert verify_against_schedule(rec, report) == [], case
+        for m in range(num_steps):
+            assert generate_sequence(f0, k, m).steps == rec.steps[: m + 1], (case, m)
+        if p**f0.degree > 10**4:
+            continue
+        # the first split before any doubling whose two factors differ
+        for prev, cur in zip(rec.steps, rec.steps[1:]):
+            first, alternate, _ = next_poly(prev.poly, k)
+            if alternate is None:
+                break
+            if alternate == first:
+                continue
+            raced += 1
+            cycle_root = _root_is_periodic(prev.poly, k)
+            first_cycles = _root_is_periodic(first, k)
+            on_cycle += cycle_root
+            # a root on a cycle has one preimage on it; off it, neither is
+            assert first_cycles + _root_is_periodic(alternate, k) == cycle_root, case
+            # the second factor is kept exactly when the first is on the cycle
+            assert cur.poly == (alternate if first_cycles else first), case
+            assert (cur.kind == KIND_BACKTRACKED) == first_cycles, case
+            break
+    assert raced >= 10 and on_cycle >= 5
 
 
 # ---------------------------------------------------------------------------
