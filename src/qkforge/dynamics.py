@@ -13,21 +13,28 @@ binary trees: away from the two ramified targets (the images 2k and -2k of
 the critical points 1 and -1, which contribute a single doubled preimage)
 every node has either zero or two preimages, each periodic node roots
 exactly one tree, and all leaves sit at the component's full depth.
+
+Over F_p the successors come from a table of inverses mod p.  Over F_{p^n}
+they come from exp/log tables on a primitive element g, in integer node
+indices with no field arithmetic per node (Huber, IEEE Trans. IT 36, 1990):
+for x = g^l, x + 1/x = (x^2 + 1)/x, where x^2 is g^(2l), "1 +" only bumps
+the lowest base-p digit of an index, and multiplying by k and dividing by x
+add and subtract logarithms.  Building the tables takes n field products.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Optional
 
 from .config import field_cap
 from .errors import InternalConsistencyError, ResourceCapError, UsageError
-from .extfield import ExtField, FqElem, batch_inverse
-from .ffpoly import Poly, is_irreducible, is_prime, smallest_irreducible
+from .extfield import ExtField, FqElem
+from .ffpoly import Poly, _prime_factors, is_irreducible, is_prime, smallest_irreducible
 from .qk import INFINITY
-
-_INV_CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -102,13 +109,8 @@ def _resolve_modulus(p: int, n: int, modulus: Optional[Poly]) -> Poly:
     return modulus.monic()
 
 
-def build_graph(p: int, n: int, k: int, modulus: Optional[Poly] = None) -> FunctionalGraph:
-    """Tabulate the successor of every projective point under x -> k(x + 1/x).
-
-    Node 0 is infinity; node 1 + j is the field element with canonical index
-    j.  Both 0 and infinity map to infinity.  Fields larger than the
-    configured cap are refused.
-    """
+def _checked_inputs(p: int, n: int, k: int, modulus: Optional[Poly]) -> tuple[int, Poly]:
+    """Validate a graph request; return k mod p and the monic modulus."""
     if not is_prime(p):
         raise UsageError(f"p={p} is not prime")
     if n < 1:
@@ -117,8 +119,17 @@ def build_graph(p: int, n: int, k: int, modulus: Optional[Poly] = None) -> Funct
     k = k % p
     if k == 0:
         raise UsageError("the multiplier k must be nonzero mod p")
-    modulus = _resolve_modulus(p, n, modulus)
+    return k, _resolve_modulus(p, n, modulus)
 
+
+def build_graph(p: int, n: int, k: int, modulus: Optional[Poly] = None) -> FunctionalGraph:
+    """Tabulate the successor of every projective point under x -> k(x + 1/x).
+
+    Node 0 is infinity; node 1 + j is the field element with canonical index
+    j.  Both 0 and infinity map to infinity.  Fields larger than the
+    configured cap are refused.
+    """
+    k, modulus = _checked_inputs(p, n, k, modulus)
     if n == 1:
         successors = _build_prime_field(p, k)
     else:
@@ -142,18 +153,75 @@ def _build_prime_field(p: int, k: int) -> tuple[int, ...]:
 
 
 def _build_extension_field(p: int, n: int, k: int, modulus: Poly) -> tuple[int, ...]:
+    """Successor table over F_p[x]/(modulus) from exp/log tables; any n >= 1."""
+    return _successors(p, *_exp_log_tables(p, n, modulus), k)
+
+
+def _is_primitive(x: FqElem) -> bool:
+    """x generates F_q^*: x^((q-1)/r) != 1 for every prime r dividing q - 1."""
+    order = x.field.q - 1
+    return all(x ** (order // r) != 1 for r in _prime_factors(order))
+
+
+def _exp_log_tables(p: int, n: int, modulus: Poly) -> tuple[array, array]:
+    """exp[i] = index of g^i for 0 <= i < q - 1, and log, its inverse on the
+    nonzero indices (log[0] = -1), for g the first primitive element in
+    index order.
+
+    Only s = (q-1)/(p-1) powers are walked, as base-p digit vectors times the
+    matrix of y -> y*g.  g^s = c lies in F_p^*, so the rest of the table is
+    g^(i + s*t) = c^t * g^i: multiplying by c permutes each digit, one table
+    lookup per index.  The table must hold q - 1 distinct indices (g of
+    order q - 1); anything else raises InternalConsistencyError.
+    """
     field = ExtField(modulus, assume_irreducible=True)
     q = field.q
-    kf = field.from_int(k)
-    succ = [0] * (q + 1)
-    succ[0] = 0
-    succ[1] = 0  # from_index(0) is the zero element
-    for lo in range(1, q, _INV_CHUNK):
-        hi = min(lo + _INV_CHUNK, q)
-        xs = [field.from_index(j) for j in range(lo, hi)]
-        invs = batch_inverse(xs)
-        for j, x, xi in zip(range(lo, hi), xs, invs):
-            succ[1 + j] = 1 + field.index_of(kf * (x + xi))
+    # no element of F_p is primitive when n >= 2
+    g = next(x for x in map(field.from_index, range(p if n > 1 else 1, q)) if _is_primitive(x))
+    rows = list(zip(*[(field.from_index(p**c) * g).rep for c in range(n)]))
+    powers = [p**r for r in range(n)]
+    steps = (q - 1) // (p - 1)
+    digits = [1] + [0] * (n - 1)
+    exp = array("l")
+    for _ in range(steps):
+        exp.append(sum(map(mul, digits, powers)))
+        digits = [sum(map(mul, row, digits)) % p for row in rows]
+    c = digits[0]
+    if c == 0 or any(digits[1:]):
+        raise InternalConsistencyError(f"g^{steps} is not in F_{p}^*")
+    # times_c[j] = index of c * (element j), built one digit at a time
+    times_c = scaled = [c * d % p for d in range(p)]
+    for _ in range(n - 1):
+        times_c = [lo + p * hi for hi in times_c for lo in scaled]
+    for _ in range(p - 2):
+        exp.extend([times_c[j] for j in exp[-steps:]])
+    del times_c  # a list of q ints: free it before log is allocated
+    log = array("l", [-1]) * q
+    for i, j in enumerate(exp):
+        log[j] = i
+    if log.count(-1) != 1:
+        raise InternalConsistencyError(f"{g} is not a generator of F_{q}^*")
+    return exp, log
+
+
+def _successors(p: int, exp: array, log: array, k: int) -> tuple[int, ...]:
+    """Successor table of x -> k(x + 1/x) over F_q from the exp/log tables."""
+    order = len(exp)
+    log_k = log[k % p]
+    top = p - 1
+    # x = g^l, y = x^2 = g^(2l): x + 1/x = (1 + y)/x, and 1 + y bumps digit 0
+    # of y's index.  Entry j is the successor of element j; log[0] is a dummy.
+    succ = [
+        1 + exp[(log_k - l + log[y + 1 if (y := exp[2 * l % order]) % p != top else y - top])
+                % order]
+        for l in log
+    ]
+    succ[0] = 0  # 0 -> infinity
+    succ.insert(0, 0)  # infinity -> infinity
+    # x^2 = -1 exactly at x = g^((q-1)/4) and g^(3(q-1)/4), where 1 + y is 0
+    # (read above through the dummy log[0]): x + 1/x = 0, which is node 1
+    if order % 4 == 0:
+        succ[1 + exp[order // 4]] = succ[1 + exp[3 * order // 4]] = 1
     return tuple(succ)
 
 
@@ -319,10 +387,12 @@ def check_lemma_kk(
         raise UsageError("r_max must be >= 0")
     if r_max == 0:
         return True
-    g_pos = build_graph(p, n, k, modulus)
-    g_neg = build_graph(p, n, -k, g_pos.modulus)
-    s_pos = g_pos.successors
-    s_neg = g_neg.successors
+    k, modulus = _checked_inputs(p, n, k, modulus)
+    if n == 1:
+        s_pos, s_neg = _build_prime_field(p, k), _build_prime_field(p, p - k)
+    else:
+        exp, log = _exp_log_tables(p, n, modulus)
+        s_pos, s_neg = _successors(p, exp, log, k), _successors(p, exp, log, p - k)
     size = len(s_pos)
 
     double_pos = [s_pos[s_pos[x]] for x in range(size)]
@@ -371,16 +441,14 @@ def export_dot(graph: FunctionalGraph, labels: bool = False) -> str:
     and emitted in index order, then one edge per node in the same order.
     With labels=True each node carries a human-readable label attribute.
     """
+    names = [graph.node_name(i) for i in range(graph.size)]
     lines = ["digraph qkforge {"]
-    for i in range(graph.size):
-        name = graph.node_name(i)
+    for i, name in enumerate(names):
         if labels:
             lines.append(f'  "{name}" [label="{_node_label(graph, i)}"];')
         else:
             lines.append(f'  "{name}";')
-    for i in range(graph.size):
-        src = graph.node_name(i)
-        dst = graph.node_name(graph.successors[i])
-        lines.append(f'  "{src}" -> "{dst}";')
+    for name, j in zip(names, graph.successors):
+        lines.append(f'  "{name}" -> "{names[j]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,8 +1,11 @@
 """Tests for functional-graph construction, component statistics, the k
 versus -k comparison, and DOT export."""
 
+import sys
+
 import pytest
 
+import qkforge.dynamics as dynamics
 from qkforge.cm_arith import depths
 from qkforge.dynamics import (
     ComponentStats,
@@ -14,8 +17,8 @@ from qkforge.dynamics import (
     export_dot,
 )
 from qkforge.errors import InternalConsistencyError, ResourceCapError, UsageError
-from qkforge.extfield import ExtField
-from qkforge.ffpoly import Poly
+from qkforge.extfield import ExtField, FqElem
+from qkforge.ffpoly import Poly, smallest_irreducible
 from qkforge.qk import INFINITY, find_k
 from qkforge.seqgen import is_periodic
 
@@ -55,6 +58,58 @@ def test_prime_field_fast_path_matches_generic_path():
     fast = build_graph(11, 1, 3).successors
     generic = _build_extension_field(11, 1, 3, Poly((0, 1), 11))
     assert fast == generic
+
+
+def _slow_successors(p, n, modulus):
+    """Successor tables for every k mod p by FqElem arithmetic: 0 goes to
+    infinity, and x^2 = -1 (x + 1/x = 0) goes to node 1."""
+    field = ExtField(modulus)
+    sums = [x + x.inverse() for x in map(field.from_index, range(1, field.q))]
+    return {
+        k: (0, 0, *(1 + field.index_of(field.from_int(k) * s) for s in sums))
+        for k in range(1, p)
+    }
+
+
+@pytest.mark.parametrize(
+    "p, n, modulus",
+    [
+        (3, 2, Poly((1, 0, 1), 3)),  # the root of x^2 + 1 has order 4, not 8
+        (7, 2, Poly((1, 0, 1), 7)),  # order 4, not 48
+        (11, 2, None),
+        (5, 3, None),
+        (5, 4, None),
+        (3, 5, None),
+    ],
+)
+def test_exp_log_successors_match_field_arithmetic(p, n, modulus):
+    # every k mod p: each admissible class and the generic multipliers
+    modulus = modulus or smallest_irreducible(p, n)
+    for k, slow in _slow_successors(p, n, modulus).items():
+        assert build_graph(p, n, k, modulus).successors == slow, k
+
+
+def test_non_primitive_generator_fails_the_walk_check(monkeypatch):
+    # accept alpha, the root of x^2 + 1 over F_3, which has order 4 in F_9^*
+    monkeypatch.setattr(dynamics, "_is_primitive", lambda x: True)
+    with pytest.raises(InternalConsistencyError):
+        build_graph(3, 2, 1, Poly((1, 0, 1), 3))
+
+
+def test_extension_graph_takes_at_most_n_field_products(monkeypatch):
+    calls = []
+    original = FqElem.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(FqElem, "__mul__", counted)
+    monkeypatch.setattr(FqElem, "__rmul__", counted)
+    for k in (7, 15):
+        calls.clear()
+        assert build_graph(53, 2, k).size == 53**2 + 1
+        assert len(calls) <= 2
 
 
 def test_element_index_round_trip():
@@ -222,6 +277,33 @@ def test_negative_rounds_is_rejected():
 
 def test_single_iterates_differ_between_k_and_minus_k():
     assert build_graph(11, 1, 3).successors != build_graph(11, 1, 8).successors
+
+
+def _count_rabin(monkeypatch) -> list:
+    original = sys.modules["qkforge.ffpoly"].is_irreducible
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "qkforge" and getattr(mod, "is_irreducible", None) is original:
+            monkeypatch.setattr(mod, "is_irreducible", counted)
+    return calls
+
+
+def test_lemma_check_resolves_the_modulus_once(monkeypatch):
+    modulus = smallest_irreducible(11, 2)
+    rabin = _count_rabin(monkeypatch)
+    assert check_lemma_kk(11, 2, 2, 3, modulus) is True
+    assert rabin == [modulus]
+    rabin.clear()
+    smallest_irreducible(11, 2)
+    alone = len(rabin)
+    rabin.clear()
+    assert check_lemma_kk(11, 2, 2, 3) is True
+    assert len(rabin) == alone  # no test of the modulus smallest_irreducible made
 
 
 def test_lemma_check_respects_the_cap(monkeypatch):
