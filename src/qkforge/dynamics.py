@@ -9,10 +9,13 @@ with reversed trees hanging off the periodic nodes.
 
 Component statistics capture the cycle length, the maximum distance of any
 node from the cycle, and whether the hanging trees form perfect reversed
-binary trees: away from the two ramified targets (the images 2k and -2k of
-the critical points 1 and -1, which contribute a single doubled preimage)
-every node has either zero or two preimages, each periodic node roots
-exactly one tree, and all leaves sit at the component's full depth.
+binary trees.  One rule covers cycle and tree nodes alike: every node has
+zero or two preimages, or exactly one at the two ramified targets (the
+images 2k and -2k of the critical points 1 and -1, each reached by a single
+doubled preimage), and all leaves sit at the component's full depth.  This
+holds for cycle nodes because in any functional graph each cycle node has
+exactly one periodic preimage, so its tree preimages are its preimages
+minus one: "roots one tree" is "two preimages".
 
 Over F_p the successors come from a table of inverses mod p.  Over F_{p^n}
 they come from exp/log tables on a primitive element g, in integer node
@@ -86,15 +89,15 @@ class FunctionalGraph:
         return ",".join(str(d) for d in x.rep)
 
 
-def _check_size_cap(p: int, n: int) -> int:
-    size = p**n + 1
+def _check_size_cap(p: int, n: int) -> None:
     limit = field_cap()
-    if size > limit:
+    # p^n + 1 > 2^n > limit once n >= limit.bit_length(): refuse such n
+    # before computing p^n, which can take arbitrarily long
+    if n >= limit.bit_length() or p**n + 1 > limit:
         raise ResourceCapError(
-            f"graph on {size} nodes exceeds the configured cap {limit}; "
+            f"graph on {p}^{n} + 1 nodes exceeds the configured cap {limit}; "
             "raise QKFORGE_CAP to scan larger fields"
         )
-    return size
 
 
 def _resolve_modulus(p: int, n: int, modulus: Optional[Poly]) -> Poly:
@@ -130,31 +133,26 @@ def build_graph(p: int, n: int, k: int, modulus: Optional[Poly] = None) -> Funct
     configured cap are refused.
     """
     k, modulus = _checked_inputs(p, n, k, modulus)
-    if n == 1:
-        successors = _build_prime_field(p, k)
-    else:
-        successors = _build_extension_field(p, n, k, modulus)
+    (successors,) = _successor_tables(p, n, modulus, (k,))
     return FunctionalGraph(p=p, n=n, k=k, modulus=modulus, successors=successors)
+
+
+def _successor_tables(p: int, n: int, modulus: Poly, ks) -> list[tuple[int, ...]]:
+    """The successor table for each multiplier in ks, from one inverse table
+    mod p when n = 1 and from one set of exp/log tables when n >= 2."""
+    if n == 1:
+        return [_build_prime_field(p, k) for k in ks]
+    exp, log = _exp_log_tables(p, n, modulus)
+    return [_successors(p, exp, log, k) for k in ks]
 
 
 def _build_prime_field(p: int, k: int) -> tuple[int, ...]:
     # inverse table: inv[i] = -(p // i) * inv[p % i] mod p
-    inv = [0] * p
-    if p > 1:
-        inv[1 % p] = 1 % p
+    inv = [0, 1] + [0] * (p - 2)
     for i in range(2, p):
-        inv[i] = (-(p // i) * inv[p % i]) % p
-    succ = [0] * (p + 1)
-    succ[0] = 0  # infinity is fixed
-    succ[1] = 0  # the element 0 maps to infinity
-    for x in range(1, p):
-        succ[1 + x] = 1 + (k * (x + inv[x])) % p
-    return tuple(succ)
-
-
-def _build_extension_field(p: int, n: int, k: int, modulus: Poly) -> tuple[int, ...]:
-    """Successor table over F_p[x]/(modulus) from exp/log tables; any n >= 1."""
-    return _successors(p, *_exp_log_tables(p, n, modulus), k)
+        inv[i] = -(p // i) * inv[p % i] % p
+    # infinity is fixed and the element 0 maps to infinity
+    return (0, 0, *[1 + k * (x + inv[x]) % p for x in range(1, p)])
 
 
 def _is_primitive(x: FqElem) -> bool:
@@ -246,122 +244,100 @@ class ComponentStats:
             raise InternalConsistencyError("component smaller than its cycle")
 
 
-def _analyze(successors) -> tuple[list[bool], list[int], list[int], int]:
+_ON_PATH = -2  # component id of a node on the path being walked
+
+
+def _analyze(successors) -> tuple[list[int], list[int], int]:
     """Single pass over a successor table.
 
-    Returns (periodic, distance_to_cycle, component_id, component_count);
-    component ids are assigned in order of each component's smallest node.
+    Returns (distance_to_cycle, component_id, component_count); a node is
+    periodic exactly when its distance is 0.  Component ids are assigned in
+    order of each component's smallest node.
     """
     size = len(successors)
-    state = [0] * size  # 0 = new, 1 = on current path, 2 = finished
-    periodic = [False] * size
     dist = [0] * size
-    comp = [-1] * size
-    path_pos = [0] * size
+    comp = [-1] * size  # -1 = not reached yet
     ncomp = 0
     for start in range(size):
-        if state[start] != 0:
+        if comp[start] != -1:
             continue
         path = []
         x = start
-        while state[x] == 0:
-            state[x] = 1
-            path_pos[x] = len(path)
+        while comp[x] == -1:
+            comp[x] = _ON_PATH
             path.append(x)
             x = successors[x]
-        if state[x] == 1:
+        if comp[x] == _ON_PATH:
             # new cycle discovered within the current path
             cid = ncomp
             ncomp += 1
-            for y in path[path_pos[x]:]:
-                periodic[y] = True
+            i = path.index(x)
+            for y in path[i:]:
                 comp[y] = cid
-                state[y] = 2
-            tail = path[: path_pos[x]]
+            del path[i:]
         else:
             cid = comp[x]
-            tail = path
-        for y in reversed(tail):
+        d = dist[x]
+        for y in reversed(path):
+            d += 1
             comp[y] = cid
-            dist[y] = dist[successors[y]] + 1
-            state[y] = 2
-    return periodic, dist, comp, ncomp
+            dist[y] = d
+    return dist, comp, ncomp
 
 
 def distances_to_cycle(graph: FunctionalGraph) -> tuple[int, ...]:
     """Distance of every node from the cycle of its component (0 = periodic)."""
-    return tuple(_analyze(graph.successors)[1])
+    return tuple(_analyze(graph.successors)[0])
 
 
 def component_labels(graph: FunctionalGraph) -> tuple[int, ...]:
     """Component id of every node; ids follow each component's smallest node,
     so the component of infinity is always 0."""
-    return tuple(_analyze(graph.successors)[2])
-
-
-def _ramified_nodes(graph: FunctionalGraph) -> set[int]:
-    """Nodes holding the two critical images 2k and -2k; these are the only
-    points with a doubled (hence single) preimage."""
-    field = graph.field
-    return {
-        1 + field.index_of(field.from_int(2 * graph.k)),
-        1 + field.index_of(field.from_int(-2 * graph.k)),
-    }
+    return tuple(_analyze(graph.successors)[1])
 
 
 def component_stats(graph: FunctionalGraph) -> list[ComponentStats]:
     """Decompose the graph into components and summarize each one.
 
     binary_shape_ok reports whether the trees hanging off the cycle are
-    perfect reversed binary trees: every periodic node feeds exactly one
-    tree (none only at a ramified target), every internal tree node has two
-    preimages (one only at a ramified target), and all leaves sit at the
-    component's full depth.
+    perfect reversed binary trees: every node has zero or two preimages
+    (exactly one only at a ramified target 2k or -2k), and the shallowest
+    leaf sits at the component's full depth.  On a cycle node this says that
+    it roots exactly one tree (none at a ramified target), since one of its
+    preimages is its periodic predecessor.
     """
     succ = graph.successors
-    periodic, dist, comp, ncomp = _analyze(succ)
+    dist, comp, ncomp = _analyze(succ)
     size = len(succ)
+    preimages = [0] * size
+    for y in succ:
+        preimages[y] += 1
+    # the node of a constant c in F_p is 1 + c
+    ramified = {1 + 2 * graph.k % graph.p, 1 + -2 * graph.k % graph.p}
 
-    pre_total = [0] * size
-    pre_tree = [0] * size  # preimages that are themselves non-periodic
-    for x in range(size):
-        y = succ[x]
-        pre_total[y] += 1
-        if not periodic[x]:
-            pre_tree[y] += 1
-
-    ramified = _ramified_nodes(graph)
     cycle_len = [0] * ncomp
     depth = [0] * ncomp
     count = [0] * ncomp
+    shallowest_leaf = [size] * ncomp
     shape_ok = [True] * ncomp
-
-    for x in range(size):
-        c = comp[x]
+    for x, (c, d, m) in enumerate(zip(comp, dist, preimages)):
         count[c] += 1
-        if periodic[x]:
+        if d == 0:
             cycle_len[c] += 1
-            if pre_tree[x] != 1 and not (pre_tree[x] == 0 and x in ramified):
-                shape_ok[c] = False
-        else:
-            if dist[x] > depth[c]:
-                depth[c] = dist[x]
-            if pre_total[x] not in (0, 2) and not (
-                pre_total[x] == 1 and x in ramified
-            ):
-                shape_ok[c] = False
-
-    # leaves must sit at the component's full depth (perfect trees)
-    for x in range(size):
-        if not periodic[x] and pre_total[x] == 0 and dist[x] != depth[comp[x]]:
-            shape_ok[comp[x]] = False
+        elif d > depth[c]:
+            depth[c] = d
+        if m == 0:
+            if d < shallowest_leaf[c]:
+                shallowest_leaf[c] = d
+        elif m != 2 and not (m == 1 and x in ramified):
+            shape_ok[c] = False
 
     return [
         ComponentStats(
             cycle_length=cycle_len[c],
             tree_depth=depth[c],
             node_count=count[c],
-            binary_shape_ok=shape_ok[c],
+            binary_shape_ok=shape_ok[c] and shallowest_leaf[c] >= depth[c],
         )
         for c in range(ncomp)
     ]
@@ -381,32 +357,20 @@ def check_lemma_kk(
     the two maps agree, and (2) whenever the k-map reaches a periodic point
     after t steps, the (-k)-map is already periodic after t steps as well
     (equivalently: no point sits farther from its cycle under -k than under
-    k).  r_max = 0 checks nothing and is trivially true.
+    k).  r_max = 0 checks nothing and is trivially true.  For r_max >= 1,
+    (1) is one comparison of the two second-iterate tables: r = 1 needs
+    them equal, and equal tables have equal r-th powers for every r.
     """
     if r_max < 0:
         raise UsageError("r_max must be >= 0")
     if r_max == 0:
         return True
     k, modulus = _checked_inputs(p, n, k, modulus)
-    if n == 1:
-        s_pos, s_neg = _build_prime_field(p, k), _build_prime_field(p, p - k)
-    else:
-        exp, log = _exp_log_tables(p, n, modulus)
-        s_pos, s_neg = _successors(p, exp, log, k), _successors(p, exp, log, p - k)
-    size = len(s_pos)
-
-    double_pos = [s_pos[s_pos[x]] for x in range(size)]
-    double_neg = [s_neg[s_neg[x]] for x in range(size)]
-    iter_pos = list(range(size))
-    iter_neg = list(range(size))
-    for _ in range(r_max):
-        iter_pos = [double_pos[x] for x in iter_pos]
-        iter_neg = [double_neg[x] for x in iter_neg]
-        if iter_pos != iter_neg:
-            return False
-
-    tails_pos = _analyze(s_pos)[1]
-    tails_neg = _analyze(s_neg)[1]
+    s_pos, s_neg = _successor_tables(p, n, modulus, (k, p - k))
+    if [s_pos[y] for y in s_pos] != [s_neg[y] for y in s_neg]:
+        return False
+    tails_pos = _analyze(s_pos)[0]
+    tails_neg = _analyze(s_neg)[0]
     return all(tn <= tp for tp, tn in zip(tails_pos, tails_neg))
 
 

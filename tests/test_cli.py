@@ -511,6 +511,12 @@ def test_explore_respects_cap_with_exit_4(monkeypatch, capsys):
     assert "QKFORGE_CAP" in capsys.readouterr().err
 
 
+def test_explore_refuses_a_huge_degree_with_exit_4(capsys):
+    # refused from n alone: computing 3^(10^8) would take minutes
+    assert main(["explore", "--p", "3", "--n", "100000000", "--k", "1"]) == 4
+    assert "QKFORGE_CAP" in capsys.readouterr().err
+
+
 def test_explore_rejects_invalid_cap_with_exit_2(monkeypatch, capsys):
     for value in ("abc", "0", "-3", "2.5", ""):
         monkeypatch.setenv("QKFORGE_CAP", value)

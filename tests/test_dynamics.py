@@ -4,11 +4,14 @@ versus -k comparison, and DOT export."""
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qkforge.dynamics as dynamics
 from qkforge.cm_arith import depths
 from qkforge.dynamics import (
     ComponentStats,
+    FunctionalGraph,
     build_graph,
     check_lemma_kk,
     component_labels,
@@ -53,11 +56,10 @@ def test_zero_and_infinity_always_feed_infinity():
 
 
 def test_prime_field_fast_path_matches_generic_path():
-    from qkforge.dynamics import _build_extension_field
-
-    fast = build_graph(11, 1, 3).successors
-    generic = _build_extension_field(11, 1, 3, Poly((0, 1), 11))
-    assert fast == generic
+    for p in (3, 11, 53):
+        tables = dynamics._exp_log_tables(p, 1, Poly((0, 1), p))
+        for k in range(1, p):
+            assert build_graph(p, 1, k).successors == dynamics._successors(p, *tables, k)
 
 
 def _slow_successors(p, n, modulus):
@@ -211,14 +213,90 @@ def test_zero_multiplier_is_rejected():
 
 def test_rewired_graph_breaks_the_binary_shape():
     # move one tree node onto the fixed point 2: it then feeds two trees
-    from qkforge.dynamics import FunctionalGraph
-
     succ = list(F11_K3_SUCC)
     succ[4] = 3
     forged = FunctionalGraph(p=11, n=1, k=3, modulus=Poly((0, 1), 11),
                              successors=tuple(succ))
     stats = component_stats(forged)
     assert any(not s.binary_shape_ok for s in stats)
+
+
+def _reference_analysis(graph):
+    """Per-node reference for component_stats, distances_to_cycle and
+    component_labels: walk each node's orbit to its cycle, then apply the
+    two shape rules separately, tree preimages on cycle nodes and every leaf
+    at full depth, with the ramified targets found by field arithmetic."""
+    succ = graph.successors
+    size = len(succ)
+    dist, cycles = [], []
+    for x in range(size):
+        seen = {}
+        while x not in seen:
+            seen[x] = len(seen)
+            x = succ[x]
+        dist.append(seen[x])
+        cycles.append(frozenset(y for y, i in seen.items() if i >= seen[x]))
+    ids = {}
+    labels = [ids.setdefault(c, len(ids)) for c in cycles]
+    field = ExtField(graph.modulus)
+    ramified = {1 + field.index_of(field.from_int(c * graph.k)) for c in (2, -2)}
+    pre_total = [sum(1 for y in succ if y == x) for x in range(size)]
+    pre_tree = [sum(1 for y in range(size) if succ[y] == x and dist[y] > 0)
+                for x in range(size)]
+    stats = []
+    for c in range(len(ids)):
+        nodes = [x for x in range(size) if labels[x] == c]
+        depth = max(dist[x] for x in nodes)
+        ok = True
+        for x in nodes:
+            if dist[x] == 0:
+                ok &= pre_tree[x] == 1 or (pre_tree[x] == 0 and x in ramified)
+            else:
+                ok &= pre_total[x] in (0, 2) or (pre_total[x] == 1 and x in ramified)
+                ok &= pre_total[x] != 0 or dist[x] == depth
+        stats.append(ComponentStats(cycle_length=sum(dist[x] == 0 for x in nodes),
+                                    tree_depth=depth, node_count=len(nodes),
+                                    binary_shape_ok=ok))
+    return stats, tuple(dist), tuple(labels)
+
+
+def _assert_matches_reference(graph):
+    assert (component_stats(graph), distances_to_cycle(graph),
+            component_labels(graph)) == _reference_analysis(graph)
+
+
+@st.composite
+def _arbitrary_graphs(draw):
+    size = draw(st.integers(1, 40))
+    succ = draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    k = draw(st.integers(1, p - 1))
+    return FunctionalGraph(p=p, n=1, k=k, modulus=Poly((0, 1), p), successors=tuple(succ))
+
+
+@st.composite
+def _rewired_theta_graphs(draw):
+    p, n = draw(st.sampled_from(((3, 1), (5, 1), (11, 1), (13, 1), (29, 1), (53, 1),
+                                 (3, 2), (5, 2), (7, 2), (3, 3))))
+    k = draw(st.integers(1, p - 1))
+    graph = build_graph(p, n, k)
+    succ = list(graph.successors)
+    nodes = st.integers(0, graph.size - 1)
+    for x, y in draw(st.lists(st.tuples(nodes, nodes), max_size=3)):
+        succ[x] = y
+    return FunctionalGraph(p=p, n=n, k=k, modulus=graph.modulus, successors=tuple(succ))
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(_arbitrary_graphs())
+def test_analysis_matches_reference_on_arbitrary_graphs(graph):
+    _assert_matches_reference(graph)
+
+
+@settings(derandomize=True, database=None, max_examples=150)
+@given(_rewired_theta_graphs())
+def test_analysis_matches_reference_on_rewired_theta_graphs(graph):
+    _assert_matches_reference(graph)
 
 
 def test_component_stats_validates_its_own_invariants():
@@ -310,6 +388,28 @@ def test_lemma_check_respects_the_cap(monkeypatch):
     monkeypatch.setenv("QKFORGE_CAP", "50")
     with pytest.raises(ResourceCapError):
         check_lemma_kk(53, 1, 7, 3)
+
+
+def test_huge_degree_is_refused_before_p_to_the_n():
+    # 3^(10^8) alone would take minutes to compute
+    with pytest.raises(ResourceCapError):
+        check_lemma_kk(3, 10**8, 1, 1)
+    with pytest.raises(ResourceCapError):
+        build_graph(3, 10**8, 1)
+
+
+def test_lemma_check_rejects_forged_tables(monkeypatch):
+    def forged(pos, neg):
+        monkeypatch.setattr(dynamics, "_successor_tables",
+                            lambda p, n, modulus, ks: [pos, neg])
+        return check_lemma_kk(11, 1, 3, 5)
+
+    assert forged((0, 0, 0), (0, 0, 0)) is True
+    assert forged((0, 0, 0), (0, 1, 1)) is False  # second iterates differ at 1
+    # same second iterates, but node 2 sits two steps from the cycle under -k
+    # and one step under k
+    assert forged((0, 0, 0), (0, 0, 1)) is False
+    assert forged((0, 0, 1), (0, 0, 0)) is True
 
 
 # ---------------------------------------------------------------------------
