@@ -8,6 +8,8 @@ core operations against small hand-computed values.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qkforge.ffpoly as ffpoly
 from qkforge.config import MAX_POLY_DEGREE
@@ -18,6 +20,7 @@ from qkforge.ffpoly import (
     _divmod_raw,
     _kron_mul,
     _school_mul,
+    _trim,
     equal_degree_factorize,
     format_poly,
     format_poly_human,
@@ -200,6 +203,45 @@ def test_kronecker_matches_schoolbook() -> None:
         assert _kron_mul(a, b, p) == _school_mul(a, b, p)
 
 
+# (p, shorter length, slot bytes) on both sides of each slot boundary: the
+# column bound min(len) * (p - 1)^2 just below and just above 2^8, 2^16 and
+# 2^32, and at 2^64, past which joined bytes replace array items.
+_SLOT_CASES = [
+    (3, 63, 1),
+    (3, 64, 2),
+    (53, 24, 2),
+    (53, 25, 4),
+    (65521, 1, 4),
+    (65521, 2, 8),
+    (2**31 - 1, 4, 8),
+    (2**31 - 1, 5, None),
+    (2**61 - 1, 30, None),
+]
+
+
+@pytest.mark.parametrize("p, la, slot", _SLOT_CASES)
+def test_kronecker_matches_schoolbook_for_each_slot_size(p, la, slot) -> None:
+    bits = (la * (p - 1) ** 2).bit_length()
+    assert (ffpoly._SLOTS[bits][1] if bits <= 64 else None) == slot
+    rng = random.Random(la * p)
+    for trial in range(4):
+        lb = la + rng.randrange(40)
+        if trial == 0:  # every middle column sum reaches the bound
+            a, b = [p - 1] * la, [p - 1] * lb
+        else:
+            a = [rng.randrange(p) for _ in range(la)]
+            b = [rng.randrange(p) for _ in range(lb)]
+        full = _school_mul(a, b, p)
+        square = _school_mul(a, list(a), p)
+        assert _kron_mul(a, b, p) == full
+        assert _kron_mul(b, a, p) == full
+        assert _kron_mul(a, a, p) == square
+        for keep in range(1, la + lb):
+            assert _kron_mul(a, b, p, keep) == _trim(full[:keep])
+        for keep in range(1, 2 * la):
+            assert _kron_mul(a, a, p, keep) == _trim(square[:keep])
+
+
 def test_newton_reduce_matches_divmod() -> None:
     rng = random.Random(11)
     for _ in range(20):
@@ -211,6 +253,24 @@ def test_newton_reduce_matches_divmod() -> None:
         la = rng.randrange(n + 1, 2 * n)
         c = [rng.randrange(p) for _ in range(la)]
         assert ctx.reduce(list(c)) == _divmod_raw(list(c), m, p)[1]
+
+
+def test_newton_reduce_at_the_cutoff_degree() -> None:
+    rng = random.Random(17)
+    n = ModulusContext._NEWTON_CUTOFF
+    for p in (3, 53, 997, 2**61 - 1):
+        below = ModulusContext(Poly(tuple(rng.randrange(p) for _ in range(n - 1)) + (1,), p))
+        assert below._inv_rev is None
+        m = [rng.randrange(p) for _ in range(n)] + [1]
+        ctx = ModulusContext(Poly(tuple(m), p))
+        assert ctx._inv_rev is not None
+        for la in range(n + 1, 2 * n):
+            c = [rng.randrange(p) for _ in range(la - 1)] + [rng.randrange(1, p)]
+            assert ctx.reduce(list(c)) == _divmod_raw(list(c), m, p)[1]
+        a = [rng.randrange(p) for _ in range(n)]
+        b = [rng.randrange(p) for _ in range(n)]
+        assert ctx.mulmod(a, b) == _divmod_raw(_school_mul(a, b, p), m, p)[1]
+        assert ctx.mulmod(a, a) == _divmod_raw(_school_mul(a, list(a), p), m, p)[1]
 
 
 def test_modulus_context_small_degrees_use_division() -> None:
@@ -416,6 +476,17 @@ def test_format_roundtrip() -> None:
         f = Poly(tuple(rng.randrange(p) for _ in range(rng.randrange(0, 8))), p)
         assert parse_poly(format_poly(f), p) == f
         assert parse_poly(format_poly_human(f), p) == f
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(
+    st.sampled_from([3, 5, 53, 997, 2**61 - 1]),
+    st.lists(st.integers(0, 10**20 - 1), max_size=12),
+)
+def test_parse_inverts_both_formats(p, coeffs) -> None:
+    f = Poly(tuple(coeffs), p)
+    assert parse_poly(format_poly(f), p) == f
+    assert parse_poly(format_poly_human(f), p) == f
 
 
 def test_format_poly_human_examples() -> None:
