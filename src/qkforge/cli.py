@@ -1,8 +1,9 @@
 """Command-line front end: multiplier discovery, schedule prediction,
 transforms, sequence generation, graph exploration, and depth-lemma sweeps.
 
-Exit codes: 0 success; 2 usage or congruence errors; 3 a verified claim
-failed (theorem violation); 4 a resource cap was exceeded.  All randomness
+Exit codes: 0 success; 2 usage or congruence errors, or an output file that
+cannot be written (checked before any work); 3 a verified claim failed
+(theorem violation); 4 a resource cap was exceeded.  All randomness
 is surfaced as --seed (default 0) and every JSON artifact is byte-stable
 across runs with identical arguments.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -160,22 +162,27 @@ def cmd_transform(p: int, k: int, f0_text: str) -> int:
     return 0
 
 
+def _open_artifact(path: Optional[str]):
+    """The artifact file opened for writing, or a null context without a
+    path.  Commands open it before any work, so that an unwritable path
+    fails at once (main maps OSError to exit 2)."""
+    return open(path, "w", encoding="utf-8") if path else nullcontext()
+
+
 def cmd_generate(config: RunConfig) -> int:
     """Generate a sequence, verify it against its schedule, and emit the
     record JSON (stdout, or --out FILE).  Schedule violations exit 3."""
-    record = generate_sequence(config.f0, config.k, config.steps, config.seed)
-    violations: list[str] = []
-    if record.class_name in _SCHEDULE_CLASSES:
-        report = predict_schedule(record.p, record.k, config.f0.degree)
-        violations = verify_against_schedule(record, report)
-    text = record.to_json() + "\n"
-    degrees = ",".join(str(d) for d in record.degrees())
-    if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _open_artifact(config.out_path) as out:
+        record = generate_sequence(config.f0, config.k, config.steps, config.seed)
+        violations: list[str] = []
+        if record.class_name in _SCHEDULE_CLASSES:
+            report = predict_schedule(record.p, record.k, config.f0.degree)
+            violations = verify_against_schedule(record, report)
+        text = record.to_json() + "\n"
+        degrees = ",".join(str(d) for d in record.degrees())
+        (out or sys.stdout).write(text)
+    if out:
         print(f"wrote {config.out_path} (degrees {degrees})")
-    else:
-        sys.stdout.write(text)
     if violations:
         raise TheoremViolationError(
             "schedule violations: " + "; ".join(violations) + f"; trace degrees {degrees}"
@@ -243,43 +250,40 @@ def cmd_verify_example(
 def cmd_explore(config: RunConfig) -> int:
     """Build the functional graph for (p, n, k) and emit DOT and/or JSON
     component statistics."""
-    graph = build_graph(config.p, config.n, config.k, config.modulus)
-    stats = component_stats(graph)
-    payload: dict = {
-        "p": graph.p,
-        "n": graph.n,
-        "k": graph.k,
-        "modulus": list(graph.modulus.coeffs),
-        "class": classify_k(graph.p, graph.k).name,
-        "node_count": graph.size,
-        "components": [
-            {
-                "cycle_length": s.cycle_length,
-                "tree_depth": s.tree_depth,
-                "node_count": s.node_count,
-                "binary_shape_ok": s.binary_shape_ok,
-            }
-            for s in stats
-        ],
-    }
-    if payload["class"] in _SCHEDULE_CLASSES:
-        dp = depths(graph.p, graph.k, graph.n)
-        payload["e0"] = dp.e0
-        payload["e1"] = dp.e1
-    text = json.dumps(payload, indent=2) + "\n"
-    wrote_somewhere = False
-    if config.dot_path:
-        with open(config.dot_path, "w", encoding="utf-8") as fh:
-            fh.write(export_dot(graph, labels=config.labels))
-        print(f"wrote {config.dot_path}")
-        wrote_somewhere = True
-    if config.stats_path:
-        with open(config.stats_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {config.stats_path}")
-        wrote_somewhere = True
-    if not wrote_somewhere:
-        sys.stdout.write(text)
+    with _open_artifact(config.dot_path) as dot, _open_artifact(config.stats_path) as stats_out:
+        graph = build_graph(config.p, config.n, config.k, config.modulus)
+        stats = component_stats(graph)
+        payload: dict = {
+            "p": graph.p,
+            "n": graph.n,
+            "k": graph.k,
+            "modulus": list(graph.modulus.coeffs),
+            "class": classify_k(graph.p, graph.k).name,
+            "node_count": graph.size,
+            "components": [
+                {
+                    "cycle_length": s.cycle_length,
+                    "tree_depth": s.tree_depth,
+                    "node_count": s.node_count,
+                    "binary_shape_ok": s.binary_shape_ok,
+                }
+                for s in stats
+            ],
+        }
+        if payload["class"] in _SCHEDULE_CLASSES:
+            dp = depths(graph.p, graph.k, graph.n)
+            payload["e0"] = dp.e0
+            payload["e1"] = dp.e1
+        text = json.dumps(payload, indent=2) + "\n"
+        if dot:
+            dot.write(export_dot(graph, labels=config.labels))
+        if stats_out:
+            stats_out.write(text)
+        if not (dot or stats_out):
+            sys.stdout.write(text)
+    for path in (config.dot_path, config.stats_path):
+        if path:
+            print(f"wrote {path}")
     return 0
 
 
@@ -297,6 +301,9 @@ def cmd_sweep_lemmas(max_p: int = 300, max_n: int = 6, max_m: int = 3, max_i: in
     extension degree sends (e0, e1) to (e0 + e1, f1 - 1), and afterwards each
     doubling adds exactly inc to e0.  Any failed identity exits with code 3.
     """
+    primes = list(_sweep_primes(max_p))
+    if not primes:
+        raise UsageError(f"--max-p {max_p} leaves no prime to sweep (it covers 3 <= p < max-p)")
     violations: list[str] = []
     checked = 0
 
@@ -306,7 +313,7 @@ def cmd_sweep_lemmas(max_p: int = 300, max_n: int = 6, max_m: int = 3, max_i: in
         if not cond:
             violations.append(label)
 
-    for p in _sweep_primes(max_p):
+    for p in primes:
         for name in _SCHEDULE_CLASSES:
             try:
                 ks = find_k(p, name)
@@ -463,6 +470,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except QkforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # an artifact path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return UsageError.exit_code
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@ Walking orbits and building full functional graphs touch every element of
 F_{p^n}; the default cap keeps that tractable.  The environment variable
 QKFORGE_CAP, a positive integer, replaces the default field-size cap.
 `ffpoly.parse_poly` refuses a degree above MAX_POLY_DEGREE before it
-allocates the coefficients.  Depth pairs need no cap: `cm_arith.depths`
+allocates the coefficients, and a packed row table (the Frobenius map of
+Rabin's test and equal-degree splitting) is refused above
+MAX_ROW_TABLE_BYTES before its first row is made.  Depth pairs need no cap: `cm_arith.depths`
 works modulo 2^B, B = O(log pn).
 """
 
@@ -18,6 +20,11 @@ DEFAULT_FIELD_CAP = 2**22
 
 # The largest degree a parsed polynomial may have (fixed, no override).
 MAX_POLY_DEGREE = 2**16
+
+# The most bytes a packed row table may take (fixed, no override): the
+# Frobenius map mod a degree-n modulus takes n^2 slots of 1 to 8 or more
+# bytes, so at p = 53 the cap is reached near degree 8,192.
+MAX_ROW_TABLE_BYTES = 2**28
 
 ENV_FIELD_CAP = "QKFORGE_CAP"
 

@@ -36,7 +36,14 @@ from typing import Optional
 from .config import field_cap
 from .errors import InternalConsistencyError, ResourceCapError, UsageError
 from .extfield import ExtField, FqElem
-from .ffpoly import Poly, _prime_factors, is_irreducible, is_prime, smallest_irreducible
+from .ffpoly import (
+    Poly,
+    _PackedRows,
+    _prime_factors,
+    is_irreducible,
+    is_prime,
+    smallest_irreducible,
+)
 from .qk import INFINITY
 
 
@@ -166,24 +173,25 @@ def _exp_log_tables(p: int, n: int, modulus: Poly) -> tuple[array, array]:
     nonzero indices (log[0] = -1), for g the first primitive element in
     index order.
 
-    Only s = (q-1)/(p-1) powers are walked, as base-p digit vectors times the
-    matrix of y -> y*g.  g^s = c lies in F_p^*, so the rest of the table is
-    g^(i + s*t) = c^t * g^i: multiplying by c permutes each digit, one table
-    lookup per index.  The table must hold q - 1 distinct indices (g of
-    order q - 1); anything else raises InternalConsistencyError.
+    Only s = (q-1)/(p-1) powers are walked, as base-p digit vectors under
+    the linear map y -> y*g, applied from its packed rows.  g^s = c lies in
+    F_p^*, so the rest of the table is g^(i + s*t) = c^t * g^i: multiplying
+    by c permutes each digit, one table lookup per index.  The table must
+    hold q - 1 distinct indices (g of order q - 1); anything else raises
+    InternalConsistencyError.
     """
     field = ExtField(modulus, assume_irreducible=True)
     q = field.q
     # no element of F_p is primitive when n >= 2
     g = next(x for x in map(field.from_index, range(p if n > 1 else 1, q)) if _is_primitive(x))
-    rows = list(zip(*[(field.from_index(p**c) * g).rep for c in range(n)]))
+    times_g = _PackedRows([(field.from_index(p**c) * g).rep for c in range(n)], n, p)
     powers = [p**r for r in range(n)]
     steps = (q - 1) // (p - 1)
     digits = [1] + [0] * (n - 1)
     exp = array("l")
     for _ in range(steps):
         exp.append(sum(map(mul, digits, powers)))
-        digits = [sum(map(mul, row, digits)) % p for row in rows]
+        digits = times_g.apply(digits)
     c = digits[0]
     if c == 0 or any(digits[1:]):
         raise InternalConsistencyError(f"g^{steps} is not in F_{p}^*")

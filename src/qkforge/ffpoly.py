@@ -5,7 +5,7 @@ every coefficient reduced mod p and no trailing zeros (the zero polynomial has
 an empty tuple).  Hot paths (modular exponentiation, irreducibility testing,
 equal-degree factorization) work on raw coefficient lists internally.
 
-Two performance tricks keep everything exact but fast in pure Python:
+Three performance tricks keep everything exact but fast in pure Python:
 
 * multiplication beyond a small cutoff uses Kronecker substitution — pack the
   coefficients into one big integer, multiply once, unpack — which rides the
@@ -17,9 +17,15 @@ Two performance tricks keep everything exact but fast in pure Python:
   power-series inverse of the reversed modulus, so each reduction costs two
   multiplications instead of a long division.  Both products are truncated:
   only the quotient's coefficients of the first and the modulus-degree low
-  coefficients of the second are unpacked.
+  coefficients of the second are unpacked;
+* the Frobenius map y -> y^p mod a fixed modulus is linear over F_p, so the
+  context builds it once as n packed rows x^(p*j) mod m (one powmod and
+  n - 2 products); applying it is n big-integer multiply-adds and one
+  unpack (von zur Gathen and Shoup, 1992).  Rabin's test and equal-degree
+  splitting use it in place of powering by p.
 
-Both are cross-checked against schoolbook implementations in the test suite.
+Each is cross-checked in the test suite against the plain route it
+replaces: schoolbook products, long division, powering by p.
 """
 
 from __future__ import annotations
@@ -28,9 +34,11 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
+from typing import Iterable
 
-from .config import MAX_POLY_DEGREE
+from .config import MAX_POLY_DEGREE, MAX_ROW_TABLE_BYTES
 from .errors import InternalConsistencyError, MalformedInputError, ResourceCapError, UsageError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -131,8 +139,13 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
 # at 4 coefficients they tie (p = 53: 4.3 against 4.4 us schoolbook; p = 997:
 # 4.7 against 4.7 us), from 5 on Kronecker wins (p = 53: 4.3 against 5.0 us).
 # Products of degree <= 3, all that F_{p^n} graphs with n <= 3 make, stay on
-# schoolbook.  For p >= 2^31 schoolbook stays ahead up to about 8.
+# schoolbook.
 _KRONECKER_CUTOFF = 4
+# For p >= 2^31 every slot takes 8 bytes or more, and schoolbook stays ahead
+# longer: square products at p = 2^31 - 1 take 10.3 against 11.6 us by
+# Kronecker at 8 coefficients and tie at 9 (12.8 against 12.7 us); at
+# p = 2^61 - 1, 16.9 against 20.2 us at 8 and 21.7 against 19.7 us at 10.
+_WIDE_KRONECKER_CUTOFF = 8
 
 # Kronecker slot (array typecode, bytes) by the bit length of the column
 # bound: the smallest unsigned array item of 1, 2, 4 or 8 bytes that holds it.
@@ -174,10 +187,25 @@ def _school_mul(a: list[int], b: list[int], p: int) -> list[int]:
     return _trim([c % p for c in out])
 
 
+def _slot(bound: int) -> tuple[str | None, int]:
+    """(array typecode, bytes) of a slot that holds every value up to bound;
+    no typecode when the bound needs joined bytes."""
+    bits = bound.bit_length()
+    return _SLOTS[bits] if bits <= 64 else (None, (bits + 7) // 8)
+
+
 def _pack(cs: list[int], tc: str | None, width: int) -> int:
     if tc:
         return int.from_bytes(array(tc, cs).tobytes(), _ORDER)
     return int.from_bytes(b"".join(c.to_bytes(width, _ORDER) for c in cs), _ORDER)
+
+
+def _unpack(big: int, count: int, tc: str | None, width: int, p: int) -> list[int]:
+    """The `count` low slots of big, each reduced mod p (untrimmed)."""
+    raw = big.to_bytes(width * count, _ORDER)
+    if tc:
+        return [c % p for c in array(tc, raw)]
+    return [int.from_bytes(raw[i * width : (i + 1) * width], _ORDER) % p for i in range(count)]
 
 
 def _kron_mul(a: list[int], b: list[int], p: int, keep: int | None = None) -> list[int]:
@@ -186,25 +214,49 @@ def _kron_mul(a: list[int], b: list[int], p: int, keep: int | None = None) -> li
     out_len = len(a) + len(b) - 1
     if keep is None or keep > out_len:
         keep = out_len
-    bits = (min(len(a), len(b)) * (p - 1) * (p - 1)).bit_length()
-    tc, width = _SLOTS[bits] if bits <= 64 else (None, (bits + 7) // 8)
+    tc, width = _slot(min(len(a), len(b)) * (p - 1) * (p - 1))
     abig = _pack(a, tc, width)
     prod = abig * (abig if b is a else _pack(b, tc, width))
     if keep < out_len:
         prod &= (1 << (8 * width * keep)) - 1
-    raw = prod.to_bytes(width * keep, _ORDER)
-    if tc:
-        return _trim([c % p for c in array(tc, raw)])
-    return _trim(
-        [int.from_bytes(raw[i * width : (i + 1) * width], _ORDER) % p for i in range(keep)]
-    )
+    return _trim(_unpack(prod, keep, tc, width, p))
+
+
+def _row_slot(n: int, p: int) -> tuple[str | None, int]:
+    """The slot of an n-row packed table over F_p, which holds the column
+    bound n*(p-1)^2.  The table takes n^2 slots; past
+    config.MAX_ROW_TABLE_BYTES it is refused with ResourceCapError."""
+    tc, width = _slot(n * (p - 1) * (p - 1))
+    if n * n * width > MAX_ROW_TABLE_BYTES:
+        raise ResourceCapError(
+            f"a degree-{n} row table takes {n * n * width} bytes, over the cap of "
+            f"{MAX_ROW_TABLE_BYTES}"
+        )
+    return tc, width
+
+
+class _PackedRows:
+    """A linear map on F_p^n given by the images of the n basis vectors, each
+    packed into one integer (see _row_slot), so that the image of c,
+    sum(c_j * row_j), is n big-integer multiply-adds and one unpack.  The
+    size check comes before any row is made."""
+
+    def __init__(self, rows: Iterable[list[int]], n: int, p: int):
+        self.n, self.p = n, p
+        self.tc, self.width = _row_slot(n, p)
+        self.rows = [_pack(row, self.tc, self.width) for row in rows]
+
+    def apply(self, cs: list[int]) -> list[int]:
+        """The image of the vector cs (at most n entries in [0, p)), as n
+        residues, untrimmed."""
+        return _unpack(sum(map(mul, cs, self.rows)), self.n, self.tc, self.width, self.p)
 
 
 def _mul_raw(a: list[int], b: list[int], p: int, keep: int | None = None) -> list[int]:
     """a * b, or its `keep` low coefficients, trimmed."""
     if not a or not b:
         return []
-    if min(len(a), len(b)) <= _KRONECKER_CUTOFF:
+    if min(len(a), len(b)) <= (_WIDE_KRONECKER_CUTOFF if p >> 31 else _KRONECKER_CUTOFF):
         out = _school_mul(a, b, p)
         return out if keep is None or keep >= len(out) else _trim(out[:keep])
     return _kron_mul(a, b, p, keep)
@@ -373,6 +425,7 @@ class ModulusContext:
     Below a degree cutoff, reduction is plain long division.  Above it, the
     context precomputes the power-series inverse of the reversed modulus by
     Newton iteration; reducing a product then costs two multiplications.
+    The Frobenius map y -> y^p is built the first time it is needed.
     """
 
     # Measured crossover for reducing a product of two reduced polynomials
@@ -393,6 +446,7 @@ class ModulusContext:
         self._inv_rev: list[int] | None = None
         if self.n >= self._NEWTON_CUTOFF:
             self._inv_rev = self._newton_inverse(self.n)
+        self._frobenius: _PackedRows | None = None
 
     def _newton_inverse(self, target: int) -> list[int]:
         p = self.p
@@ -441,6 +495,29 @@ class ModulusContext:
                 acc = self.mulmod(acc, acc)
         return result
 
+    @cached_property
+    def x_to_p(self) -> list[int]:
+        """x^p mod m, by one powmod."""
+        return self.powmod([0, 1], self.p)
+
+    def frobenius(self, y: list[int]) -> list[int]:
+        """y^p for reduced y.  With y = sum(c_j x^j) and c_j in F_p,
+        y^p = sum(c_j x^(p*j)): one application of the packed rows
+        x^(p*j) mod m, built on the first call."""
+        if self._frobenius is None:
+            self._frobenius = _PackedRows(self._frobenius_rows(), self.n, self.p)
+        return _trim(self._frobenius.apply(y))
+
+    def _frobenius_rows(self):
+        # x^(p*j) for j < n: x^p, then n - 2 products
+        yield [1]
+        if self.n > 1:
+            row = xp = self.x_to_p
+            yield row
+            for _ in range(self.n - 2):
+                row = self.mulmod(row, xp)
+                yield row
+
 
 def poly_mod_pow(base: Poly, e: int, modulus: Poly) -> Poly:
     """base**e mod modulus, with a non-negative (possibly huge) integer e."""
@@ -479,12 +556,15 @@ def is_irreducible(f: Poly) -> bool:
         return True
     f = f.monic()
     p = f.p
+    _row_slot(n, p)  # an oversized Frobenius table is refused before any work
     ctx = ModulusContext(f)
     checkpoints = {n // r for r in _prime_factors(n)}
     fx = list(f.coeffs)
-    y = [0, 1]
+    # the map is built only past j = 1; for prime n most reducible f fail there
+    y = ctx.x_to_p
     for j in range(1, n + 1):
-        y = ctx.powmod(y, p)
+        if j > 1:
+            y = ctx.frobenius(y)
         if j in checkpoints:
             g = _gcd_raw(_sub_raw(y, [0, 1], p), fx, p)
             if g != [1]:
@@ -499,6 +579,9 @@ def equal_degree_factorize(f: Poly, d: int, seed: int = 0) -> list[Poly]:
     PRNG so results are reproducible.  Factors come back sorted ascending by
     coefficient tuple.  Inputs that violate the equal-degree precondition are
     detected (a factor of the wrong degree emerges) and rejected.
+
+    A random a coprime to g splits it through a^((p^d-1)/2), computed as
+    (a * a^p * ... * a^(p^(d-1)))^((p-1)/2) with the context's Frobenius map.
     """
     if d < 1:
         raise UsageError(f"factor degree must be positive, got {d}")
@@ -511,7 +594,6 @@ def equal_degree_factorize(f: Poly, d: int, seed: int = 0) -> list[Poly]:
             f"degree {f.degree} is not a multiple of the factor degree {d}"
         )
     rng = random.Random(seed)
-    exponent = (p**d - 1) // 2
     out: list[list[int]] = []
 
     def split(g: list[int]) -> None:
@@ -531,8 +613,11 @@ def equal_degree_factorize(f: Poly, d: int, seed: int = 0) -> list[Poly]:
                 continue
             h = _gcd_raw(a, g, p)
             if len(h) - 1 == 0:
-                b = ctx.powmod(a, exponent)
-                b = _sub_raw(b, [1], p)
+                conj = norm = a
+                for _ in range(d - 1):
+                    conj = ctx.frobenius(conj)
+                    norm = ctx.mulmod(norm, conj)
+                b = _sub_raw(ctx.powmod(norm, (p - 1) // 2), [1], p)
                 if not b:
                     continue
                 h = _gcd_raw(b, g, p)

@@ -1,8 +1,10 @@
 """Tests for the command-line front end: argument resolution, subcommand
 output, exit codes, and artifact determinism."""
 
+import hashlib
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -405,6 +407,61 @@ def test_generate_rejects_bad_inputs(capsys):
                  "--steps", "-1"]) == 2
 
 
+# sha256 of the `generate --out` bytes as the route that powered by p wrote
+# them: the k = 15 and k = 7 reference chains, and a C1 chain at p = 2^61 - 1
+PINNED_RECORDS = [
+    (["--p", "53", "--k", "15", "--f0", F0_TEXT, "--steps", "12"],
+     "9a071364fcaaa42dcfe285446b14495bf9e7b20afd595f912fea12d3f665bf56"),
+    (["--p", "53", "--k", "7", "--f0", F0_TEXT, "--steps", "6"],
+     "a06c53974c8a6e1215621a7385addbbca0185b65d5dae02cbddc474cfecd683b"),
+    (["--p", str(2**61 - 1), "--k", str(2**60), "--f0",
+      "271902015394427964,1754659928281503099,1088923384270674083,1", "--steps", "8"],
+     "74ea2a87a24ce16771c7d7249cafbda4205be3d404e735a1a98cf15728b997ec"),
+]
+
+
+@pytest.mark.parametrize("args, digest", PINNED_RECORDS, ids=["k15", "k7", "c1-p61"])
+def test_generate_out_bytes_match_pinned_digests(args, digest, tmp_path, capsys):
+    out = tmp_path / "record.json"
+    assert main(["generate", *args, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_generate_over_the_row_table_cap_exits_4_at_once(capsys):
+    # the Frobenius rows of Rabin's test would take 20000^2 4-byte slots
+    start = time.perf_counter()
+    assert main(["generate", "--p", "53", "--k", "15", "--f0", "x^20000+x+1",
+                 "--steps", "1"]) == 4
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "row table" in err and err.count("\n") == 1
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the computation ran before the output file was opened")
+
+
+def test_generate_unwritable_out_exits_2_before_the_chain(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "generate_sequence", _never)
+    assert main(["generate", "--p", "53", "--k", "7", "--f0", F0_TEXT, "--steps", "1",
+                 "--out", str(tmp_path / "missing" / "x.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--dot", "--stats"])
+def test_explore_unwritable_artifact_exits_2_before_the_graph(flag, tmp_path, monkeypatch,
+                                                              capsys):
+    monkeypatch.setattr(cli, "build_graph", _never)
+    for target in (tmp_path / "missing" / "g", tmp_path):  # no directory; a directory
+        assert main(["explore", "--p", "11", "--k", "3", flag, str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # verify-example
 # ---------------------------------------------------------------------------
@@ -539,6 +596,13 @@ def test_sweep_lemmas_small_range(capsys):
                  "--max-m", "2", "--max-i", "2"]) == 0
     out = capsys.readouterr().out
     assert "0 violations" in out
+
+
+def test_sweep_lemmas_without_a_prime_exits_2(capsys):
+    for max_p in ("-5", "0", "3"):
+        assert main(["sweep-lemmas", "--max-p", max_p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no prime" in captured.err
 
 
 # ---------------------------------------------------------------------------

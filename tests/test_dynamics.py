@@ -62,6 +62,35 @@ def test_prime_field_fast_path_matches_generic_path():
             assert build_graph(p, 1, k).successors == dynamics._successors(p, *tables, k)
 
 
+def _matrix_walk_exp(p, n, modulus):
+    """exp as the digit-matrix walk made it: s = (q-1)/(p-1) powers of the
+    first primitive g, each digit vector times the n x n matrix of y -> y*g,
+    then c^t * g^i for the other p - 2 blocks, by field products."""
+    field = ExtField(modulus)
+    q = field.q
+    g = next(x for x in map(field.from_index, range(p, q)) if dynamics._is_primitive(x))
+    rows = list(zip(*[(field.from_index(p**c) * g).rep for c in range(n)]))
+    steps = (q - 1) // (p - 1)
+    digits = [1] + [0] * (n - 1)
+    exp = []
+    for _ in range(steps):
+        exp.append(sum(d * p**r for r, d in enumerate(digits)))
+        digits = [sum(a * b for a, b in zip(row, digits)) % p for row in rows]
+    c = field.from_int(digits[0])
+    for t in range(1, p - 1):
+        ct = c**t
+        exp += [field.index_of(ct * field.from_index(j)) for j in exp[:steps]]
+    return exp
+
+
+@pytest.mark.parametrize("p, n", [(3, 6), (3, 7), (5, 6)])
+def test_exp_log_tables_match_the_matrix_walk(p, n):
+    modulus = smallest_irreducible(p, n)
+    exp, log = dynamics._exp_log_tables(p, n, modulus)
+    assert list(exp) == _matrix_walk_exp(p, n, modulus)
+    assert log[0] == -1 and all(log[j] == i for i, j in enumerate(exp))
+
+
 def _slow_successors(p, n, modulus):
     """Successor tables for every k mod p by FqElem arithmetic: 0 goes to
     infinity, and x^2 = -1 (x + 1/x = 0) goes to node 1."""

@@ -35,6 +35,8 @@ from qkforge.ffpoly import (
     smallest_irreducible,
     sqrt_mod_p,
 )
+from qkforge.qk import qk_transform, transform_character
+from qkforge.seqgen import generate_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +294,55 @@ def test_poly_mod_pow_matches_naive() -> None:
         assert poly_mod_pow(base, e, m) == naive
 
 
+# (p, modulus degree n, slot bytes) for the Frobenius rows, whose column
+# bound is n * (p - 1)^2: every array item size and the joined bytes
+_FROBENIUS_SLOT_CASES = [
+    (3, 10, 1),
+    (3, 63, 1),
+    (3, 64, 2),
+    (53, 24, 2),
+    (53, 25, 4),
+    (65521, 2, 8),
+    (65521, 12, 8),
+    (2**31 - 1, 4, 8),
+    (2**31 - 1, 5, None),
+    (2**61 - 1, 12, None),
+]
+
+
+@pytest.mark.parametrize("p, n, slot", _FROBENIUS_SLOT_CASES)
+def test_frobenius_matches_powering_by_p_for_each_slot_size(p, n, slot) -> None:
+    rng = random.Random(n * p)
+    m = [rng.randrange(p) for _ in range(n)] + [1]  # any modulus: y -> y^p is linear
+    ctx = ModulusContext(Poly(tuple(m), p))
+    ys = [[p - 1] * n, [], [0, 1]] + [_trim([rng.randrange(p) for _ in range(n)])
+                                      for _ in range(6)]
+    for y in ys:
+        assert ctx.frobenius(list(y)) == ctx.powmod(list(y), p)
+    rows = ctx._frobenius
+    assert (rows.width if rows.tc else None) == slot
+
+
+def test_frobenius_table_over_the_cap_is_refused_before_any_row(monkeypatch) -> None:
+    p, n = 53, 30  # 4-byte slots: n^2 * 4 = 3,600 bytes
+    m = Poly(tuple(random.Random(3).randrange(p) for _ in range(n)) + (1,), p)
+
+    def no_rows(*args):
+        raise AssertionError("a row was computed before the size check")
+
+    monkeypatch.setattr(ffpoly, "MAX_ROW_TABLE_BYTES", 3599)
+    monkeypatch.setattr(ModulusContext, "powmod", no_rows)
+    monkeypatch.setattr(ModulusContext, "mulmod", no_rows)
+    with pytest.raises(ResourceCapError, match="3600 bytes"):
+        ModulusContext(m).frobenius([0, 1])
+    with pytest.raises(ResourceCapError):
+        is_irreducible(m)
+    monkeypatch.undo()
+    monkeypatch.setattr(ffpoly, "MAX_ROW_TABLE_BYTES", 3600)
+    ctx = ModulusContext(m)
+    assert ctx.frobenius([0, 1]) == ctx.powmod([0, 1], p)
+
+
 def test_poly_mod_pow_large_exponent() -> None:
     p = 53
     m = Poly((1, 0, 0, 0, 0, 1, 0, 1), p)
@@ -321,6 +372,75 @@ def _irreducible_by_trial_division(f: Poly) -> bool:
             if (f % g).is_zero:
                 return False
     return True
+
+
+def _rabin_by_powering(f: Poly) -> bool:
+    """Reference oracle: Rabin's test with x^(p^j) by powering by p."""
+    n, p = f.degree, f.p
+    ctx = ModulusContext(f)
+    x = Poly.x(p)
+    y = [0, 1]
+    for j in range(1, n + 1):
+        y = ctx.powmod(y, p)
+        if n % j == 0 and j < n and ffpoly.is_prime(n // j):
+            if poly_gcd(Poly(tuple(y), p) - x, f).degree > 0:
+                return False
+    return y == [0, 1]
+
+
+def _split_by_powering(f: Poly, d: int, seed: int) -> list[Poly]:
+    """Reference oracle: equal-degree splitting with a^((p^d-1)/2) by one
+    powmod, drawing the same random a as equal_degree_factorize."""
+    p = f.p
+    rng = random.Random(seed)
+    out = []
+
+    def split(g: Poly) -> None:
+        if g.degree == d:
+            out.append(g)
+            return
+        ctx = ModulusContext(g)
+        while True:
+            a = Poly(tuple(rng.randrange(p) for _ in range(g.degree)), p)
+            if a.degree < 1:
+                continue
+            h = poly_gcd(a, g)
+            if h.degree == 0:
+                b = Poly(tuple(ctx.powmod(list(a.coeffs), (p**d - 1) // 2)), p) - Poly.one(p)
+                if b.is_zero:
+                    continue
+                h = poly_gcd(b, g)
+            if 0 < h.degree < g.degree:
+                split(h)
+                split(g // h)
+                return
+
+    split(f.monic())
+    return sorted(out, key=lambda q: q.coeffs)
+
+
+def test_rabin_and_splitting_match_powering_on_the_reference_chains() -> None:
+    f0 = Poly((51, 3, 0, 0, 0, 1), 53)
+    for k, steps in ((15, 6), (7, 3)):  # degrees 5 to 40
+        chain = [s.poly for s in generate_sequence(f0, k, steps).steps]
+        for f in chain:
+            big = qk_transform(f, k)
+            assert is_irreducible(f) and _rabin_by_powering(f)
+            assert is_irreducible(big) == _rabin_by_powering(big)
+            assert not is_irreducible(f * f) and not _rabin_by_powering(f * f)
+            if transform_character(f, k) == 1:
+                for seed in range(3):
+                    got = equal_degree_factorize(big, f.degree, seed)
+                    assert got == _split_by_powering(big, f.degree, seed)
+                    assert len(got) == 2 and got[0] * got[1] == big
+        tens = [f for f in chain if f.degree == 10]
+        if len(tens) == 3:  # three factors: the split recurses
+            prod = tens[0] * tens[1] * tens[2]
+            assert not is_irreducible(prod) and not _rabin_by_powering(prod)
+            for seed in range(3):
+                assert equal_degree_factorize(prod, 10, seed) == _split_by_powering(
+                    prod, 10, seed
+                ) == sorted(tens, key=lambda q: q.coeffs)
 
 
 def test_is_irreducible_matches_trial_division() -> None:
