@@ -27,6 +27,7 @@ from .errors import (
 )
 from .ffpoly import (
     Poly,
+    _check_odd_prime,
     format_poly,
     format_poly_human,
     is_irreducible,
@@ -70,12 +71,6 @@ class RunConfig:
     labels: bool = False
 
 
-def _check_prime(p: int) -> int:
-    if p < 3 or not is_prime(p):
-        raise UsageError(f"p must be an odd prime, got {p}")
-    return p
-
-
 def _normalize_class(token: str) -> str:
     name = token.strip().upper()
     if name not in CLASSES:
@@ -108,7 +103,7 @@ def _resolve_k(p: int, text: str) -> int:
 def cmd_find_k(p: int, class_token: str) -> int:
     """Print the admissible multipliers of one class and p's congruence
     status; an inadmissible congruence exits with code 2."""
-    p = _check_prime(p)
+    p = _check_odd_prime(p)
     name = _normalize_class(class_token)
     values = find_k(p, name)
     print(f"p = {p}: class {name} admissible ({CLASSES[name].congruence_text()})")
@@ -118,7 +113,7 @@ def cmd_find_k(p: int, class_token: str) -> int:
 
 def cmd_predict(p: int, k: int, n: int) -> int:
     """Emit the degree-schedule prediction for (p, k, n) as JSON."""
-    p = _check_prime(p)
+    p = _check_odd_prime(p)
     report = predict_schedule(p, k, n)
     name = report.class_name
     pi = frobenius_pi(p, name)
@@ -140,7 +135,7 @@ def cmd_predict(p: int, k: int, n: int) -> int:
 
 def cmd_transform(p: int, k: int, f0_text: str) -> int:
     """Apply the degree-doubling transform once and report the outcome."""
-    p = _check_prime(p)
+    p = _check_odd_prime(p)
     f = parse_poly(f0_text, p)
     if f.degree < 1 or not f.is_monic:
         raise UsageError("the transform needs a monic polynomial of degree >= 1")
@@ -202,20 +197,11 @@ _EXAMPLE_RUNS = (
 )
 
 
-def cmd_verify_example(
-    expected_c2: Optional[Sequence[int]] = None,
-    expected_c3: Optional[Sequence[int]] = None,
-) -> int:
-    """Reproduce both reference runs over F_53 and verify them end to end.
-
-    The expected traces can be overridden (test hook) to exercise the
-    mismatch path, which exits with code 3.
-    """
+def cmd_verify_example() -> int:
+    """Reproduce both reference runs over F_53 and verify them end to end;
+    a degree trace that differs from the expected one exits with code 3."""
     f0 = Poly(_EXAMPLE_F0, _EXAMPLE_P)
-    overrides = {15: expected_c2, 7: expected_c3}
-    for k, steps, default_trace, forbid_late_splits in _EXAMPLE_RUNS:
-        override = overrides.get(k)
-        expected = tuple(override) if override is not None else tuple(default_trace)
+    for k, steps, expected, forbid_late_splits in _EXAMPLE_RUNS:
         record = generate_sequence(f0, k, steps)
         got = tuple(record.degrees())
         if got != expected:
@@ -426,13 +412,13 @@ def _dispatch(args: argparse.Namespace) -> int:
     if cmd == "find-k":
         return cmd_find_k(args.p, args.class_token)
     if cmd == "predict":
-        p = _check_prime(args.p)
+        p = _check_odd_prime(args.p)
         return cmd_predict(p, _resolve_k(p, args.k), args.n)
     if cmd == "transform":
-        p = _check_prime(args.p)
+        p = _check_odd_prime(args.p)
         return cmd_transform(p, _resolve_k(p, args.k), args.f0)
     if cmd == "generate":
-        p = _check_prime(args.p)
+        p = _check_odd_prime(args.p)
         config = RunConfig(
             p=p,
             k=_resolve_k(p, args.k),
@@ -445,7 +431,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if cmd == "verify-example":
         return cmd_verify_example()
     if cmd == "explore":
-        p = _check_prime(args.p)
+        p = _check_odd_prime(args.p)
         modulus = parse_poly(args.modulus, p) if args.modulus else None
         config = RunConfig(
             p=p,

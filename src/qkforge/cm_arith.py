@@ -38,7 +38,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .errors import InternalConsistencyError, UnsupportedPrimeError, UsageError
-from .ffpoly import inv_mod, is_prime, legendre, sqrt_mod_p
+from .ffpoly import _check_odd_prime, inv_mod, legendre, sqrt_mod_p
 from .qk import CLASSES, classify_k
 
 _SUPPORTED_DISCS = (-4, -7)
@@ -134,8 +134,7 @@ CURVES = {curve.disc: curve for curve in (CURVE_DISC4, CURVE_DISC7)}
 def _check_split_prime(p: int, curve: CurveParams) -> None:
     """p must split in the curve's order, i.e. satisfy the congruence of the
     multiplier classes attached to that order."""
-    if p == 2 or not is_prime(p):
-        raise UsageError(f"p must be an odd prime, got {p}")
+    _check_odd_prime(p)
     spec = next(s for s in CLASSES.values() if s.disc == curve.disc)
     if not spec.admits(p):
         raise UnsupportedPrimeError(

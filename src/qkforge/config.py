@@ -1,7 +1,7 @@
 """Size caps for exhaustive-enumeration features and parsed input.
 
-Walking orbits and building full functional graphs touch every element of
-F_{p^n}; the default cap keeps that tractable.  The environment variable
+Building a full functional graph touches every element of F_{p^n}; the
+default cap keeps that tractable.  The environment variable
 QKFORGE_CAP, a positive integer, replaces the default field-size cap.
 `ffpoly.parse_poly` refuses a degree above MAX_POLY_DEGREE before it
 allocates the coefficients, and a packed row table (the Frobenius map of

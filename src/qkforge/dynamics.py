@@ -29,22 +29,21 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from operator import mul
 from typing import Optional
 
 from .config import field_cap
 from .errors import InternalConsistencyError, ResourceCapError, UsageError
-from .extfield import ExtField, FqElem
 from .ffpoly import (
+    ModulusContext,
     Poly,
     _PackedRows,
     _prime_factors,
+    _trim,
     is_irreducible,
     is_prime,
     smallest_irreducible,
 )
-from .qk import INFINITY
 
 
 # ---------------------------------------------------------------------------
@@ -66,34 +65,23 @@ class FunctionalGraph:
     def size(self) -> int:
         return len(self.successors)
 
-    @cached_property
-    def field(self) -> ExtField:
-        return ExtField(self.modulus, assume_irreducible=True)
-
-    def element_index(self, x) -> int:
-        """Node index of a field element or INFINITY."""
-        if x is INFINITY:
-            return 0
-        if not isinstance(x, FqElem):
-            raise UsageError(f"expected a field element or INFINITY, got {type(x).__name__}")
-        return 1 + self.field.index_of(x)
-
-    def element_at(self, i: int):
-        """Inverse of element_index."""
-        if not 0 <= i < self.size:
-            raise UsageError(f"node index {i} out of range [0, {self.size})")
-        if i == 0:
-            return INFINITY
-        return self.field.from_index(i - 1)
-
     def node_name(self, i: int) -> str:
         """Canonical node name: "inf" or the element's digits, ascending."""
         if i == 0:
             return "inf"
         if self.n == 1:
             return str(i - 1)
-        x = self.field.from_index(i - 1)
-        return ",".join(str(d) for d in x.rep)
+        return ",".join(map(str, _digits(i - 1, self.p, self.n)))
+
+
+def _digits(j: int, p: int, n: int) -> list[int]:
+    """The n base-p digits of the element index j, ascending: the
+    coefficients of the element's representative."""
+    digits = []
+    for _ in range(n):
+        j, d = divmod(j, p)
+        digits.append(d)
+    return digits
 
 
 def _check_size_cap(p: int, n: int) -> None:
@@ -162,10 +150,10 @@ def _build_prime_field(p: int, k: int) -> tuple[int, ...]:
     return (0, 0, *[1 + k * (x + inv[x]) % p for x in range(1, p)])
 
 
-def _is_primitive(x: FqElem) -> bool:
+def _is_primitive(ctx: ModulusContext, x: list[int]) -> bool:
     """x generates F_q^*: x^((q-1)/r) != 1 for every prime r dividing q - 1."""
-    order = x.field.q - 1
-    return all(x ** (order // r) != 1 for r in _prime_factors(order))
+    order = ctx.p**ctx.n - 1
+    return all(ctx.powmod(x, order // r) != [1] for r in _prime_factors(order))
 
 
 def _exp_log_tables(p: int, n: int, modulus: Poly) -> tuple[array, array]:
@@ -180,11 +168,13 @@ def _exp_log_tables(p: int, n: int, modulus: Poly) -> tuple[array, array]:
     hold q - 1 distinct indices (g of order q - 1); anything else raises
     InternalConsistencyError.
     """
-    field = ExtField(modulus, assume_irreducible=True)
-    q = field.q
+    ctx = ModulusContext(modulus)
+    q = p**n
     # no element of F_p is primitive when n >= 2
-    g = next(x for x in map(field.from_index, range(p if n > 1 else 1, q)) if _is_primitive(x))
-    times_g = _PackedRows([(field.from_index(p**c) * g).rep for c in range(n)], n, p)
+    candidates = (_trim(_digits(j, p, n)) for j in range(p if n > 1 else 1, q))
+    g = next(x for x in candidates if _is_primitive(ctx, x))
+    # row c is the image of the basis element x^c
+    times_g = _PackedRows([ctx.mulmod([0] * c + [1], g) for c in range(n)], n, p)
     powers = [p**r for r in range(n)]
     steps = (q - 1) // (p - 1)
     digits = [1] + [0] * (n - 1)
@@ -392,9 +382,8 @@ def _node_label(graph: FunctionalGraph, i: int) -> str:
         return "inf"
     if graph.n == 1:
         return str(i - 1)
-    digits = graph.field.from_index(i - 1).rep
     terms = []
-    for e, d in enumerate(digits):
+    for e, d in enumerate(_digits(i - 1, graph.p, graph.n)):
         if d == 0:
             continue
         if e == 0:

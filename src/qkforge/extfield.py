@@ -1,5 +1,9 @@
 """Extension fields F_{p^n} realized as F_p[x] modulo a monic irreducible.
 
+This is reference arithmetic for the tests and the benchmark: the rest of
+the package holds a field element as an integer index or a coefficient
+list, and no other module of it imports this one.
+
 Elements carry a fixed-length coefficient tuple (length n, zero-padded) so
 equality, hashing, and the canonical index enumeration are uniform.  The
 canonical enumeration maps index j in [0, p^n) to the element whose
@@ -229,32 +233,3 @@ def batch_inverse(elems: list[FqElem]) -> list[FqElem]:
         out[i] = inv * prefix[i]
         inv = inv * elems[i]
     return out
-
-
-def min_poly_of_element(a: FqElem) -> Poly:
-    """Minimal polynomial of a over the prime field F_p.
-
-    Computed as the product of (X - c) over the distinct Frobenius conjugates
-    c of a; the result is monic irreducible of degree dividing n.
-    """
-    field = a.field
-    conjugates = [a]
-    c = a.frobenius()
-    while c != a:
-        conjugates.append(c)
-        c = c.frobenius()
-        if len(conjugates) > field.n:
-            raise InternalConsistencyError("Frobenius orbit exceeded field degree")
-    coeffs: list[FqElem] = [field.one()]
-    for c in conjugates:
-        nxt = [field.zero()] * (len(coeffs) + 1)
-        for i, co in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + co
-            nxt[i] = nxt[i] - c * co
-        coeffs = nxt
-    consts = []
-    for co in coeffs:
-        if any(co.rep[1:]):
-            raise InternalConsistencyError("conjugate product left the prime field")
-        consts.append(co.rep[0])
-    return Poly(tuple(consts), field.p)

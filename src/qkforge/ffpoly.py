@@ -68,6 +68,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_odd_prime(p: int) -> int:
+    """p, if it is an odd prime; UsageError otherwise."""
+    if p == 2 or not is_prime(p):
+        raise UsageError(f"p must be an odd prime, got {p}")
+    return p
+
+
 def inv_mod(a: int, p: int) -> int:
     try:
         return pow(a, -1, p)
@@ -763,5 +770,7 @@ def parse_poly(text: str, p: int) -> Poly:
         if j < len(compact):
             sign = -1 if compact[j] == "-" else 1
         i = j + 1
+    if not coeffs:  # a lone sign
+        raise MalformedInputError(f"cannot parse polynomial: {text!r}")
     deg = max(coeffs)
     return Poly(tuple(coeffs.get(e, 0) for e in range(deg + 1)), p)

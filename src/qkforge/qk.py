@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalConsistencyError, UnsupportedPrimeError, UsageError
-from .extfield import ExtField, FqElem, min_poly_of_element
-from .ffpoly import Poly, _mul_raw, inv_mod, is_irreducible, is_prime, legendre, sqrt_mod_p
+from .ffpoly import Poly, _check_odd_prime, _mul_raw, inv_mod, legendre, sqrt_mod_p
 
 
 @dataclass(frozen=True)
@@ -70,46 +69,11 @@ CLASSES = {
 GENERIC = "Generic"
 
 
-class _Infinity:
-    """The point at infinity on the projective line; a singleton."""
-
-    _instance = None
-
-    def __new__(cls) -> "_Infinity":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "inf"
-
-
-INFINITY = _Infinity()
-
-
-def _check_odd_prime(p: int) -> None:
-    if p == 2 or not is_prime(p):
-        raise UsageError(f"p must be an odd prime, got {p}")
-
-
 def _check_k(k: int, p: int) -> int:
     k %= p
     if k == 0:
         raise UsageError("the multiplier k must be nonzero mod p")
     return k
-
-
-def theta_eval(x, k: int):
-    """theta(x) = k(x + 1/x) on the projective line; 0 and infinity map to
-    infinity.  x is a field element or INFINITY."""
-    if x is INFINITY:
-        return INFINITY
-    if not isinstance(x, FqElem):
-        raise UsageError(f"expected a field element or INFINITY, got {type(x).__name__}")
-    k = _check_k(k, x.field.p)
-    if x.is_zero:
-        return INFINITY
-    return (x + x.inverse()) * k
 
 
 def qk_transform(f: Poly, k: int) -> Poly:
@@ -206,20 +170,3 @@ def find_k(p: int, class_name: str) -> list[int]:
         raise InternalConsistencyError(f"{disc} must be a square mod {p}")
     inv2a = inv_mod(2 * spec.a, p)
     return sorted({(-spec.b + s) * inv2a % p, (-spec.b - s) * inv2a % p})
-
-
-def min_poly_theta(f: Poly, k: int) -> Poly:
-    """Minimal polynomial over F_p of theta(alpha) for a root alpha of the
-    monic irreducible f.  Rejects f = x, whose root maps to infinity."""
-    p = f.p
-    k = _check_k(k, p)
-    if f.degree < 1:
-        raise UsageError("need a polynomial of degree >= 1")
-    f = f.monic()
-    if f.coefficient(0) == 0:
-        raise UsageError("the root 0 maps to infinity and has no minimal polynomial")
-    if not is_irreducible(f):
-        raise UsageError("minimal-polynomial computation requires an irreducible input")
-    field = ExtField(f, assume_irreducible=True)
-    beta = theta_eval(field.gen(), k)
-    return min_poly_of_element(beta)

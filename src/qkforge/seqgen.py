@@ -36,37 +36,20 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .config import field_cap
-from .errors import (
-    MalformedInputError,
-    ResourceCapError,
-    TheoremViolationError,
-    UsageError,
-)
-from .extfield import FqElem
+from .errors import MalformedInputError, TheoremViolationError, UsageError
 from .ffpoly import Poly, equal_degree_factorize, inv_mod, is_irreducible
-from .qk import (
-    CLASSES,
-    GENERIC,
-    INFINITY,
-    classify_k,
-    qk_transform,
-    theta_eval,
-    transform_character,
-)
+from .qk import CLASSES, GENERIC, classify_k, qk_transform, transform_character
 from .cm_arith import DepthPair, depths
 
 KIND_INITIAL = "initial"
 KIND_DOUBLED = "transform-irreducible"
 KIND_SPLIT_FIRST = "split-took-first"
-KIND_SPLIT_SECOND = "split-took-second"
 KIND_BACKTRACKED = "backtracked"
 
 STEP_KINDS = (
     KIND_INITIAL,
     KIND_DOUBLED,
     KIND_SPLIT_FIRST,
-    KIND_SPLIT_SECOND,
     KIND_BACKTRACKED,
 )
 
@@ -428,57 +411,3 @@ def verify_against_schedule(record: SequenceRecord, report: ScheduleReport) -> l
                 f"{report.pattern} pattern (expected {expected})"
             )
     return violations
-
-
-# ---------------------------------------------------------------------------
-# orbit analysis
-# ---------------------------------------------------------------------------
-
-
-def is_periodic(beta, k: int) -> tuple[bool, int, int]:
-    """Brent cycle detection on the orbit of beta under x -> k(x + 1/x).
-
-    Accepts a field element or INFINITY.  Returns (periodic, tail, cycle_len)
-    where tail is the distance from beta to the cycle (0 iff periodic) and
-    cycle_len the length of the cycle it falls into.
-    """
-    limit = field_cap()
-    if beta is INFINITY:
-        return True, 0, 1
-    if not isinstance(beta, FqElem):
-        raise UsageError(f"expected a field element or INFINITY, got {type(beta).__name__}")
-    if beta.field.q > limit:
-        raise ResourceCapError(
-            f"field size {beta.field.q} exceeds the configured cap {limit}; "
-            "raise QKFORGE_CAP to allow larger orbits"
-        )
-
-    def step(x):
-        return theta_eval(x, k)
-
-    # Brent: find the cycle length lam, then the tail length mu.
-    power = lam = 1
-    tortoise = beta
-    hare = step(beta)
-    while not _same(tortoise, hare):
-        if power == lam:
-            tortoise = hare
-            power *= 2
-            lam = 0
-        hare = step(hare)
-        lam += 1
-    tortoise = hare = beta
-    for _ in range(lam):
-        hare = step(hare)
-    mu = 0
-    while not _same(tortoise, hare):
-        tortoise = step(tortoise)
-        hare = step(hare)
-        mu += 1
-    return mu == 0, mu, lam
-
-
-def _same(a, b) -> bool:
-    if a is INFINITY or b is INFINITY:
-        return a is b
-    return a == b

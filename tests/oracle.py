@@ -1,0 +1,154 @@
+"""Slow reference routes that the tests compare the library against.
+
+Field elements here are `extfield.FqElem` objects and the point at infinity
+is the singleton INFINITY.  The library itself never needs them: it holds a
+field element as an integer node index or as a coefficient list.  Each
+function below works element by element, independently of the exp/log
+tables, the transform character and the factor race that it checks.
+"""
+
+from __future__ import annotations
+
+from qkforge.config import field_cap
+from qkforge.errors import InternalConsistencyError, ResourceCapError, UsageError
+from qkforge.extfield import ExtField, FqElem
+from qkforge.ffpoly import Poly, _prime_factors, is_irreducible
+from qkforge.qk import _check_k
+
+
+class _Infinity:
+    """The point at infinity on the projective line; a singleton."""
+
+    _instance = None
+
+    def __new__(cls) -> "_Infinity":
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "inf"
+
+
+INFINITY = _Infinity()
+
+
+def node_element(field: ExtField, i: int):
+    """The point of graph node i over `field`: INFINITY for node 0, the
+    element with index i - 1 otherwise."""
+    return INFINITY if i == 0 else field.from_index(i - 1)
+
+
+def is_primitive(x: FqElem) -> bool:
+    """x generates F_q^*: x^((q-1)/r) != 1 for every prime r dividing q - 1."""
+    order = x.field.q - 1
+    return all(x ** (order // r) != 1 for r in _prime_factors(order))
+
+
+def theta_eval(x, k: int):
+    """theta(x) = k(x + 1/x) on the projective line; 0 and infinity map to
+    infinity.  x is a field element or INFINITY."""
+    if x is INFINITY:
+        return INFINITY
+    if not isinstance(x, FqElem):
+        raise UsageError(f"expected a field element or INFINITY, got {type(x).__name__}")
+    k = _check_k(k, x.field.p)
+    if x.is_zero:
+        return INFINITY
+    return (x + x.inverse()) * k
+
+
+def min_poly_of_element(a: FqElem) -> Poly:
+    """Minimal polynomial of a over the prime field F_p.
+
+    Computed as the product of (X - c) over the distinct Frobenius conjugates
+    c of a; the result is monic irreducible of degree dividing n.
+    """
+    field = a.field
+    conjugates = [a]
+    c = a.frobenius()
+    while c != a:
+        conjugates.append(c)
+        c = c.frobenius()
+        if len(conjugates) > field.n:
+            raise InternalConsistencyError("Frobenius orbit exceeded field degree")
+    coeffs: list[FqElem] = [field.one()]
+    for c in conjugates:
+        nxt = [field.zero()] * (len(coeffs) + 1)
+        for i, co in enumerate(coeffs):
+            nxt[i + 1] = nxt[i + 1] + co
+            nxt[i] = nxt[i] - c * co
+        coeffs = nxt
+    consts = []
+    for co in coeffs:
+        if any(co.rep[1:]):
+            raise InternalConsistencyError("conjugate product left the prime field")
+        consts.append(co.rep[0])
+    return Poly(tuple(consts), field.p)
+
+
+def min_poly_theta(f: Poly, k: int) -> Poly:
+    """Minimal polynomial over F_p of theta(alpha) for a root alpha of the
+    monic irreducible f.  Rejects f = x, whose root maps to infinity."""
+    p = f.p
+    k = _check_k(k, p)
+    if f.degree < 1:
+        raise UsageError("need a polynomial of degree >= 1")
+    f = f.monic()
+    if f.coefficient(0) == 0:
+        raise UsageError("the root 0 maps to infinity and has no minimal polynomial")
+    if not is_irreducible(f):
+        raise UsageError("minimal-polynomial computation requires an irreducible input")
+    field = ExtField(f, assume_irreducible=True)
+    beta = theta_eval(field.gen(), k)
+    return min_poly_of_element(beta)
+
+
+def is_periodic(beta, k: int) -> tuple[bool, int, int]:
+    """Brent cycle detection on the orbit of beta under x -> k(x + 1/x).
+
+    Accepts a field element or INFINITY.  Returns (periodic, tail, cycle_len)
+    where tail is the distance from beta to the cycle (0 iff periodic) and
+    cycle_len the length of the cycle it falls into.  Fields above the
+    configured cap are refused.
+    """
+    limit = field_cap()
+    if beta is INFINITY:
+        return True, 0, 1
+    if not isinstance(beta, FqElem):
+        raise UsageError(f"expected a field element or INFINITY, got {type(beta).__name__}")
+    if beta.field.q > limit:
+        raise ResourceCapError(
+            f"field size {beta.field.q} exceeds the configured cap {limit}; "
+            "raise QKFORGE_CAP to allow larger orbits"
+        )
+
+    def step(x):
+        return theta_eval(x, k)
+
+    # Brent: find the cycle length lam, then the tail length mu.
+    power = lam = 1
+    tortoise = beta
+    hare = step(beta)
+    while not _same(tortoise, hare):
+        if power == lam:
+            tortoise = hare
+            power *= 2
+            lam = 0
+        hare = step(hare)
+        lam += 1
+    tortoise = hare = beta
+    for _ in range(lam):
+        hare = step(hare)
+    mu = 0
+    while not _same(tortoise, hare):
+        tortoise = step(tortoise)
+        hare = step(hare)
+        mu += 1
+    return mu == 0, mu, lam
+
+
+def _same(a, b) -> bool:
+    if a is INFINITY or b is INFINITY:
+        return a is b
+    return a == b

@@ -22,16 +22,17 @@ from qkforge.ffpoly import (
     is_prime,
     random_irreducible,
 )
-from qkforge.qk import find_k, min_poly_theta, qk_transform
+from qkforge.qk import find_k, qk_transform
 from qkforge.seqgen import (
     KIND_DOUBLED,
     KIND_INITIAL,
     generate_sequence,
-    is_periodic,
     observed_flat_steps,
     predict_schedule,
     verify_against_schedule,
 )
+
+from oracle import is_periodic, min_poly_theta
 
 EXAMPLE_TIME_LIMIT = 60.0  # seconds, criteria 1-2
 SWEEP_TIME_LIMIT = 300.0  # seconds, criteria 3-5

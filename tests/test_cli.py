@@ -2,12 +2,17 @@
 output, exit codes, and artifact determinism."""
 
 import hashlib
+import io
 import json
+import re
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qkforge.cli as cli
 from qkforge.cli import main
@@ -276,6 +281,7 @@ def test_transform_rejects_non_monic(capsys):
 
 def test_transform_rejects_garbage(capsys):
     assert main(["transform", "--p", "53", "--k", "15", "--f0", "x^^2"]) == 2
+    assert main(["transform", "--p", "3", "--k", "1", "--f0", "+"]) == 2  # a sign, no term
 
 
 def test_transform_runs_rabin_once_on_the_input(monkeypatch, capsys):
@@ -483,9 +489,9 @@ def test_verify_example_tampered_trace_exits_3(monkeypatch, capsys):
 
 
 def test_verify_example_tamper_hook_raises(monkeypatch):
-    monkeypatch.setattr(cli, "_EXAMPLE_RUNS", SHORT_RUNS[:1])
+    monkeypatch.setattr(cli, "_EXAMPLE_RUNS", ((15, 3, (5, 10, 10, 20), False),))
     with pytest.raises(TheoremViolationError) as info:
-        cli.cmd_verify_example(expected_c2=(5, 10, 10, 20))
+        cli.cmd_verify_example()
     assert info.value.exit_code == 3
 
 
@@ -620,3 +626,87 @@ def test_missing_required_argument_is_a_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["predict", "--p", "53"])
     assert info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzzed argument vectors
+# ---------------------------------------------------------------------------
+
+
+def _small_exponents(text: str) -> bool:
+    # an exponent of two or more digits could start a Rabin test or a chain
+    # at a degree of thousands; a coefficient list of 12 characters has
+    # degree at most 12
+    return not re.search(r"\^0*[1-9][0-9]", text)
+
+
+_FREE_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet="0123456789,-+x^* ", max_size=12),
+).filter(_small_exponents)
+_K_TEXT = st.one_of(
+    _FREE_TEXT,
+    st.integers(-300, 300).map(str),
+    st.sampled_from(("c1", "C2", " c3 ", "c3-", "c4")),
+)
+_POLY_TEXT = st.one_of(
+    _FREE_TEXT,
+    st.sampled_from(("x+1", "3,1", "x^2+1", "x^2+x+2", "2,1,0,1", "51,3,0,0,0,1")),
+)
+_PRIMES = st.one_of(st.sampled_from((3, 5, 11, 13, 29, 53, 113, 197)), st.integers(-5, 199))
+
+
+def _field_degrees(p: int):
+    """Extension degrees n (some invalid) with |p|^n <= 2,000."""
+    top = 1
+    while abs(p) >= 2 and abs(p) ** (top + 1) <= 2000:
+        top += 1
+    return st.integers(-1, top)
+
+
+@st.composite
+def _argv(draw, tmp):
+    cmd = draw(st.sampled_from(
+        ("find-k", "predict", "transform", "generate", "explore", "sweep-lemmas")))
+    if cmd == "sweep-lemmas":
+        return [cmd, f"--max-p={draw(st.integers(-5, 199))}",
+                f"--max-n={draw(st.integers(-1, 6))}", f"--max-m={draw(st.integers(-1, 3))}",
+                f"--max-i={draw(st.integers(-1, 3))}"]
+    p = draw(_PRIMES)
+    if cmd == "find-k":
+        return [cmd, f"--p={p}", f"--class={draw(_K_TEXT)}"]
+    argv = [cmd, f"--p={p}", f"--k={draw(_K_TEXT)}"]
+    if cmd == "predict":
+        argv.append(f"--n={draw(st.integers(-2, 10**6))}")
+    elif cmd == "transform":
+        argv.append(f"--f0={draw(_POLY_TEXT)}")
+    elif cmd == "generate":
+        argv += [f"--f0={draw(_POLY_TEXT)}", f"--steps={draw(st.integers(-1, 3))}",
+                 f"--seed={draw(st.integers(0, 3))}"]
+        if draw(st.booleans()):
+            argv.append(f"--out={tmp / 'record.json'}")
+    else:
+        argv.append(f"--n={draw(_field_degrees(p))}")
+        if draw(st.booleans()):
+            argv.append(f"--modulus={draw(_POLY_TEXT)}")
+        if draw(st.booleans()):
+            argv.append(f"--stats={tmp / 'stats.json'}")
+        if draw(st.booleans()):
+            argv += [f"--dot={tmp / 'graph.dot'}", "--labels"]
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_argv_ends_in_a_documented_exit_code(data, tmp_path):
+    argv = data.draw(_argv(tmp_path), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the vector
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    if code:
+        assert "error: " in err.getvalue() and "Traceback" not in err.getvalue()

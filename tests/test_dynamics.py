@@ -20,10 +20,10 @@ from qkforge.dynamics import (
     export_dot,
 )
 from qkforge.errors import InternalConsistencyError, ResourceCapError, UsageError
-from qkforge.extfield import ExtField, FqElem
-from qkforge.ffpoly import Poly, smallest_irreducible
-from qkforge.qk import INFINITY, find_k
-from qkforge.seqgen import is_periodic
+from qkforge.extfield import ExtField
+from qkforge.ffpoly import ModulusContext, Poly, smallest_irreducible
+
+from oracle import is_periodic, is_primitive, node_element
 
 # hand-enumerated successor tables (node 0 = infinity, node 1 + j = element j)
 F11_K3_SUCC = (0, 0, 7, 3, 11, 11, 10, 3, 2, 2, 10, 6)
@@ -68,7 +68,7 @@ def _matrix_walk_exp(p, n, modulus):
     then c^t * g^i for the other p - 2 blocks, by field products."""
     field = ExtField(modulus)
     q = field.q
-    g = next(x for x in map(field.from_index, range(p, q)) if dynamics._is_primitive(x))
+    g = next(x for x in map(field.from_index, range(p, q)) if is_primitive(x))
     rows = list(zip(*[(field.from_index(p**c) * g).rep for c in range(n)]))
     steps = (q - 1) // (p - 1)
     digits = [1] + [0] * (n - 1)
@@ -122,37 +122,36 @@ def test_exp_log_successors_match_field_arithmetic(p, n, modulus):
 
 def test_non_primitive_generator_fails_the_walk_check(monkeypatch):
     # accept alpha, the root of x^2 + 1 over F_3, which has order 4 in F_9^*
-    monkeypatch.setattr(dynamics, "_is_primitive", lambda x: True)
+    monkeypatch.setattr(dynamics, "_is_primitive", lambda ctx, x: True)
     with pytest.raises(InternalConsistencyError):
         build_graph(3, 2, 1, Poly((1, 0, 1), 3))
 
 
 def test_extension_graph_takes_at_most_n_field_products(monkeypatch):
+    # count the products mod the field modulus outside the powers of the
+    # primitivity test: the n rows of y -> y*g
     calls = []
-    original = FqElem.__mul__
+    powering = []
+    mulmod, powmod = ModulusContext.mulmod, ModulusContext.powmod
 
-    def counted(self, other):
-        calls.append(1)
-        return original(self, other)
+    def counted(self, a, b):
+        if not powering:
+            calls.append(1)
+        return mulmod(self, a, b)
 
-    monkeypatch.setattr(FqElem, "__mul__", counted)
-    monkeypatch.setattr(FqElem, "__rmul__", counted)
+    def power(self, base, e):
+        powering.append(1)
+        try:
+            return powmod(self, base, e)
+        finally:
+            powering.pop()
+
+    monkeypatch.setattr(ModulusContext, "mulmod", counted)
+    monkeypatch.setattr(ModulusContext, "powmod", power)
     for k in (7, 15):
         calls.clear()
         assert build_graph(53, 2, k).size == 53**2 + 1
         assert len(calls) <= 2
-
-
-def test_element_index_round_trip():
-    g = build_graph(3, 2, 1)
-    assert g.element_at(0) is INFINITY
-    assert g.element_index(INFINITY) == 0
-    for i in range(g.size):
-        assert g.element_index(g.element_at(i)) == i
-    with pytest.raises(UsageError):
-        g.element_at(g.size)
-    with pytest.raises(UsageError):
-        g.element_index(7)
 
 
 def test_build_graph_validates_inputs():
@@ -343,8 +342,9 @@ def test_component_stats_validates_its_own_invariants():
 def test_graph_distances_agree_with_orbit_walker():
     g = build_graph(11, 1, 3)
     dist = distances_to_cycle(g)
+    field = ExtField(g.modulus)
     for i in range(g.size):
-        beta = g.element_at(i)
+        beta = node_element(field, i)
         periodic, tail, _ = is_periodic(beta, 3)
         assert tail == dist[i]
         assert periodic == (dist[i] == 0)
@@ -353,8 +353,9 @@ def test_graph_distances_agree_with_orbit_walker():
 def test_graph_distances_agree_with_orbit_walker_in_extension_field():
     g = build_graph(3, 2, 1)
     dist = distances_to_cycle(g)
+    field = ExtField(g.modulus)
     for i in range(1, g.size):
-        _, tail, _ = is_periodic(g.element_at(i), 1)
+        _, tail, _ = is_periodic(node_element(field, i), 1)
         assert tail == dist[i]
 
 
@@ -487,6 +488,15 @@ def test_dot_export_labels_variant():
     text = export_dot(g, labels=True)
     assert '"inf" [label="inf"];' in text
     assert '"2" [label="2"];' in text
+
+
+def test_node_names_are_the_coefficients_of_the_field_element():
+    for p, n in ((7, 1), (5, 2), (3, 3)):
+        g = build_graph(p, n, 1)
+        field = ExtField(g.modulus)
+        names = [",".join(map(str, node_element(field, i).rep)) if n > 1 else str(i - 1)
+                 for i in range(1, g.size)]
+        assert [g.node_name(i) for i in range(g.size)] == ["inf", *names]
 
 
 def test_dot_export_extension_field_names():

@@ -570,7 +570,7 @@ def test_parse_poly_human_form() -> None:
 
 
 def test_parse_poly_rejects_garbage() -> None:
-    for bad in ("", "x^", "y+1", "1,,2", "3..1", "x^-2"):
+    for bad in ("", "x^", "y+1", "1,,2", "3..1", "x^-2", "+"):
         with pytest.raises(MalformedInputError):
             parse_poly(bad, 5)
 

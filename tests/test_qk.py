@@ -15,16 +15,15 @@ from qkforge.ffpoly import (
     random_irreducible,
 )
 from qkforge.qk import (
-    INFINITY,
     KClass,
     classify_k,
     find_k,
     is_palindromic,
-    min_poly_theta,
     qk_transform,
-    theta_eval,
     transform_character,
 )
+
+from oracle import INFINITY, min_poly_theta, theta_eval
 
 
 def fp(p: int) -> ExtField:

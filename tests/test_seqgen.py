@@ -24,7 +24,7 @@ from qkforge.ffpoly import (
     random_irreducible,
     smallest_irreducible,
 )
-from qkforge.qk import CLASSES, INFINITY, find_k, qk_transform, theta_eval
+from qkforge.qk import CLASSES, find_k, qk_transform
 from qkforge.seqgen import (
     KIND_BACKTRACKED,
     KIND_DOUBLED,
@@ -35,12 +35,13 @@ from qkforge.seqgen import (
     SequenceRecord,
     Step,
     generate_sequence,
-    is_periodic,
     next_poly,
     observed_flat_steps,
     predict_schedule,
     verify_against_schedule,
 )
+
+from oracle import INFINITY, is_periodic, theta_eval
 
 P = 53
 F0 = Poly((51, 3, 0, 0, 0, 1), P)  # x^5 + 3x + 51
@@ -77,7 +78,6 @@ def test_step_kind_vocabulary():
         "initial",
         "transform-irreducible",
         "split-took-first",
-        "split-took-second",
         "backtracked",
     )
 
