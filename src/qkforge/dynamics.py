@@ -38,10 +38,10 @@ from .ffpoly import (
     ModulusContext,
     Poly,
     _PackedRows,
+    _check_odd_prime,
     _prime_factors,
     _trim,
     is_irreducible,
-    is_prime,
     smallest_irreducible,
 )
 
@@ -109,8 +109,7 @@ def _resolve_modulus(p: int, n: int, modulus: Optional[Poly]) -> Poly:
 
 def _checked_inputs(p: int, n: int, k: int, modulus: Optional[Poly]) -> tuple[int, Poly]:
     """Validate a graph request; return k mod p and the monic modulus."""
-    if not is_prime(p):
-        raise UsageError(f"p={p} is not prime")
+    _check_odd_prime(p)
     if n < 1:
         raise UsageError("n must be >= 1")
     _check_size_cap(p, n)

@@ -93,11 +93,6 @@ class ExtField:
             j = j * self.p + d
         return j
 
-    def lift(self, elem: "FqElem") -> Poly:
-        """The canonical representative in F_p[x] of degree < n."""
-        self._check_member(elem)
-        return Poly(elem.rep, self.p)
-
     def _check_member(self, elem: "FqElem") -> None:
         if elem.field is not self and elem.field != self:
             raise UsageError("element belongs to a different field")

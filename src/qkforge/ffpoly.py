@@ -3,7 +3,8 @@
 Polynomials are immutable value objects: ascending coefficient tuples with
 every coefficient reduced mod p and no trailing zeros (the zero polynomial has
 an empty tuple).  Hot paths (modular exponentiation, irreducibility testing,
-equal-degree factorization) work on raw coefficient lists internally.
+the split of a reciprocal pair g * g*) work on raw coefficient lists
+internally.
 
 Three performance tricks keep everything exact but fast in pure Python:
 
@@ -21,8 +22,8 @@ Three performance tricks keep everything exact but fast in pure Python:
 * the Frobenius map y -> y^p mod a fixed modulus is linear over F_p, so the
   context builds it once as n packed rows x^(p*j) mod m (one powmod and
   n - 2 products); applying it is n big-integer multiply-adds and one
-  unpack (von zur Gathen and Shoup, 1992).  Rabin's test and equal-degree
-  splitting use it in place of powering by p.
+  unpack (von zur Gathen and Shoup, 1992).  Rabin's test and the split of
+  a reciprocal pair use it in place of powering by p.
 
 Each is cross-checked in the test suite against the plain route it
 replaces: schoolbook products, long division, powering by p.
@@ -579,70 +580,59 @@ def is_irreducible(f: Poly) -> bool:
     return y == [0, 1]
 
 
+def _reciprocal_cofactor(g: list[int], f: list[int], p: int) -> list[int] | None:
+    """g* = x^d g(1/x) / g(0), monic, if g(0) != 0 and g * g* == f; else None."""
+    if not g or not g[0]:
+        return None
+    inv = inv_mod(g[0], p)
+    star = [c * inv % p for c in reversed(g)]
+    return star if _mul_raw(g, star, p) == f else None
+
+
 def equal_degree_factorize(f: Poly, d: int, seed: int = 0) -> list[Poly]:
-    """Split monic squarefree f whose irreducible factors all have degree d.
+    """Split f = g * g* of degree 2d into g and its reciprocal
+    g* = x^d g(1/x) / g(0): two distinct monic irreducibles of degree d.
+    This is the shape of the transform of an irreducible with character +1.
 
-    Classic randomized equal-degree splitting for odd p, driven by a seeded
-    PRNG so results are reproducible.  Factors come back sorted ascending by
-    coefficient tuple.  Inputs that violate the equal-degree precondition are
-    detected (a factor of the wrong degree emerges) and rejected.
-
-    A random a coprime to g splits it through a^((p^d-1)/2), computed as
-    (a * a^p * ... * a^(p^(d-1)))^((p-1)/2) with the context's Frobenius map.
+    Each attempt draws a random a from a seeded PRNG and takes one gcd,
+    gcd(a^((p^d-1)/2) - 1, f), with a^((p^d-1)/2) computed as
+    (a * a^p * ... * a^(p^(d-1)))^((p-1)/2) through the context's Frobenius
+    map (Cantor and Zassenhaus, 1981).  A gcd of degree d is g; its reversal,
+    made monic, is g*, and one product checks g * g* == f and g != g*.  The
+    pair is unique, so the seed changes only how many attempts are made.
+    The two factors come back sorted ascending by coefficient tuple; any
+    other input raises MalformedInputError.
     """
     if d < 1:
         raise UsageError(f"factor degree must be positive, got {d}")
-    if f.is_zero or f.degree < 1:
-        raise UsageError("cannot factor a constant")
+    if f.degree != 2 * d:
+        raise MalformedInputError(f"degree {f.degree} is not twice the factor degree {d}")
     f = f.monic()
     p = f.p
-    if f.degree % d != 0:
-        raise MalformedInputError(
-            f"degree {f.degree} is not a multiple of the factor degree {d}"
-        )
+    fx = list(f.coeffs)
+    ctx = ModulusContext(f)
     rng = random.Random(seed)
-    out: list[list[int]] = []
-
-    def split(g: list[int]) -> None:
-        dg = len(g) - 1
-        if dg % d != 0:
-            raise MalformedInputError(
-                f"a factor of degree {dg} emerged; input violates the "
-                f"equal-degree-{d} precondition"
-            )
-        if dg == d:
-            out.append(g)
-            return
-        ctx = ModulusContext(Poly(tuple(g), p))
-        for _ in range(128):
-            a = _trim([rng.randrange(p) for _ in range(dg)])
-            if not a or len(a) == 1:
-                continue
-            h = _gcd_raw(a, g, p)
-            if len(h) - 1 == 0:
-                conj = norm = a
-                for _ in range(d - 1):
-                    conj = ctx.frobenius(conj)
-                    norm = ctx.mulmod(norm, conj)
-                b = _sub_raw(ctx.powmod(norm, (p - 1) // 2), [1], p)
-                if not b:
-                    continue
-                h = _gcd_raw(b, g, p)
-            if 0 < len(h) - 1 < dg:
-                q, r = _divmod_raw(g, h, p)
-                if r:
-                    raise InternalConsistencyError("gcd does not divide its input")
-                split(h)
-                split(q)
-                return
-        raise MalformedInputError(
-            "failed to split after 128 attempts; input likely violates the "
-            "equal-degree precondition"
-        )
-
-    split(list(f.coeffs))
-    out.sort()
-    return [Poly(tuple(g), p) for g in out]
+    for _ in range(128):
+        a = _trim([rng.randrange(p) for _ in range(2 * d)])
+        if len(a) < 2:
+            continue
+        conj = norm = a
+        for _ in range(d - 1):
+            conj = ctx.frobenius(conj)
+            norm = ctx.mulmod(norm, conj)
+        g = _gcd_raw(_sub_raw(ctx.powmod(norm, (p - 1) // 2), [1], p), fx, p)
+        if len(g) - 1 == d:
+            star = _reciprocal_cofactor(g, fx, p)
+            if star is None or star == g:
+                raise MalformedInputError(
+                    f"a degree-{d} factor and its reciprocal do not make two "
+                    "distinct factors of the input"
+                )
+            return [Poly(tuple(h), p) for h in sorted((g, star))]
+    raise MalformedInputError(
+        f"no degree-{d} factor found after 128 attempts; the input is not a "
+        "product of an irreducible and its reciprocal"
+    )
 
 
 def smallest_irreducible(p: int, n: int) -> Poly:
@@ -729,7 +719,7 @@ def parse_poly(text: str, p: int) -> Poly:
         except ValueError:
             raise MalformedInputError(f"bad coefficient list: {text!r}") from None
     compact = s.replace(" ", "").replace("**", "^").replace("*", "")
-    if not compact or compact[0] not in "+-x0123456789":
+    if not compact or compact[0] not in "+-x0123456789" or compact[-1] in "+-":
         raise MalformedInputError(f"cannot parse polynomial: {text!r}")
     coeffs: dict[int, int] = {}
     i = 0
@@ -770,7 +760,5 @@ def parse_poly(text: str, p: int) -> Poly:
         if j < len(compact):
             sign = -1 if compact[j] == "-" else 1
         i = j + 1
-    if not coeffs:  # a lone sign
-        raise MalformedInputError(f"cannot parse polynomial: {text!r}")
     deg = max(coeffs)
     return Poly(tuple(coeffs.get(e, 0) for e in range(deg + 1)), p)

@@ -26,8 +26,9 @@ Class C1 sequences are generated with no schedule enforcement; only the
 irreducibility and degree-ratio invariants apply.
 
 A record is verified as a certificate chain: f_0 passes Rabin's test, and
-each later step is the transform of its predecessor (chi = -1) or a monic
-divisor of it of the same degree (chi != -1), which makes it irreducible.
+each later step is the transform of its predecessor (chi = -1) or, at the
+same degree, a monic f with f * f* equal to that transform (chi != -1),
+which makes it irreducible.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import MalformedInputError, TheoremViolationError, UsageError
-from .ffpoly import Poly, equal_degree_factorize, inv_mod, is_irreducible
+from .ffpoly import Poly, _reciprocal_cofactor, equal_degree_factorize, inv_mod, is_irreducible
 from .qk import CLASSES, GENERIC, classify_k, qk_transform, transform_character
 from .cm_arith import DepthPair, depths
 
@@ -233,16 +234,12 @@ def _step(f: Poly, k: int, seed: int) -> tuple[Poly, Optional[Poly], str]:
         root = Poly((f.coefficient(0) * inv_mod(2 * k, p), 1), p)
         return root, root, KIND_SPLIT_FIRST
     try:
-        parts = equal_degree_factorize(big, n, seed=seed)
+        first, second = equal_degree_factorize(big, n, seed=seed)
     except MalformedInputError as exc:
         raise TheoremViolationError(
             f"transform of {f} violates the split dichotomy: {exc}"
         )
-    if len(parts) != 2 or any(h.degree != n for h in parts) or parts[0] == parts[1]:
-        raise TheoremViolationError(
-            f"transform of {f} did not split into two distinct degree-{n} factors"
-        )
-    return parts[0], parts[1], KIND_SPLIT_FIRST
+    return first, second, KIND_SPLIT_FIRST
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +352,9 @@ def _broken_link(prev: Poly, cur: Poly, k: int) -> Optional[str]:
         return None
     if chi == -1:
         return "the transform of the previous step is irreducible (character -1)"
-    if not cur.is_monic or not (big % cur).is_zero:
+    # the transform is cur * cur* for either factor of a split (chi = +1) and
+    # for the one factor x -+ 1 of a ramified step (chi = 0)
+    if _reciprocal_cofactor(list(cur.coeffs), list(big.coeffs), big.p) is None:
         return "it does not divide the transform of the previous step"
     return None
 
@@ -366,10 +365,10 @@ def verify_against_schedule(record: SequenceRecord, report: ScheduleReport) -> l
 
     Checks: the irreducibility certificate of every step (f_0 passes Rabin's
     test; a step of double degree equals the transform of its predecessor,
-    whose character is -1; a step of equal degree is a monic divisor of that
-    transform, whose character is not -1), degree monotonicity and doubling
-    ratios, s <= s_bound, s + t <= st_bound, and the exact class pattern for
-    all steps after s + t.
+    whose character is -1; a step f of equal degree is monic with f * f*
+    equal to that transform, whose character is not -1), degree monotonicity
+    and doubling ratios, s <= s_bound, s + t <= st_bound, and the exact class
+    pattern for all steps after s + t.
     """
     n = record.steps[0].degree
     if (record.p, record.k, n) != (report.p, report.k, report.n):

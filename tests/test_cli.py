@@ -38,8 +38,8 @@ def _patch_everywhere(monkeypatch, name: str, replacement) -> None:
             monkeypatch.setattr(mod, name, replacement)
 
 SHORT_RUNS = (
-    (15, 3, (5, 10, 10, 10), False),
-    (7, 2, (5, 10, 20), True),
+    (15, 3, (5, 10, 10, 10)),
+    (7, 2, (5, 10, 20)),
 )
 
 
@@ -282,6 +282,10 @@ def test_transform_rejects_non_monic(capsys):
 def test_transform_rejects_garbage(capsys):
     assert main(["transform", "--p", "53", "--k", "15", "--f0", "x^^2"]) == 2
     assert main(["transform", "--p", "3", "--k", "1", "--f0", "+"]) == 2  # a sign, no term
+    capsys.readouterr()
+    assert main(["transform", "--p", "5", "--k", "1", "--f0", "x+"]) == 2  # a trailing sign
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_transform_runs_rabin_once_on_the_input(monkeypatch, capsys):
@@ -483,24 +487,24 @@ def test_verify_example_passes_on_short_runs(monkeypatch, capsys):
 
 
 def test_verify_example_tampered_trace_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_EXAMPLE_RUNS", ((15, 3, (5, 10, 10, 99), False),))
+    monkeypatch.setattr(cli, "_EXAMPLE_RUNS", ((15, 3, (5, 10, 10, 99)),))
     assert main(["verify-example"]) == 3
     assert "does not match expected" in capsys.readouterr().err
 
 
 def test_verify_example_tamper_hook_raises(monkeypatch):
-    monkeypatch.setattr(cli, "_EXAMPLE_RUNS", ((15, 3, (5, 10, 10, 20), False),))
+    monkeypatch.setattr(cli, "_EXAMPLE_RUNS", ((15, 3, (5, 10, 10, 20)),))
     with pytest.raises(TheoremViolationError) as info:
         cli.cmd_verify_example()
     assert info.value.exit_code == 3
 
 
 def test_verify_example_flags_late_splits(monkeypatch, capsys):
-    # force the split-forbidding check onto the paired-class run, which does
-    # factor after step 1, and watch it fail
-    monkeypatch.setattr(cli, "_EXAMPLE_RUNS", ((15, 3, (5, 10, 10, 10), True),))
+    # a strictly doubling expected trace rules out a split after step 1: the
+    # paired-class run, which does split there, fails against one
+    monkeypatch.setattr(cli, "_EXAMPLE_RUNS", ((15, 3, (5, 10, 20, 40)),))
     assert main(["verify-example"]) == 3
-    assert "factorization happened after step 1" in capsys.readouterr().err
+    assert "does not match expected" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,8 @@ def test_extension_graph_takes_at_most_n_field_products(monkeypatch):
 def test_build_graph_validates_inputs():
     with pytest.raises(UsageError):
         build_graph(10, 1, 3)  # not prime
+    with pytest.raises(UsageError, match="^p must be an odd prime, got 2$"):
+        build_graph(2, 1, 1)  # the same check as every other layer
     with pytest.raises(UsageError):
         build_graph(11, 0, 3)  # no field
     with pytest.raises(UsageError):

@@ -113,13 +113,6 @@ def test_enumeration_roundtrip() -> None:
         k.from_index(k.q)
 
 
-def test_lift_roundtrip() -> None:
-    k = f25()
-    e = k.make([4, 3])
-    assert k.lift(e).coeffs == (4, 3)
-    assert k.make(k.lift(e).coeffs) == e
-
-
 def test_mixed_field_rejected() -> None:
     a = f9().gen()
     b = f25().gen()

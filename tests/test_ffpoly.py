@@ -389,8 +389,9 @@ def _rabin_by_powering(f: Poly) -> bool:
 
 
 def _split_by_powering(f: Poly, d: int, seed: int) -> list[Poly]:
-    """Reference oracle: equal-degree splitting with a^((p^d-1)/2) by one
-    powmod, drawing the same random a as equal_degree_factorize."""
+    """Reference oracle: recursive equal-degree splitting with
+    a^((p^d-1)/2) by one powmod, a gcd with a itself first, and the
+    cofactor by long division."""
     p = f.p
     rng = random.Random(seed)
     out = []
@@ -433,14 +434,6 @@ def test_rabin_and_splitting_match_powering_on_the_reference_chains() -> None:
                     got = equal_degree_factorize(big, f.degree, seed)
                     assert got == _split_by_powering(big, f.degree, seed)
                     assert len(got) == 2 and got[0] * got[1] == big
-        tens = [f for f in chain if f.degree == 10]
-        if len(tens) == 3:  # three factors: the split recurses
-            prod = tens[0] * tens[1] * tens[2]
-            assert not is_irreducible(prod) and not _rabin_by_powering(prod)
-            for seed in range(3):
-                assert equal_degree_factorize(prod, 10, seed) == _split_by_powering(
-                    prod, 10, seed
-                ) == sorted(tens, key=lambda q: q.coeffs)
 
 
 def test_is_irreducible_matches_trial_division() -> None:
@@ -496,41 +489,38 @@ def test_factorize_hand_value() -> None:
     assert [f.coeffs for f in factors] == [(2, 1), (3, 1)]
 
 
-def test_factorize_product_roundtrip() -> None:
-    rng = random.Random(9)
-    for _ in range(15):
-        p = rng.choice([5, 13, 53])
-        d = rng.choice([1, 2, 3])
-        parts = []
-        while len(parts) < 3:
-            cand = random_irreducible(p, d, rng)
-            if cand not in parts:
-                parts.append(cand)
-        f = parts[0] * parts[1] * parts[2]
-        got = equal_degree_factorize(f, d, seed=4)
-        assert got == sorted(parts, key=lambda q: q.coeffs)
-        prod = Poly.one(p)
-        for g in got:
-            prod = prod * g
-        assert prod == f
+def _reciprocal(g: Poly) -> Poly:
+    return Poly(g.coeffs[::-1], g.p).monic()
 
 
 def test_factorize_deterministic_for_seed() -> None:
-    p = 53
-    f = Poly((1, 0, 1), p) * Poly((7, 1, 1), p)  # needs both gcd branches
-    f = f.monic()
-    runs = [equal_degree_factorize(f, 2, seed=123) for _ in range(3)]
+    # the first split of the k = 15 reference chain, degree 20 into 10 + 10
+    f10 = generate_sequence(Poly((51, 3, 0, 0, 0, 1), 53), 15, 1).steps[1].poly
+    big = qk_transform(f10, 15)
+    assert big.degree == 20 and not is_irreducible(big)
+    runs = [equal_degree_factorize(big, 10, seed=123) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
+    first, second = runs[0]
+    assert first.coeffs < second.coeffs and second == _reciprocal(first)
 
 
 def test_factorize_sorted_output_seed_independent() -> None:
     p = 13
-    parts = [Poly((2, 0, 1), p), Poly((2, 1, 1), p)]
-    assert all(is_irreducible(g) for g in parts)
-    f = parts[0] * parts[1]
-    a = equal_degree_factorize(f, 2, seed=0)
-    b = equal_degree_factorize(f, 2, seed=99)
-    assert a == b
+    g = Poly((2, 1, 1), p)  # x^2 + x + 2, irreducible; reciprocal x^2 + 7x + 7
+    assert is_irreducible(g) and _reciprocal(g) != g
+    f = g * _reciprocal(g)
+    got = [equal_degree_factorize(f, 2, seed=seed) for seed in range(20)]
+    assert all(parts == sorted((g, _reciprocal(g)), key=lambda q: q.coeffs) for parts in got)
+
+
+def test_factorize_rejects_what_is_not_a_reciprocal_pair() -> None:
+    p = 53
+    g = Poly((7, 1, 1), p)  # x^2 + x + 7, irreducible
+    assert is_irreducible(g) and _reciprocal(g) != g
+    for f in (Poly((1, 0, 1), p) * g, g * g):
+        for seed in range(3):
+            with pytest.raises(MalformedInputError):
+                equal_degree_factorize(f, 2, seed=seed)
 
 
 def test_factorize_rejects_wrong_degree() -> None:
@@ -570,7 +560,7 @@ def test_parse_poly_human_form() -> None:
 
 
 def test_parse_poly_rejects_garbage() -> None:
-    for bad in ("", "x^", "y+1", "1,,2", "3..1", "x^-2", "+"):
+    for bad in ("", "x^", "y+1", "1,,2", "3..1", "x^-2", "+", "x+", "x^2+1+", "-x-"):
         with pytest.raises(MalformedInputError):
             parse_poly(bad, 5)
 

@@ -291,6 +291,15 @@ def test_race_that_neither_factor_wins_is_a_theorem_violation(monkeypatch):
     assert "degrees [1,1,1] kinds [initial,split-took-first,split-took-first]" in message
 
 
+def test_failed_split_is_a_theorem_violation(monkeypatch):
+    def fail(f, d, seed=0):
+        raise MalformedInputError("forced")
+
+    monkeypatch.setattr(seqgen, "equal_degree_factorize", fail)
+    with pytest.raises(TheoremViolationError, match="violates the split dichotomy: forced"):
+        generate_sequence(F0, 15, 2)
+
+
 def _root_is_periodic(f: Poly, k: int) -> bool:
     return is_periodic(ExtField(f).gen(), k)[0]
 
@@ -501,6 +510,15 @@ def test_verify_flags_flat_step_outside_the_transform():
     stranger = random_irreducible(53, 10, random.Random(5))
     assert is_irreducible(stranger) and not (qk_transform(f1, 15) % stranger).is_zero
     failures = _certificate_failures(_forged_after(f1, stranger))
+    assert len(failures) == 1
+    assert failures[0].startswith("step 2:") and "does not divide" in failures[0]
+
+
+def test_verify_flags_flat_step_with_zero_constant_term():
+    # x^10 has no reciprocal of degree 10, so it cannot be half of the split
+    # transform of f_1
+    f1 = qk_transform(F0, 15)
+    failures = _certificate_failures(_forged_after(f1, Poly((0,) * 10 + (1,), 53)))
     assert len(failures) == 1
     assert failures[0].startswith("step 2:") and "does not divide" in failures[0]
 
