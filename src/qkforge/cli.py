@@ -17,12 +17,13 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cm_arith import depths, frobenius_pi, rho0_select
+from .cm_arith import depth_table, depths, frobenius_pi, rho0_select
+from .config import MAX_SWEEP_DOUBLINGS
 from .dynamics import build_graph, component_stats, export_dot
 from .errors import (
     QkforgeError,
+    ResourceCapError,
     TheoremViolationError,
-    UnsupportedPrimeError,
     UsageError,
 )
 from .ffpoly import (
@@ -261,10 +262,11 @@ def cmd_explore(config: RunConfig) -> int:
     return 0
 
 
-def _sweep_primes(max_p: int):
-    for p in range(3, max_p):
-        if is_prime(p):
-            yield p
+def _sweep_classes(max_p: int) -> list[tuple[int, str]]:
+    """(p, class) for every prime 3 <= p < max_p and every class with a CM
+    order whose congruence p satisfies."""
+    return [(p, name) for p in range(3, max_p) if is_prime(p)
+            for name in _SCHEDULE_CLASSES if CLASSES[name].admits(p)]
 
 
 def cmd_sweep_lemmas(max_p: int = 300, max_n: int = 6, max_m: int = 3, max_i: int = 3) -> int:
@@ -273,58 +275,60 @@ def cmd_sweep_lemmas(max_p: int = 300, max_n: int = 6, max_m: int = 3, max_i: in
     With (f0, f1, inc) the class's depth-law floors in qk.CLASSES: e0 >= f0,
     e0 = f0 forces e1 >= f1, e0 > f0 forces e1 = f1 - 1, doubling the
     extension degree sends (e0, e1) to (e0 + e1, f1 - 1), and afterwards each
-    doubling adds exactly inc to e0.  Any failed identity exits with code 3.
+    doubling adds exactly inc to e0.  Each multiplier's pairs come from one
+    `depth_table`.  Any failed identity exits with code 3; negative bounds or
+    a range that checks nothing exit with code 2, and max_i above
+    config.MAX_SWEEP_DOUBLINGS with code 4, before any work.
     """
-    primes = list(_sweep_primes(max_p))
-    if not primes:
-        raise UsageError(f"--max-p {max_p} leaves no prime to sweep (it covers 3 <= p < max-p)")
+    if min(max_n, max_m, max_i) < 0:
+        raise UsageError(
+            f"--max-n, --max-m and --max-i must be >= 0, got {max_n}, {max_m}, {max_i}"
+        )
+    if max_i > MAX_SWEEP_DOUBLINGS:
+        raise ResourceCapError(f"--max-i {max_i} exceeds the cap of {MAX_SWEEP_DOUBLINGS}")
+    if not (max_n or max_m):
+        raise UsageError("--max-n 0 and --max-m 0 leave no identity to check")
+    sweep = _sweep_classes(max_p)
+    if not sweep:
+        raise UsageError(
+            f"--max-p {max_p} leaves no prime to sweep (it covers 3 <= p < max-p "
+            f"with a C2, C3 or C3- multiplier)"
+        )
+    degrees = set(range(1, max_n + 1))
+    for m in range(1, max_m + 1):
+        degrees.update(m << i for i in range(max_i + 2))
     violations: list[str] = []
     checked = 0
-
-    def check(cond: bool, label: str) -> None:
-        nonlocal checked
-        checked += 1
-        if not cond:
-            violations.append(label)
-
-    for p in primes:
-        for name in _SCHEDULE_CLASSES:
-            try:
-                ks = find_k(p, name)
-            except UnsupportedPrimeError:
-                continue
-            low_e0, low_e1, inc = CLASSES[name].floors
-            for k in ks:
-                for n in range(1, max_n + 1):
-                    dp = depths(p, k, n)
-                    tag = f"p={p} k={k} n={n} ({name})"
-                    check(dp.e0 >= low_e0, f"{tag}: e0={dp.e0} < {low_e0}")
-                    if dp.e0 == low_e0:
-                        check(
-                            dp.e1 >= low_e1,
-                            f"{tag}: e0={low_e0} but e1={dp.e1} < {low_e1}",
-                        )
-                    if dp.e0 >= low_e0 + 1:
-                        check(
-                            dp.e1 == low_e1 - 1,
-                            f"{tag}: e0={dp.e0} but e1={dp.e1} != {low_e1 - 1}",
-                        )
-                for m in range(1, max_m + 1):
-                    base = depths(p, k, m)
-                    doubled = depths(p, k, 2 * m)
-                    tag = f"p={p} k={k} m={m} ({name})"
-                    check(
-                        doubled.e0 == base.e0 + base.e1 and doubled.e1 == low_e1 - 1,
-                        f"{tag}: ({base.e0},{base.e1}) doubled to "
-                        f"({doubled.e0},{doubled.e1})",
+    for p, name in sweep:
+        low_e0, low_e1, inc = CLASSES[name].floors
+        for k in find_k(p, name):
+            table = depth_table(p, k, degrees)
+            for n in range(1, max_n + 1):
+                e0, e1 = table[n].e0, table[n].e1
+                checked += 1 if e0 < low_e0 else 2  # the floor, then one e1 law
+                if e0 < low_e0:
+                    failed = f"e0={e0} < {low_e0}"
+                elif e0 == low_e0 and e1 < low_e1:
+                    failed = f"e0={low_e0} but e1={e1} < {low_e1}"
+                elif e0 > low_e0 and e1 != low_e1 - 1:
+                    failed = f"e0={e0} but e1={e1} != {low_e1 - 1}"
+                else:
+                    continue
+                violations.append(f"p={p} k={k} n={n} ({name}): {failed}")
+            for m in range(1, max_m + 1):
+                checked += 1 + max_i
+                base, doubled = table[m], table[2 * m]
+                if not (doubled.e0 == base.e0 + base.e1 and doubled.e1 == low_e1 - 1):
+                    violations.append(
+                        f"p={p} k={k} m={m} ({name}): ({base.e0},{base.e1}) doubled to "
+                        f"({doubled.e0},{doubled.e1})"
                     )
-                    for i in range(1, max_i + 1):
-                        lower = depths(p, k, (1 << i) * m)
-                        upper = depths(p, k, (1 << (i + 1)) * m)
-                        check(
-                            upper.e0 == lower.e0 + inc and upper.e1 == lower.e1 == low_e1 - 1,
-                            f"{tag} i={i}: ({lower.e0},{lower.e1}) -> "
-                            f"({upper.e0},{upper.e1}), expected +{inc}",
+                for i in range(1, max_i + 1):
+                    lower, upper = table[m << i], table[m << (i + 1)]
+                    if not (upper.e0 == lower.e0 + inc and upper.e1 == lower.e1 == low_e1 - 1):
+                        violations.append(
+                            f"p={p} k={k} m={m} ({name}) i={i}: ({lower.e0},{lower.e1}) -> "
+                            f"({upper.e0},{upper.e1}), expected +{inc}"
                         )
     print(f"checked {checked} identities below p < {max_p}: "
           f"{len(violations)} violations")

@@ -24,11 +24,15 @@ extension degree n:
   2k + 1 mod p;
 * C3-: the same with k replaced by -k (a C3 multiplier).
 
-`depths` never forms pi^n, whose coordinates grow like p^(n/2): it takes
-z = pow(pi, n, 2^B), B = 2*(p.bit_length() + n.bit_length()) + 8, and reads
-the C2 depths off N(z -+ 1) mod 2^B and the C3 depths off x -+ 1 mod 2^B,
-where x is z with alpha sent to the 2-adic root of x^2 - x + 2 that lies in
-rho0 (the completion at rho0 is Z_2).  Every depth is below B (see `depths`).
+`depth_table` never forms pi^n, whose coordinates grow like p^(n/2): for
+a set of degrees it fixes one precision B = 2*(p.bit_length() +
+max_n.bit_length()) + 8 from the largest degree and climbs one ladder of
+powers z_n = pi^n mod 2^B on integer pairs, z_n = z_(n-1)*pi or z_(n/2)^2
+where the set holds that degree.  It reads the C2 depths off N(z_n -+ 1)
+mod 2^B and the C3 depths off x -+ 1 mod 2^B, where x is z_n with alpha
+sent to the 2-adic root of x^2 - x + 2 that lies in rho0 (the completion at
+rho0 is Z_2).  Every depth is below the bound of its own degree, hence below
+B (see `depth_table`).  `depths` is the table of one degree.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from typing import Iterable
 
 from .errors import InternalConsistencyError, UnsupportedPrimeError, UsageError
 from .ffpoly import _check_odd_prime, inv_mod, legendre, sqrt_mod_p
@@ -50,6 +55,23 @@ def _product(disc: int, a: int, b: int, c: int, d: int) -> tuple[int, int]:
         return a * c - b * d, a * d + b * c
     # alpha^2 = alpha - 2
     return a * c - 2 * b * d, a * d + b * c + b * d
+
+
+def _power(disc: int, c: int, d: int, e: int, mod: int | None = None) -> tuple[int, int]:
+    """Coordinates of (c + d*w)**e exactly, or with both coordinates reduced
+    mod `mod` after every product."""
+    a, b = 1, 0
+    if mod is not None:
+        a, c, d = 1 % mod, c % mod, d % mod
+    while e:
+        if e & 1:
+            a, b = _product(disc, a, b, c, d)
+        e >>= 1
+        if e:
+            c, d = _product(disc, c, d, c, d)
+        if mod is not None:
+            a, b, c, d = a % mod, b % mod, c % mod, d % mod
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -86,18 +108,7 @@ class QuadInt:
         reduced mod `mod` after every product."""
         if e < 0:
             raise UsageError("negative powers are not defined here")
-        disc, a, b, c, d = self.disc, 1, 0, self.a, self.b
-        if mod is not None:
-            a, c, d = 1 % mod, c % mod, d % mod
-        while e:
-            if e & 1:
-                a, b = _product(disc, a, b, c, d)
-            e >>= 1
-            if e:
-                c, d = _product(disc, c, d, c, d)
-            if mod is not None:
-                a, b, c, d = a % mod, b % mod, c % mod, d % mod
-        return QuadInt(a, b, disc)
+        return QuadInt(*_power(self.disc, self.a, self.b, e, mod), self.disc)
 
     def conj(self) -> "QuadInt":
         if self.disc == -4:
@@ -228,6 +239,9 @@ def frobenius_pi(p: int, class_name: str) -> QuadInt:
     return _frobenius_pi_disc(p, spec.disc)
 
 
+_ALPHA, _ALPHA_BAR = QuadInt(0, 1, -7), QuadInt(1, -1, -7)
+
+
 def rho0_select(p: int, k: int, pi: QuadInt) -> QuadInt:
     """The prime above 2 in Z[alpha] matching the C3 or C3- multiplier k.
 
@@ -242,15 +256,20 @@ def rho0_select(p: int, k: int, pi: QuadInt) -> QuadInt:
     spec = classify_k(p, k).spec
     if spec is None or spec.disc != -7:
         raise UsageError(f"k={k} is not a C3 or C3- multiplier mod {p}")
+    return _rho0(p, k, spec.b, pi)
+
+
+def _rho0(p: int, k: int, b: int, pi: QuadInt) -> QuadInt:
+    """`rho0_select` for a k already known to solve 2k^2 + bk + 1 = 0 mod p."""
     u, v = pi.a, pi.b
     if v % p == 0:
         raise InternalConsistencyError("Frobenius with p | v cannot happen for split p")
-    sigma = (2 * spec.b * k + 1) % p
+    sigma = (2 * b * k + 1) % p
     alpha_res = (-u) * inv_mod(v, p) % p
     if alpha_res == sigma:
-        return QuadInt(0, 1, -7)
+        return _ALPHA
     if (1 - alpha_res) % p == sigma:
-        return QuadInt(1, -1, -7)
+        return _ALPHA_BAR
     raise InternalConsistencyError("neither embedding matches the multiplier residue")
 
 
@@ -291,33 +310,70 @@ class DepthPair:
         return self.e0 + self.e1
 
 
+def depth_table(p: int, k: int, degrees: Iterable[int]) -> dict[int, DepthPair]:
+    """Depth pairs for multiplier k at every extension degree in `degrees`,
+    keyed by degree.
+
+    What depends on (p, k) alone is resolved once per call: the class of k,
+    pi, and for C3 / C3- the root of x^2 - x + 2 in rho0 to one precision B
+    fixed by the largest degree.  The powers pi^n mod 2^B climb one ladder in
+    increasing n: z_n = z_(n-1)*pi when the set holds n - 1, z_n = z_(n/2)^2
+    when it holds n/2, and binary powering otherwise, so consecutive degrees
+    and doubling chains cost one product each.  Every pair is read off its
+    own z_n; none is derived from another.
+
+    Raises UnsupportedPrimeError when the required CM structure does not
+    exist at p, and UsageError for k outside the C2/C3/C3- classes or for a
+    set of degrees that is empty or holds one below 1.
+    """
+    ns = sorted(set(degrees))
+    if not ns or ns[0] < 1:
+        raise UsageError("extension degree must be positive")
+    kc = classify_k(p, k)
+    spec = kc.spec
+    if spec is None or spec.disc is None:
+        raise UsageError(
+            f"depth pairs are defined for C2, C3, and C3- multipliers; "
+            f"k={k} mod {p} is {kc.name}"
+        )
+    disc = spec.disc
+    pi = _frobenius_pi_disc(p, disc)
+    # The valuations at degree n depend only on pi^n mod 2^B.  Lifting the
+    # exponent bounds each of them by nu(pi - u) + 2*nu_2(n) + 6 for some
+    # unit u of the order, and nu(pi - u) <= log2 N(pi - u) < log2(4p), so
+    # every depth is below p.bit_length() + 2*n.bit_length() + 6, which the
+    # B of the largest n exceeds for every n of the set.
+    bits = 2 * (p.bit_length() + ns[-1].bit_length()) + 8
+    mod = 1 << bits
+    if disc == -7:
+        # rho0 = alpha holds the even root, rho0 = 1 - alpha the odd one
+        root = _alpha_root_2adic(_rho0(p, kc.k, spec.b, pi).a, bits)
+    u, v = pi.a % mod, pi.b % mod
+    ladder: dict[int, tuple[int, int]] = {}
+    table = {}
+    for n in ns:
+        if n - 1 in ladder:
+            a, b = _product(disc, *ladder[n - 1], u, v)
+        elif n % 2 == 0 and n // 2 in ladder:
+            a, b = _product(disc, *ladder[n // 2], *ladder[n // 2])
+        else:
+            a, b = _power(disc, u, v, n, mod)
+        ladder[n] = a, b = a % mod, b % mod
+        if disc == -4:
+            below, above = (a - 1) ** 2 + b * b, (a + 1) ** 2 + b * b
+        else:
+            x = a + b * root
+            below, above = x - 1, x + 1
+        table[n] = DepthPair(_nu2(below % mod), _nu2(above % mod), p, n, kc.name)
+    return table
+
+
 def depths(p: int, k: int, n: int) -> DepthPair:
-    """Depth pair for multiplier k at extension degree n.
+    """Depth pair for multiplier k at extension degree n: the `depth_table`
+    of the one degree n, so B is fixed by n and pi^n comes from binary
+    powering.
 
     Raises UnsupportedPrimeError when the required CM structure does not
     exist at p, and UsageError for k outside the C2/C3/C3- classes.
     """
-    if n < 1:
-        raise UsageError("extension degree must be positive")
-    kc = classify_k(p, k)
-    name = kc.name
-    if kc.spec is None or kc.spec.disc is None:
-        raise UsageError(
-            f"depth pairs are defined for C2, C3, and C3- multipliers; "
-            f"k={k} mod {p} is {name}"
-        )
-    pi = frobenius_pi(p, name)
-    # The valuations depend only on pi^n mod 2^B.  Lifting the exponent
-    # bounds each of them by nu(pi - u) + 2*nu_2(n) + 6 for some unit u of
-    # the order, and nu(pi - u) <= log2 N(pi - u) < log2(4p), so every depth
-    # is below p.bit_length() + 2*n.bit_length() + 6 < B.
-    bits = 2 * (p.bit_length() + n.bit_length()) + 8
-    mod = 1 << bits
-    z = pow(pi, n, mod)
-    if pi.disc == -4:
-        below, above = (z.a - 1) ** 2 + z.b**2, (z.a + 1) ** 2 + z.b**2
-    else:
-        # rho0 = alpha holds the even root, rho0 = 1 - alpha the odd one
-        x = z.a + z.b * _alpha_root_2adic(rho0_select(p, k, pi).a, bits)
-        below, above = x - 1, x + 1
-    return DepthPair(_nu2(below % mod), _nu2(above % mod), p, n, name)
+    return depth_table(p, k, (n,))[n]

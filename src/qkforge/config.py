@@ -6,8 +6,9 @@ QKFORGE_CAP, a positive integer, replaces the default field-size cap.
 `ffpoly.parse_poly` refuses a degree above MAX_POLY_DEGREE before it
 allocates the coefficients, and a packed row table (the Frobenius map of
 Rabin's test and equal-degree splitting) is refused above
-MAX_ROW_TABLE_BYTES before its first row is made.  Depth pairs need no cap: `cm_arith.depths`
-works modulo 2^B, B = O(log pn).
+MAX_ROW_TABLE_BYTES before its first row is made.  `sweep-lemmas` refuses a
+`--max-i` above MAX_SWEEP_DOUBLINGS before any work.  A single depth pair
+needs no cap: `cm_arith.depths` works modulo 2^B, B = O(log pn).
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ DEFAULT_FIELD_CAP = 2**22
 
 # The largest degree a parsed polynomial may have (fixed, no override).
 MAX_POLY_DEGREE = 2**16
+
+# The most doublings `sweep-lemmas --max-i` may ask for (fixed, no
+# override): its degrees reach 2^(max_i + 1) * max_m, and its cost grows
+# faster than max_i^2.
+MAX_SWEEP_DOUBLINGS = 64
 
 # The most bytes a packed row table may take (fixed, no override): the
 # Frobenius map mod a degree-n modulus takes n^2 slots of 1 to 8 or more

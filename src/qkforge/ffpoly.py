@@ -602,6 +602,11 @@ def equal_degree_factorize(f: Poly, d: int, seed: int = 0) -> list[Poly]:
     pair is unique, so the seed changes only how many attempts are made.
     The two factors come back sorted ascending by coefficient tuple; any
     other input raises MalformedInputError.
+
+    f = g * g* forces f to be palindromic: x^d g(1/x) = g(0) g* and
+    x^d g*(1/x) = g / g(0), so x^(2d) f(1/x) = f, and the coefficients of the
+    monic f read the same in both directions.  An input that is not
+    palindromic is rejected before the first attempt.
     """
     if d < 1:
         raise UsageError(f"factor degree must be positive, got {d}")
@@ -610,6 +615,11 @@ def equal_degree_factorize(f: Poly, d: int, seed: int = 0) -> list[Poly]:
     f = f.monic()
     p = f.p
     fx = list(f.coeffs)
+    if fx != fx[::-1]:
+        raise MalformedInputError(
+            "the input is not palindromic, so it is not a product of a "
+            "polynomial and its reciprocal"
+        )
     ctx = ModulusContext(f)
     rng = random.Random(seed)
     for _ in range(128):

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: argument resolution, subcommand
 output, exit codes, and artifact determinism."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 import qkforge.cli as cli
 from qkforge.cli import main
-from qkforge.config import MAX_POLY_DEGREE
+from qkforge.cm_arith import depth_table
+from qkforge.config import MAX_POLY_DEGREE, MAX_SWEEP_DOUBLINGS
 from qkforge.errors import TheoremViolationError
 from qkforge.ffpoly import Poly, format_poly, format_poly_human, sqrt_mod_p
 from qkforge.qk import qk_transform
@@ -609,10 +611,77 @@ def test_sweep_lemmas_small_range(capsys):
 
 
 def test_sweep_lemmas_without_a_prime_exits_2(capsys):
-    for max_p in ("-5", "0", "3"):
+    for max_p in ("-5", "0", "3", "4", "5"):  # p = 3 admits no multiplier of a CM class
         assert main(["sweep-lemmas", "--max-p", max_p]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "no prime" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-n", "-1"],
+    ["--max-m", "-1"],
+    ["--max-i", "-2"],
+    ["--max-n", "0", "--max-m", "0"],  # no identity to check
+])
+def test_sweep_lemmas_that_checks_nothing_exits_2(argv, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "depth_table", _never)
+    assert main(["sweep-lemmas", "--max-p", "30", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_sweep_lemmas_over_the_doubling_cap_exits_4_at_once(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "depth_table", _never)
+    assert main(["sweep-lemmas", "--max-p", "6", "--max-i", "2000"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(MAX_SWEEP_DOUBLINGS) in captured.err
+    assert main(["sweep-lemmas", "--max-p", "6", "--max-i", str(MAX_SWEEP_DOUBLINGS + 1)]) == 4
+
+
+def test_sweep_lemmas_at_the_doubling_cap_runs(capsys):
+    assert main(["sweep-lemmas", "--max-p", "6", "--max-i", str(MAX_SWEEP_DOUBLINGS)]) == 0
+    assert capsys.readouterr().out.endswith(": 0 violations\n")
+
+
+def test_sweep_lemmas_builds_one_depth_table_per_multiplier(monkeypatch, capsys):
+    tables = []
+
+    def counted(p, k, degrees):
+        tables.append((p, k))
+        return depth_table(p, k, degrees)
+
+    monkeypatch.setattr(cli, "depth_table", counted)
+    monkeypatch.setattr(cli, "depths", _never)
+    assert main(["sweep-lemmas", "--max-p", "600"]) == 0
+    assert capsys.readouterr() == (GOLDEN["sweep_lemmas_max_p_600"], "")
+    assert len(tables) == len(set(tables)) == 306
+
+
+@pytest.mark.parametrize("p, k, n, wrong, out, err", [
+    (53, 15, 1, (1, 3),
+     "checked 911 identities below p < 60: 2 violations\n",
+     "error: depth-law violations: p=53 k=15 n=1 (C2): e0=1 < 2; "
+     "p=53 k=15 m=1 (C2): (1,3) doubled to (5,2)\n"),
+    (11, 3, 2, (4, 5),
+     "checked 912 identities below p < 60: 4 violations\n",
+     "error: depth-law violations: p=11 k=3 n=2 (C3): e0=4 but e1=5 != 1; "
+     "p=11 k=3 m=1 (C3): (3,1) doubled to (4,5); "
+     "p=11 k=3 m=1 (C3) i=1: (4,5) -> (5,1), expected +1; "
+     "p=11 k=3 m=2 (C3): (4,5) doubled to (5,1)\n"),
+])
+def test_sweep_lemmas_names_a_violated_law(p, k, n, wrong, out, err, monkeypatch, capsys):
+    def one_wrong_pair(q, j, degrees):
+        table = depth_table(q, j, degrees)
+        if (q, j) == (p, k):
+            table[n] = dataclasses.replace(table[n], e0=wrong[0], e1=wrong[1])
+        return table
+
+    monkeypatch.setattr(cli, "depth_table", one_wrong_pair)
+    assert main(["sweep-lemmas", "--max-p", "60"]) == 3
+    assert capsys.readouterr() == (out, err)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from qkforge.cm_arith import (
     QuadInt,
     count_points,
     _nu2,
+    depth_table,
     depths,
     frobenius_pi,
     rho0_select,
@@ -378,6 +379,46 @@ def test_depths_match_exact_route_small_primes() -> None:
                     assert pair(depths(p, k, n)) == _exact_depths(p, k, n, pi), (p, k, n)
                     checked += 1
     assert checked > 10000
+
+
+def _sweep_degrees(max_n: int, max_m: int, max_i: int) -> set[int]:
+    """The degrees `sweep-lemmas` reads: 1..max_n and 2^i * m for i <= max_i + 1."""
+    return set(range(1, max_n + 1)) | {
+        m << i for m in range(1, max_m + 1) for i in range(max_i + 2)}
+
+
+def test_depth_table_matches_single_degrees_and_the_exact_route() -> None:
+    # a grid wider than the sweep-lemmas defaults (6, 3, 3): degrees 1..9 and
+    # 2^i * m up to 5 * 2^6 = 320, read off one ladder and one precision B
+    degrees = _sweep_degrees(9, 5, 5)
+    tables = exact = 0
+    for p in range(3, 200, 2):
+        if not is_prime(p):
+            continue
+        for name in ("C2", "C3", "C3-"):
+            if not CLASSES[name].admits(p):
+                continue
+            for k in find_k(p, name):
+                table = depth_table(p, k, degrees)
+                assert sorted(table) == sorted(degrees)
+                pi = frobenius_pi(p, name)
+                for n, dp in table.items():
+                    assert dp == depths(p, k, n), (p, k, n)
+                    if p < 60 and n <= 48:
+                        assert pair(dp) == _exact_depths(p, k, n, pi), (p, k, n)
+                        exact += 1
+                tables += 1
+    assert (tables, exact) == (126, 646)
+
+
+def test_depth_table_takes_any_iterable_and_rejects_bad_degrees() -> None:
+    table = depth_table(53, 15, iter([4, 1, 4, 2]))
+    assert table == {n: depths(53, 15, n) for n in (1, 2, 4)}
+    for degrees in ((), (0, 1), (3, -2)):
+        with pytest.raises(UsageError):
+            depth_table(53, 15, degrees)
+    with pytest.raises(UsageError):
+        depth_table(53, 27, (1, 2))  # C1
 
 
 @pytest.mark.parametrize(

@@ -523,6 +523,33 @@ def test_factorize_rejects_what_is_not_a_reciprocal_pair() -> None:
                 equal_degree_factorize(f, 2, seed=seed)
 
 
+def test_factorize_rejects_a_non_palindromic_input_before_any_attempt(monkeypatch) -> None:
+    # f = g * g* satisfies x^(2d) f(1/x) = f; these inputs do not, so no gcd is taken
+    def unreachable(*args):
+        raise AssertionError("a split attempt was made")
+
+    monkeypatch.setattr(ffpoly, "_gcd_raw", unreachable)
+    p = 53
+    g = Poly((7, 1, 1), p)  # x^2 + x + 7, irreducible, not its own reciprocal
+    for f, d in ((Poly((1, 0, 1), p) * g, 2), (g * g, 2),
+                 (Poly((1, 1) + (0,) * 78 + (1,), p), 40)):
+        with pytest.raises(MalformedInputError, match="not palindromic"):
+            equal_degree_factorize(f, d)
+
+
+def test_factorize_rejects_palindromic_inputs_that_are_not_reciprocal_pairs() -> None:
+    # palindromic, so they pass the pre-check and fail in the attempts
+    p = 53
+    h = Poly((1, 3, 1), p)  # x^2 + 3x + 1, irreducible and its own reciprocal
+    q = Poly((6, 1, 1), p)  # character -1 under k = 15: the transform is irreducible
+    assert is_irreducible(h) and transform_character(q, 15) == -1
+    for f in (h * h, qk_transform(q, 15)):
+        assert f.coeffs == f.coeffs[::-1]
+        for seed in range(3):
+            with pytest.raises(MalformedInputError):
+                equal_degree_factorize(f, 2, seed=seed)
+
+
 def test_factorize_rejects_wrong_degree() -> None:
     p = 5
     with pytest.raises(MalformedInputError):
