@@ -4,7 +4,9 @@ Building a full functional graph touches every element of F_{p^n}; the
 default cap keeps that tractable.  The environment variable
 QKFORGE_CAP, a positive integer, replaces the default field-size cap.
 `ffpoly.parse_poly` refuses a degree above MAX_POLY_DEGREE before it
-allocates the coefficients, and a packed row table (the Frobenius map of
+allocates the coefficients, and `seqgen.generate_sequence` refuses a step
+whose transform would pass it (up front, from the schedule, for C2, C3 and
+C3-).  A packed row table (the Frobenius map of
 Rabin's test and equal-degree splitting) is refused above
 MAX_ROW_TABLE_BYTES before its first row is made.  `sweep-lemmas` refuses a
 `--max-i` above MAX_SWEEP_DOUBLINGS before any work.  A single depth pair
@@ -19,7 +21,8 @@ from .errors import UsageError
 
 DEFAULT_FIELD_CAP = 2**22
 
-# The largest degree a parsed polynomial may have (fixed, no override).
+# The largest degree a parsed polynomial or a chain's transform may have
+# (fixed, no override).
 MAX_POLY_DEGREE = 2**16
 
 # The most doublings `sweep-lemmas --max-i` may ask for (fixed, no

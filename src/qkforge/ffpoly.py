@@ -22,8 +22,10 @@ Three performance tricks keep everything exact but fast in pure Python:
 * the Frobenius map y -> y^p mod a fixed modulus is linear over F_p, so the
   context builds it once as n packed rows x^(p*j) mod m (one powmod and
   n - 2 products); applying it is n big-integer multiply-adds and one
-  unpack (von zur Gathen and Shoup, 1992).  Rabin's test and the split of
-  a reciprocal pair use it in place of powering by p.
+  unpack (von zur Gathen and Shoup, 1992).  Rabin's test uses it in place
+  of powering by p, and the split of a reciprocal pair g * g* takes the
+  trace a + a^p + ... + a^(p^(d-1)) with it, which needs one squaring and
+  one gcd instead of a norm and a powering by (p - 1)/2.
 
 Each is cross-checked in the test suite against the plain route it
 replaces: schoolbook products, long division, powering by p.
@@ -36,7 +38,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import add, mul
 from typing import Iterable
 
 from .config import MAX_POLY_DEGREE, MAX_ROW_TABLE_BYTES
@@ -594,19 +596,28 @@ def equal_degree_factorize(f: Poly, d: int, seed: int = 0) -> list[Poly]:
     g* = x^d g(1/x) / g(0): two distinct monic irreducibles of degree d.
     This is the shape of the transform of an irreducible with character +1.
 
-    Each attempt draws a random a from a seeded PRNG and takes one gcd,
-    gcd(a^((p^d-1)/2) - 1, f), with a^((p^d-1)/2) computed as
-    (a * a^p * ... * a^(p^(d-1)))^((p-1)/2) through the context's Frobenius
-    map (Cantor and Zassenhaus, 1981).  A gcd of degree d is g; its reversal,
-    made monic, is g*, and one product checks g * g* == f and g != g*.  The
-    pair is unique, so the seed changes only how many attempts are made.
-    The two factors come back sorted ascending by coefficient tuple; any
-    other input raises MalformedInputError.
+    For such f, F_p[x]/(f) is F_{p^d} x F_{p^d}, so the trace
+    T = a + a^p + ... + a^(p^(d-1)) of any a is a pair (t1, t2) of elements
+    of F_p: T is t1 mod g and t2 mod g*.  It costs d - 1 applications of the
+    context's Frobenius map and no product.  T is a root of
+    (y - t1)(y - t2), so S = T^2 mod f equals s*T - q exactly, with
+    s = t1 + t2 and q = t1 * t2 (deg T < 2d); s is read off any
+    non-constant coefficient of T and q off the constant ones.  If t1 != t2,
+    T - t1 vanishes mod one factor only, and one gcd,
+    gcd(T - (s + sqrt(s^2 - 4q))/2, f), is g or g* (von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 14).  An a whose T is constant
+    (t1 = t2, probability 1/p) is drawn again from a seeded PRNG.  The
+    other factor is the reversal, made monic, and one product checks
+    g * g* == f and g != g*.  The pair is unique, so the seed changes only
+    how many attempts are made.  The two factors come back sorted ascending
+    by coefficient tuple.
 
-    f = g * g* forces f to be palindromic: x^d g(1/x) = g(0) g* and
-    x^d g*(1/x) = g / g(0), so x^(2d) f(1/x) = f, and the coefficients of the
-    monic f read the same in both directions.  An input that is not
-    palindromic is rejected before the first attempt.
+    Any other input raises MalformedInputError.  f = g * g* forces f to be
+    palindromic: x^d g(1/x) = g(0) g* and x^d g*(1/x) = g / g(0), so
+    x^(2d) f(1/x) = f, and the coefficients of the monic f read the same in
+    both directions.  An input that is not palindromic is rejected before
+    the first attempt; one whose first non-constant T fails S == s*T - q,
+    the square root, the gcd degree or the product is rejected at once.
     """
     if d < 1:
         raise UsageError(f"factor degree must be positive, got {d}")
@@ -623,25 +634,31 @@ def equal_degree_factorize(f: Poly, d: int, seed: int = 0) -> list[Poly]:
     ctx = ModulusContext(f)
     rng = random.Random(seed)
     for _ in range(128):
-        a = _trim([rng.randrange(p) for _ in range(2 * d)])
-        if len(a) < 2:
-            continue
-        conj = norm = a
+        conj = _trim([rng.randrange(p) for _ in range(2 * d)])
+        trace = conj + [0] * (2 * d - len(conj))
         for _ in range(d - 1):
             conj = ctx.frobenius(conj)
-            norm = ctx.mulmod(norm, conj)
-        g = _gcd_raw(_sub_raw(ctx.powmod(norm, (p - 1) // 2), [1], p), fx, p)
-        if len(g) - 1 == d:
-            star = _reciprocal_cofactor(g, fx, p)
-            if star is None or star == g:
-                raise MalformedInputError(
-                    f"a degree-{d} factor and its reciprocal do not make two "
-                    "distinct factors of the input"
-                )
+            trace[: len(conj)] = map(add, trace, conj)
+        trace = _trim([c % p for c in trace])
+        if len(trace) < 2:
+            continue
+        j = len(trace) - 1
+        square = ctx.mulmod(trace, trace)
+        padded = square + [0] * len(trace)
+        s = padded[j] * inv_mod(trace[j], p) % p
+        q = (s * trace[0] - padded[0]) % p
+        if square != _sub_raw([s * c % p for c in trace], [q], p):
+            break
+        root = sqrt_mod_p(s * s - 4 * q, p)
+        if root is None:
+            break
+        g = _gcd_raw(_sub_raw(trace, [(s + root) * inv_mod(2, p) % p], p), fx, p)
+        star = _reciprocal_cofactor(g, fx, p) if len(g) - 1 == d else None
+        if star is not None and star != g:
             return [Poly(tuple(h), p) for h in sorted((g, star))]
+        break
     raise MalformedInputError(
-        f"no degree-{d} factor found after 128 attempts; the input is not a "
-        "product of an irreducible and its reciprocal"
+        f"the input is not a product of a degree-{d} irreducible and its reciprocal"
     )
 
 

@@ -37,7 +37,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import MalformedInputError, TheoremViolationError, UsageError
+from .config import MAX_POLY_DEGREE
+from .errors import MalformedInputError, ResourceCapError, TheoremViolationError, UsageError
 from .ffpoly import Poly, _reciprocal_cofactor, equal_degree_factorize, inv_mod, is_irreducible
 from .qk import CLASSES, GENERIC, classify_k, qk_transform, transform_character
 from .cm_arith import DepthPair, depths
@@ -219,7 +220,14 @@ def next_poly(f: Poly, k: int, seed: int = 0) -> tuple[Poly, Optional[Poly], str
 
 def _step(f: Poly, k: int, seed: int) -> tuple[Poly, Optional[Poly], str]:
     """next_poly for an f already known to be irreducible: the transform
-    character decides the step, with no irreducibility test."""
+    character decides the step, with no irreducibility test.  A transform
+    of degree above config.MAX_POLY_DEGREE is refused with ResourceCapError
+    before it is formed."""
+    if 2 * f.degree > MAX_POLY_DEGREE:
+        raise ResourceCapError(
+            f"the transform of a degree-{f.degree} polynomial would pass the "
+            f"degree cap of {MAX_POLY_DEGREE}"
+        )
     big = qk_transform(f, k)
     chi = transform_character(f, k)
     if chi == -1:
@@ -265,6 +273,12 @@ def generate_sequence(f0: Poly, k: int, num_steps: int, seed: int = 0) -> Sequen
     race that neither factor wins within max(e0, e1) steps raises a theorem
     violation with the trace.  The race does not depend on num_steps, so a
     shorter run is a prefix of a longer one.
+
+    No step forms a transform of degree above config.MAX_POLY_DEGREE (see
+    _step).  For C2, C3 and C3- the schedule bounds the degrees from below:
+    past s + t <= st_bound flat steps every step follows the class pattern
+    (_pattern_level), so a num_steps whose degree must pass the cap is
+    refused with ResourceCapError before the first step.
     """
     if num_steps < 0:
         raise UsageError("num_steps must be >= 0")
@@ -277,7 +291,18 @@ def generate_sequence(f0: Poly, k: int, num_steps: int, seed: int = 0) -> Sequen
         )
     # C1 has no depth pair, so nothing bounds its stalls and it is not raced.
     racing = kc.spec.disc is not None
-    rounds = depths(p, kc.k, f0.degree).s_bound if racing else 0
+    rounds = 0
+    if racing:
+        dp = depths(p, kc.k, f0.degree)
+        rounds = dp.s_bound
+        if num_steps > dp.st_bound:
+            level = _pattern_level(kc.spec.pattern, num_steps - dp.st_bound)
+            # n << level > cap, without forming a huge n << level
+            if level >= MAX_POLY_DEGREE.bit_length() or f0.degree << level > MAX_POLY_DEGREE:
+                raise ResourceCapError(
+                    f"{num_steps} steps from degree {f0.degree} double the degree at "
+                    f"least {level} times, past the degree cap of {MAX_POLY_DEGREE}"
+                )
 
     steps: list[Step] = [Step(0, f0, KIND_INITIAL)]
     while len(steps) <= num_steps:
@@ -359,6 +384,14 @@ def _broken_link(prev: Poly, cur: Poly, k: int) -> Optional[str]:
     return None
 
 
+def _pattern_level(pattern: str, offset: int) -> int:
+    """How many times the class pattern has doubled the starting degree at
+    the step `offset` >= 1 steps past the last flat step (index s + t)."""
+    if pattern == CLASSES["C2"].pattern:
+        return (offset + 1) // 2 + 1
+    return offset + 1
+
+
 def verify_against_schedule(record: SequenceRecord, report: ScheduleReport) -> list[str]:
     """Check a record against its predicted schedule; violations are returned
     as human-readable strings, an empty list meaning full conformance.
@@ -398,12 +431,7 @@ def verify_against_schedule(record: SequenceRecord, report: ScheduleReport) -> l
         violations.append(f"observed s+t={s + t} exceeds st_bound={report.st_bound}")
     base = s + t
     for step in record.steps[base + 1:]:
-        offset = step.index - base
-        if report.pattern == CLASSES["C2"].pattern:
-            level = (offset + 1) // 2 + 1
-        else:
-            level = offset + 1
-        expected = n << level
+        expected = n << _pattern_level(report.pattern, step.index - base)
         if step.degree != expected:
             violations.append(
                 f"step {step.index}: degree {step.degree} deviates from the "

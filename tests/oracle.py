@@ -12,7 +12,7 @@ from __future__ import annotations
 from qkforge.config import field_cap
 from qkforge.errors import InternalConsistencyError, ResourceCapError, UsageError
 from qkforge.extfield import ExtField, FqElem
-from qkforge.ffpoly import Poly, _prime_factors, is_irreducible
+from qkforge.ffpoly import Poly, _mul_raw, _prime_factors, inv_mod, is_irreducible
 from qkforge.qk import _check_k
 
 
@@ -152,3 +152,24 @@ def _same(a, b) -> bool:
     if a is INFINITY or b is INFINITY:
         return a is b
     return a == b
+
+
+def qk_transform_by_expansion(f: Poly, k: int) -> Poly:
+    """The transform (x/k)^n * f(k(x + 1/x)) of monic f of degree n >= 1,
+    by expanding f = sum a_i y^i as sum a_i k^(i-n) x^(n-i) (x^2+1)^i in
+    O(n^2) coefficient operations, one power of x^2 + 1 at a time."""
+    p = f.p
+    k = _check_k(k, p)
+    n = f.degree
+    kinv = inv_mod(k, p)
+    out = [0] * (2 * n + 1)
+    pw = [1]  # (x^2+1)^i, updated incrementally
+    for i, a in enumerate(f.coeffs):
+        if a:
+            c = a * pow(kinv, n - i, p) % p
+            base = n - i
+            for j, w in enumerate(pw):
+                out[base + j] = (out[base + j] + c * w) % p
+        if i < n:
+            pw = _mul_raw(pw, [1, 0, 1], p)
+    return Poly(tuple(out), p)

@@ -450,6 +450,19 @@ def test_generate_over_the_row_table_cap_exits_4_at_once(capsys):
     assert err.startswith("error: ") and "row table" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("steps", ["40", str(10**18)])
+def test_generate_past_the_degree_cap_exits_4_at_once(steps, capsys):
+    # k = 7 doubles the degree at every step, so step 40 would reach 5 * 2^40
+    start = time.perf_counter()
+    assert main(["generate", "--p", "53", "--k", "7", "--f0", F0_TEXT,
+                 "--steps", steps]) == 4
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"degree cap of {MAX_POLY_DEGREE}" in captured.err
+
+
 def _never(*args, **kwargs):
     raise AssertionError("the computation ran before the output file was opened")
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import qkforge.ffpoly as ffpoly
 from qkforge.config import MAX_POLY_DEGREE
-from qkforge.errors import MalformedInputError, ResourceCapError, UsageError
+from qkforge.errors import MalformedInputError, ResourceCapError, UnsupportedPrimeError, UsageError
 from qkforge.ffpoly import (
     ModulusContext,
     Poly,
@@ -35,7 +35,7 @@ from qkforge.ffpoly import (
     smallest_irreducible,
     sqrt_mod_p,
 )
-from qkforge.qk import qk_transform, transform_character
+from qkforge.qk import find_k, qk_transform, transform_character
 from qkforge.seqgen import generate_sequence
 
 
@@ -436,6 +436,57 @@ def test_rabin_and_splitting_match_powering_on_the_reference_chains() -> None:
                     assert len(got) == 2 and got[0] * got[1] == big
 
 
+def _seeded_split_inputs(count: int) -> list[tuple[Poly, int]]:
+    """(transform, n) for `count` seeded monic irreducibles f of degree n
+    <= 6 over primes p < 160 whose transform under a C1, C2, C3 or C3-
+    multiplier has character +1, i.e. is a reciprocal pair g * g*."""
+    rng = random.Random(3)
+    primes = [p for p in range(3, 160) if is_prime(p)]
+    out = []
+    while len(out) < count:
+        p = rng.choice(primes)
+        try:
+            k = rng.choice(find_k(p, rng.choice(("C1", "C2", "C3", "C3-"))))
+        except UnsupportedPrimeError:
+            continue
+        f = random_irreducible(p, rng.randint(1, 6), rng)
+        if f != Poly.x(p) and transform_character(f, k) == 1:
+            out.append((qk_transform(f, k), f.degree))
+    return out
+
+
+def test_splitting_matches_powering_on_seeded_transforms() -> None:
+    for big, n in _seeded_split_inputs(200):
+        for seed in range(3):
+            got = equal_degree_factorize(big, n, seed)
+            assert got == _split_by_powering(big, n, seed)
+            assert got[0] != got[1] and got[0] * got[1] == big
+
+
+def test_a_valid_split_takes_one_gcd(monkeypatch) -> None:
+    # every split of the k = 15 reference chain, d = 10 to 160: the trace is
+    # constant with probability 1/p, and a non-constant one needs one gcd
+    calls = []
+    gcd_raw = ffpoly._gcd_raw
+
+    def counted_gcd(a, b, p):
+        calls.append(len(b) - 1)
+        return gcd_raw(a, b, p)
+
+    chain = generate_sequence(Poly((51, 3, 0, 0, 0, 1), 53), 15, 11)
+    monkeypatch.setattr(ffpoly, "_gcd_raw", counted_gcd)
+    split_degrees = []
+    for step in chain.steps:
+        f = step.poly
+        if transform_character(f, 15) == 1:
+            split_degrees.append(f.degree)
+            for seed in range(3):
+                calls.clear()
+                equal_degree_factorize(qk_transform(f, 15), f.degree, seed)
+                assert calls == [2 * f.degree]
+    assert split_degrees == [10, 10, 20, 40, 80, 160]
+
+
 def test_is_irreducible_matches_trial_division() -> None:
     rng = random.Random(5)
     for p in (3, 5, 7):
@@ -538,16 +589,37 @@ def test_factorize_rejects_a_non_palindromic_input_before_any_attempt(monkeypatc
 
 
 def test_factorize_rejects_palindromic_inputs_that_are_not_reciprocal_pairs() -> None:
-    # palindromic, so they pass the pre-check and fail in the attempts
+    # palindromic, so they pass the pre-check and fail in the attempts; with
+    # d = 1 the trace of the irreducible x^2 + 46x + 1 is a itself, which
+    # passes S == s*T - q and fails the square root
     p = 53
     h = Poly((1, 3, 1), p)  # x^2 + 3x + 1, irreducible and its own reciprocal
     q = Poly((6, 1, 1), p)  # character -1 under k = 15: the transform is irreducible
     assert is_irreducible(h) and transform_character(q, 15) == -1
-    for f in (h * h, qk_transform(q, 15)):
+    assert transform_character(Poly((1, 1), p), 15) == -1
+    for f, d in ((h * h, 2), (qk_transform(q, 15), 2), (qk_transform(Poly((1, 1), p), 15), 1)):
         assert f.coeffs == f.coeffs[::-1]
         for seed in range(3):
             with pytest.raises(MalformedInputError):
-                equal_degree_factorize(f, 2, seed=seed)
+                equal_degree_factorize(f, d, seed=seed)
+
+
+def test_factorize_rejects_an_irreducible_transform_before_any_gcd(monkeypatch) -> None:
+    # the degree-80 transform of the degree-40 step of the k = 15 chain
+    # (character -1) is palindromic and irreducible; its traces are not
+    # pairs of elements of F_p, so the first non-constant one fails
+    # S == s*T - q or the square root, and no gcd is taken
+    f40 = generate_sequence(Poly((51, 3, 0, 0, 0, 1), 53), 15, 7).steps[7].poly
+    assert f40.degree == 40 and transform_character(f40, 15) == -1
+    big = qk_transform(f40, 15)
+
+    def unreachable(*args):
+        raise AssertionError("a gcd was taken")
+
+    monkeypatch.setattr(ffpoly, "_gcd_raw", unreachable)
+    for seed in range(3):
+        with pytest.raises(MalformedInputError):
+            equal_degree_factorize(big, 40, seed)
 
 
 def test_factorize_rejects_wrong_degree() -> None:

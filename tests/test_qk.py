@@ -2,6 +2,7 @@
 multiplier classification."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -23,7 +24,7 @@ from qkforge.qk import (
     transform_character,
 )
 
-from oracle import INFINITY, min_poly_theta, theta_eval
+from oracle import INFINITY, min_poly_theta, qk_transform_by_expansion, theta_eval
 
 
 def fp(p: int) -> ExtField:
@@ -119,6 +120,31 @@ def test_transform_evaluation_identity() -> None:
         arg = k * (x0 + inv_mod(x0, p)) % p
         rhs = pow(x0 * inv_mod(k, p), n, p) * f(arg) % p
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("p", [3, 5, 53, 2**31 - 1, 2**61 - 1, 2**89 - 1])
+def test_transform_matches_the_expansion_across_reductions(p) -> None:
+    # the packed Horner loop reduces its slots every r steps; cover one
+    # block, the edges of the first reduction, two blocks and degree 320
+    rng = random.Random(p)
+    r = max(1, 62 - (p - 1).bit_length())
+    for n in sorted({1, r - 1, r, r + 1, 2 * r + 1, 320} - {0}):
+        k = rng.randrange(1, p)
+        f = Poly(tuple(rng.randrange(p) for _ in range(n)) + (1,), p)
+        assert qk_transform(f, k) == qk_transform_by_expansion(f, k), (p, n, k)
+
+
+def test_transform_memory_is_linear_in_the_degree() -> None:
+    # one unreduced Horner integer would take about 2n^2 bits, 4 MB here
+    rng = random.Random(4096)
+    f = Poly(tuple(rng.randrange(53) for _ in range(4096)) + (1,), 53)
+    tracemalloc.start()
+    try:
+        qk_transform(f, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_transform_rejects_bad_input() -> None:

@@ -300,6 +300,35 @@ def test_failed_split_is_a_theorem_violation(monkeypatch):
         generate_sequence(F0, 15, 2)
 
 
+def test_step_refuses_a_transform_over_the_degree_cap(monkeypatch):
+    # both chains run 5, 10, 20, 40, 80: with the cap at 40 the fourth step
+    # would form a transform of degree 80.  k = 27 is C1, which has no
+    # schedule; k = 7 is C3 with st_bound = 5, so four steps pass the
+    # up-front refusal and the step itself refuses
+    monkeypatch.setattr(seqgen, "MAX_POLY_DEGREE", 40)
+    for k in (27, 7):
+        assert generate_sequence(F0, k, 3).degrees() == [5, 10, 20, 40]
+        with pytest.raises(ResourceCapError, match="degree cap of 40"):
+            generate_sequence(F0, k, 4)
+
+
+def test_generate_refuses_a_chain_past_the_degree_cap_before_any_step(monkeypatch):
+    # past st_bound = 5 flat steps the pattern puts step N at degree at least
+    # 5 << (N - 4) for k = 7 (C3) and 5 << ((N - 4) // 2 + 1) for k = 15 (C2)
+    def unreachable(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(seqgen, "MAX_POLY_DEGREE", 40)
+    monkeypatch.setattr(seqgen, "_step", unreachable)
+    for k, last_allowed in ((7, 7), (15, 9)):
+        with pytest.raises(AssertionError):
+            generate_sequence(F0, k, last_allowed)
+        with pytest.raises(ResourceCapError, match="degree cap of 40"):
+            generate_sequence(F0, k, last_allowed + 1)
+    with pytest.raises(ResourceCapError):
+        generate_sequence(F0, 7, 10**18)
+
+
 def _root_is_periodic(f: Poly, k: int) -> bool:
     return is_periodic(ExtField(f).gen(), k)[0]
 
