@@ -33,18 +33,15 @@ from .ffpoly import (
     is_irreducible,
     is_prime,
     parse_poly,
-    poly_gcd,
-    poly_mod_pow,
     smallest_irreducible,
     sqrt_mod_p,
 )
-from .qk import KClass, classify_k, find_k, is_palindromic, qk_transform
+from .qk import KClass, classify_k, find_k, qk_transform
 from .seqgen import (
     ScheduleReport,
     SequenceRecord,
     Step,
     generate_sequence,
-    next_poly,
     observed_flat_steps,
     predict_schedule,
     verify_against_schedule,
@@ -53,10 +50,7 @@ from .dynamics import (
     ComponentStats,
     FunctionalGraph,
     build_graph,
-    check_lemma_kk,
-    component_labels,
     component_stats,
-    distances_to_cycle,
     export_dot,
 )
 
@@ -84,14 +78,11 @@ __all__ = [
     "UsageError",
     "batch_inverse",
     "build_graph",
-    "check_lemma_kk",
     "classify_k",
-    "component_labels",
     "component_stats",
     "count_points",
     "depth_table",
     "depths",
-    "distances_to_cycle",
     "equal_degree_factorize",
     "export_dot",
     "find_k",
@@ -100,13 +91,9 @@ __all__ = [
     "frobenius_pi",
     "generate_sequence",
     "is_irreducible",
-    "is_palindromic",
     "is_prime",
-    "next_poly",
     "observed_flat_steps",
     "parse_poly",
-    "poly_gcd",
-    "poly_mod_pow",
     "predict_schedule",
     "qk_transform",
     "rho0_select",

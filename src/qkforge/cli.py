@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -35,7 +36,7 @@ from .ffpoly import (
     is_prime,
     parse_poly,
 )
-from .qk import CLASSES, classify_k, find_k, qk_transform, transform_character
+from .qk import CLASSES, _check_k, classify_k, find_k, qk_transform, transform_character
 from .seqgen import (
     _step,
     generate_sequence,
@@ -88,10 +89,7 @@ def _resolve_k(p: int, text: str) -> int:
     except ValueError:
         name = _normalize_class(token)
         return find_k(p, name)[0]
-    k %= p
-    if k == 0:
-        raise UsageError("the multiplier k must be nonzero mod p")
-    return k
+    return _check_k(k, p)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +110,6 @@ def cmd_find_k(p: int, class_token: str) -> int:
 
 def cmd_predict(p: int, k: int, n: int) -> int:
     """Emit the degree-schedule prediction for (p, k, n) as JSON."""
-    p = _check_odd_prime(p)
     report = predict_schedule(p, k, n)
     name = report.class_name
     pi = frobenius_pi(p, name)
@@ -134,7 +131,6 @@ def cmd_predict(p: int, k: int, n: int) -> int:
 
 def cmd_transform(p: int, k: int, f0_text: str) -> int:
     """Apply the degree-doubling transform once and report the outcome."""
-    p = _check_odd_prime(p)
     f = parse_poly(f0_text, p)
     if f.degree < 1 or not f.is_monic:
         raise UsageError("the transform needs a monic polynomial of degree >= 1")
@@ -156,26 +152,49 @@ def cmd_transform(p: int, k: int, f0_text: str) -> int:
     return 0
 
 
-def _open_artifact(path: Optional[str]):
-    """The artifact file opened for writing, or a null context without a
-    path.  Commands open it before any work, so that an unwritable path
-    fails at once (main maps OSError to exit 2)."""
-    return open(path, "w", encoding="utf-8") if path else nullcontext()
+@contextmanager
+def _artifacts(*paths: Optional[str]):
+    """Check that every given artifact path can be written, before any work:
+    each is opened for writing without truncation and closed again, so an
+    unwritable path fails at once (main maps OSError to exit 2) and an
+    existing file keeps its bytes.  If the block raises, the files this
+    check created are removed."""
+    created = []
+    try:
+        for path in filter(None, paths):
+            existed = os.path.lexists(path)
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+            if not existed:
+                created.append(path)
+        yield
+    except BaseException:
+        for path in created:
+            os.remove(path)
+        raise
+
+
+def _emit(path: Optional[str], text: str) -> None:
+    """Write text to the artifact at path, truncating it, or to stdout."""
+    if path:
+        with open(path, "w", encoding="utf-8") as out:
+            out.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_generate(config: RunConfig) -> int:
     """Generate a sequence, verify it against its schedule, and emit the
-    record JSON (stdout, or --out FILE).  Schedule violations exit 3."""
-    with _open_artifact(config.out_path) as out:
+    record JSON (stdout, or --out FILE).  Schedule violations exit 3 after
+    the record is written; a run that fails before that leaves --out as it
+    was."""
+    with _artifacts(config.out_path):
         record = generate_sequence(config.f0, config.k, config.steps, config.seed)
         violations: list[str] = []
         if record.class_name in _SCHEDULE_CLASSES:
-            report = predict_schedule(record.p, record.k, config.f0.degree)
-            violations = verify_against_schedule(record, report)
-        text = record.to_json() + "\n"
+            violations = verify_against_schedule(record)
         degrees = ",".join(str(d) for d in record.degrees())
-        (out or sys.stdout).write(text)
-    if out:
+        _emit(config.out_path, record.to_json() + "\n")
+    if config.out_path:
         print(f"wrote {config.out_path} (degrees {degrees})")
     if violations:
         raise TheoremViolationError(
@@ -207,13 +226,13 @@ def cmd_verify_example() -> int:
             raise TheoremViolationError(
                 f"k={k}: degree trace {list(got)} does not match expected {list(expected)}"
             )
-        report = predict_schedule(_EXAMPLE_P, k, f0.degree)
-        violations = verify_against_schedule(record, report)
+        violations = verify_against_schedule(record)
         if violations:
             raise TheoremViolationError(
                 f"k={k}: schedule violations: " + "; ".join(violations)
             )
         s, t = observed_flat_steps(record)
+        report = predict_schedule(_EXAMPLE_P, k, f0.degree)
         print(
             f"k={k}: degrees {','.join(map(str, got))} "
             f"(s={s}, t={t}, bounds {report.s_bound}/{report.st_bound}) verified"
@@ -224,8 +243,9 @@ def cmd_verify_example() -> int:
 
 def cmd_explore(config: RunConfig) -> int:
     """Build the functional graph for (p, n, k) and emit DOT and/or JSON
-    component statistics."""
-    with _open_artifact(config.dot_path) as dot, _open_artifact(config.stats_path) as stats_out:
+    component statistics; a run that fails leaves --dot and --stats as they
+    were."""
+    with _artifacts(config.dot_path, config.stats_path):
         graph = build_graph(config.p, config.n, config.k, config.modulus)
         stats = component_stats(graph)
         payload: dict = {
@@ -249,13 +269,10 @@ def cmd_explore(config: RunConfig) -> int:
             dp = depths(graph.p, graph.k, graph.n)
             payload["e0"] = dp.e0
             payload["e1"] = dp.e1
-        text = json.dumps(payload, indent=2) + "\n"
-        if dot:
-            dot.write(export_dot(graph, labels=config.labels))
-        if stats_out:
-            stats_out.write(text)
-        if not (dot or stats_out):
-            sys.stdout.write(text)
+        if config.dot_path:
+            _emit(config.dot_path, export_dot(graph, labels=config.labels))
+        if config.stats_path or not config.dot_path:
+            _emit(config.stats_path, json.dumps(payload, indent=2) + "\n")
     for path in (config.dot_path, config.stats_path):
         if path:
             print(f"wrote {path}")

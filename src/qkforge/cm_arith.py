@@ -57,20 +57,17 @@ def _product(disc: int, a: int, b: int, c: int, d: int) -> tuple[int, int]:
     return a * c - 2 * b * d, a * d + b * c + b * d
 
 
-def _power(disc: int, c: int, d: int, e: int, mod: int | None = None) -> tuple[int, int]:
-    """Coordinates of (c + d*w)**e exactly, or with both coordinates reduced
-    mod `mod` after every product."""
-    a, b = 1, 0
-    if mod is not None:
-        a, c, d = 1 % mod, c % mod, d % mod
+def _power(disc: int, c: int, d: int, e: int, mod: int) -> tuple[int, int]:
+    """Coordinates of (c + d*w)**e, both reduced mod `mod` after every
+    product."""
+    a, b = 1 % mod, 0
     while e:
         if e & 1:
             a, b = _product(disc, a, b, c, d)
         e >>= 1
         if e:
             c, d = _product(disc, c, d, c, d)
-        if mod is not None:
-            a, b, c, d = a % mod, b % mod, c % mod, d % mod
+        a, b, c, d = a % mod, b % mod, c % mod, d % mod
     return a, b
 
 
@@ -87,28 +84,10 @@ class QuadInt:
         if self.disc not in _SUPPORTED_DISCS:
             raise UsageError(f"unsupported discriminant {self.disc}")
 
-    def _check(self, other: "QuadInt") -> None:
+    def __add__(self, other: "QuadInt") -> "QuadInt":
         if self.disc != other.disc:
             raise UsageError("mixed discriminants")
-
-    def __add__(self, other: "QuadInt") -> "QuadInt":
-        self._check(other)
         return QuadInt(self.a + other.a, self.b + other.b, self.disc)
-
-    def __sub__(self, other: "QuadInt") -> "QuadInt":
-        self._check(other)
-        return QuadInt(self.a - other.a, self.b - other.b, self.disc)
-
-    def __mul__(self, other: "QuadInt") -> "QuadInt":
-        self._check(other)
-        return QuadInt(*_product(self.disc, self.a, self.b, other.a, other.b), self.disc)
-
-    def __pow__(self, e: int, mod: int | None = None) -> "QuadInt":
-        """self**e exactly, or pow(self, e, mod) with both coordinates
-        reduced mod `mod` after every product."""
-        if e < 0:
-            raise UsageError("negative powers are not defined here")
-        return QuadInt(*_power(self.disc, self.a, self.b, e, mod), self.disc)
 
     def conj(self) -> "QuadInt":
         if self.disc == -4:
@@ -121,10 +100,6 @@ class QuadInt:
         if self.disc == -4:
             return a * a + b * b
         return a * a + a * b + 2 * b * b
-
-    def __repr__(self) -> str:
-        sym = "i" if self.disc == -4 else "alpha"
-        return f"QuadInt({self.a} + {self.b}*{sym})"
 
 
 @dataclass(frozen=True)

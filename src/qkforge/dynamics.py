@@ -44,6 +44,7 @@ from .ffpoly import (
     is_irreducible,
     smallest_irreducible,
 )
+from .qk import _check_k
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +114,7 @@ def _checked_inputs(p: int, n: int, k: int, modulus: Optional[Poly]) -> tuple[in
     if n < 1:
         raise UsageError("n must be >= 1")
     _check_size_cap(p, n)
-    k = k % p
-    if k == 0:
-        raise UsageError("the multiplier k must be nonzero mod p")
-    return k, _resolve_modulus(p, n, modulus)
+    return _check_k(k, p), _resolve_modulus(p, n, modulus)
 
 
 def build_graph(p: int, n: int, k: int, modulus: Optional[Poly] = None) -> FunctionalGraph:
@@ -127,17 +125,11 @@ def build_graph(p: int, n: int, k: int, modulus: Optional[Poly] = None) -> Funct
     configured cap are refused.
     """
     k, modulus = _checked_inputs(p, n, k, modulus)
-    (successors,) = _successor_tables(p, n, modulus, (k,))
-    return FunctionalGraph(p=p, n=n, k=k, modulus=modulus, successors=successors)
-
-
-def _successor_tables(p: int, n: int, modulus: Poly, ks) -> list[tuple[int, ...]]:
-    """The successor table for each multiplier in ks, from one inverse table
-    mod p when n = 1 and from one set of exp/log tables when n >= 2."""
     if n == 1:
-        return [_build_prime_field(p, k) for k in ks]
-    exp, log = _exp_log_tables(p, n, modulus)
-    return [_successors(p, exp, log, k) for k in ks]
+        successors = _build_prime_field(p, k)
+    else:
+        successors = _successors(p, *_exp_log_tables(p, n, modulus), k)
+    return FunctionalGraph(p=p, n=n, k=k, modulus=modulus, successors=successors)
 
 
 def _build_prime_field(p: int, k: int) -> tuple[int, ...]:
@@ -249,7 +241,8 @@ def _analyze(successors) -> tuple[list[int], list[int], int]:
 
     Returns (distance_to_cycle, component_id, component_count); a node is
     periodic exactly when its distance is 0.  Component ids are assigned in
-    order of each component's smallest node.
+    order of each component's smallest node, so the component of infinity
+    is always 0.
     """
     size = len(successors)
     dist = [0] * size
@@ -280,17 +273,6 @@ def _analyze(successors) -> tuple[list[int], list[int], int]:
             comp[y] = cid
             dist[y] = d
     return dist, comp, ncomp
-
-
-def distances_to_cycle(graph: FunctionalGraph) -> tuple[int, ...]:
-    """Distance of every node from the cycle of its component (0 = periodic)."""
-    return tuple(_analyze(graph.successors)[0])
-
-
-def component_labels(graph: FunctionalGraph) -> tuple[int, ...]:
-    """Component id of every node; ids follow each component's smallest node,
-    so the component of infinity is always 0."""
-    return tuple(_analyze(graph.successors)[1])
 
 
 def component_stats(graph: FunctionalGraph) -> list[ComponentStats]:
@@ -338,37 +320,6 @@ def component_stats(graph: FunctionalGraph) -> list[ComponentStats]:
         )
         for c in range(ncomp)
     ]
-
-
-# ---------------------------------------------------------------------------
-# the k vs -k comparison
-# ---------------------------------------------------------------------------
-
-
-def check_lemma_kk(
-    p: int, n: int, k: int, r_max: int, modulus: Optional[Poly] = None
-) -> bool:
-    """Compare the maps with multipliers k and -k over one field.
-
-    True iff (1) for every point and every r <= r_max the 2r-th iterates of
-    the two maps agree, and (2) whenever the k-map reaches a periodic point
-    after t steps, the (-k)-map is already periodic after t steps as well
-    (equivalently: no point sits farther from its cycle under -k than under
-    k).  r_max = 0 checks nothing and is trivially true.  For r_max >= 1,
-    (1) is one comparison of the two second-iterate tables: r = 1 needs
-    them equal, and equal tables have equal r-th powers for every r.
-    """
-    if r_max < 0:
-        raise UsageError("r_max must be >= 0")
-    if r_max == 0:
-        return True
-    k, modulus = _checked_inputs(p, n, k, modulus)
-    s_pos, s_neg = _successor_tables(p, n, modulus, (k, p - k))
-    if [s_pos[y] for y in s_pos] != [s_neg[y] for y in s_neg]:
-        return False
-    tails_pos = _analyze(s_pos)[0]
-    tails_neg = _analyze(s_neg)[0]
-    return all(tn <= tp for tp, tn in zip(tails_pos, tails_neg))
 
 
 # ---------------------------------------------------------------------------

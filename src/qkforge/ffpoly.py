@@ -102,8 +102,7 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
     probable-prime test above 3.3e24, so the loops below are bounded and the
     root is checked: a composite p that gets this far raises UsageError.
     """
-    if not is_prime(p) or p == 2:
-        raise UsageError(f"modulus must be an odd prime, got {p}")
+    _check_odd_prime(p)
     a %= p
     if a == 0:
         return 0
@@ -170,15 +169,6 @@ def _trim(cs: list[int]) -> list[int]:
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
-
-
-def _add_raw(a: list[int], b: list[int], p: int) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _trim(out)
 
 
 def _sub_raw(a: list[int], b: list[int], p: int) -> list[int]:
@@ -321,23 +311,13 @@ class Poly:
     p: int
 
     def __post_init__(self) -> None:
-        p = self.p
-        if p < 3 or p % 2 == 0 or not is_prime(p):
-            raise UsageError(f"coefficient modulus must be an odd prime, got {p}")
+        p = _check_odd_prime(self.p)
         cs = [c % p for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, p: int) -> "Poly":
-        return cls((), p)
-
-    @classmethod
-    def one(cls, p: int) -> "Poly":
-        return cls((1,), p)
 
     @classmethod
     def x(cls, p: int) -> "Poly":
@@ -381,17 +361,6 @@ class Poly:
         if self.p != other.p:
             raise UsageError(f"mixed moduli: {self.p} vs {other.p}")
 
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check_same_field(other)
-        return Poly(tuple(_add_raw(list(self.coeffs), list(other.coeffs), self.p)), self.p)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        self._check_same_field(other)
-        return Poly(tuple(_sub_raw(list(self.coeffs), list(other.coeffs), self.p)), self.p)
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c % self.p for c in self.coeffs), self.p)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return Poly(tuple(c * other % self.p for c in self.coeffs), self.p)
@@ -400,28 +369,11 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        self._check_same_field(other)
-        q, r = _divmod_raw(list(self.coeffs), list(other.coeffs), self.p)
-        return Poly(tuple(q), self.p), Poly(tuple(r), self.p)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
     def __call__(self, x: int) -> int:
         return _eval_raw(list(self.coeffs), x, self.p)
 
     def __str__(self) -> str:
         return format_poly(self)
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor (gcd(0, 0) = 0)."""
-    a._check_same_field(b)
-    return Poly(tuple(_gcd_raw(list(a.coeffs), list(b.coeffs), a.p)), a.p)
 
 
 # ---------------------------------------------------------------------------
@@ -527,13 +479,6 @@ class ModulusContext:
             for _ in range(self.n - 2):
                 row = self.mulmod(row, xp)
                 yield row
-
-
-def poly_mod_pow(base: Poly, e: int, modulus: Poly) -> Poly:
-    """base**e mod modulus, with a non-negative (possibly huge) integer e."""
-    base._check_same_field(modulus)
-    ctx = ModulusContext(modulus)
-    return Poly(tuple(ctx.powmod(list(base.coeffs), e)), base.p)
 
 
 # ---------------------------------------------------------------------------
@@ -678,16 +623,6 @@ def smallest_irreducible(p: int, n: int) -> Poly:
         if is_irreducible(cand):
             return cand
     raise InternalConsistencyError(f"no irreducible of degree {n} over F_{p}")
-
-
-def random_irreducible(p: int, n: int, rng: random.Random) -> Poly:
-    """Uniform-ish random monic irreducible of degree n (rejection sampling)."""
-    if n < 1:
-        raise UsageError("degree must be positive")
-    while True:
-        cand = Poly(tuple(rng.randrange(p) for _ in range(n)) + (1,), p)
-        if is_irreducible(cand):
-            return cand
 
 
 # ---------------------------------------------------------------------------

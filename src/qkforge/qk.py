@@ -126,11 +126,6 @@ def transform_character(f: Poly, k: int) -> int:
     return legendre(f(2 * k) * f(-2 * k), f.p)
 
 
-def is_palindromic(f: Poly) -> bool:
-    """True when the coefficient tuple reads the same in both directions."""
-    return bool(f.coeffs) and f.coeffs == tuple(reversed(f.coeffs))
-
-
 @dataclass(frozen=True)
 class KClass:
     """Classification result for a multiplier: its class name (or

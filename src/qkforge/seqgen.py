@@ -103,10 +103,6 @@ class SequenceRecord:
         if any(s.kind == KIND_INITIAL for s in self.steps[1:]):
             raise UsageError("only step 0 may have kind 'initial'")
 
-    @property
-    def num_steps(self) -> int:
-        return len(self.steps) - 1
-
     def degrees(self) -> list[int]:
         return [s.degree for s in self.steps]
 
@@ -204,25 +200,18 @@ def _check_irr_input(f: Poly) -> None:
         raise UsageError("the input polynomial must be irreducible")
 
 
-def next_poly(f: Poly, k: int, seed: int = 0) -> tuple[Poly, Optional[Poly], str]:
+def _step(f: Poly, k: int, seed: int) -> tuple[Poly, Optional[Poly], str]:
     """One construction step: transform f and resolve the dichotomy.
 
-    f must be monic, irreducible (checked by Rabin's test) and not x.
-    Returns (chosen, alternate, kind).  When the transform is irreducible the
-    degree doubles and there is no alternate.  Otherwise the transform splits
-    into two monic irreducibles of degree n = deg f; the canonically first is
-    chosen and the other returned as the alternate.  A transform that fails
-    the dichotomy altogether is a theorem violation.
-    """
-    _check_irr_input(f)
-    return _step(f, k, seed)
-
-
-def _step(f: Poly, k: int, seed: int) -> tuple[Poly, Optional[Poly], str]:
-    """next_poly for an f already known to be irreducible: the transform
-    character decides the step, with no irreducibility test.  A transform
-    of degree above config.MAX_POLY_DEGREE is refused with ResourceCapError
-    before it is formed."""
+    f must be monic, irreducible and not x; the transform character decides
+    the step, with no irreducibility test.  Returns (chosen, alternate,
+    kind).  When the transform is irreducible the degree doubles and there
+    is no alternate.  Otherwise the transform splits into two monic
+    irreducibles of degree n = deg f; the canonically first is chosen and
+    the other returned as the alternate.  A transform that fails the
+    dichotomy altogether is a theorem violation.  A transform of degree
+    above config.MAX_POLY_DEGREE is refused with ResourceCapError before it
+    is formed."""
     if 2 * f.degree > MAX_POLY_DEGREE:
         raise ResourceCapError(
             f"the transform of a degree-{f.degree} polynomial would pass the "
@@ -392,9 +381,11 @@ def _pattern_level(pattern: str, offset: int) -> int:
     return offset + 1
 
 
-def verify_against_schedule(record: SequenceRecord, report: ScheduleReport) -> list[str]:
-    """Check a record against its predicted schedule; violations are returned
-    as human-readable strings, an empty list meaning full conformance.
+def verify_against_schedule(record: SequenceRecord) -> list[str]:
+    """Check a record against the schedule predict_schedule gives for its
+    (p, k) and starting degree; violations are returned as human-readable
+    strings, an empty list meaning full conformance.  A record whose
+    multiplier has no schedule (C1) raises UsageError.
 
     Checks: the irreducibility certificate of every step (f_0 passes Rabin's
     test; a step of double degree equals the transform of its predecessor,
@@ -404,11 +395,7 @@ def verify_against_schedule(record: SequenceRecord, report: ScheduleReport) -> l
     pattern for all steps after s + t.
     """
     n = record.steps[0].degree
-    if (record.p, record.k, n) != (report.p, report.k, report.n):
-        raise UsageError(
-            f"record ({record.p},{record.k},{n}) and report "
-            f"({report.p},{report.k},{report.n}) disagree on (p, k, n)"
-        )
+    report = predict_schedule(record.p, record.k, n)
     violations: list[str] = []
     if not is_irreducible(record.steps[0].poly):
         violations.append("step 0: polynomial fails the irreducibility test")

@@ -1,18 +1,38 @@
-"""Slow reference routes that the tests compare the library against.
+"""Slow reference routes that the tests compare the library against, and
+the test-only helpers that no command-line path needs.
 
 Field elements here are `extfield.FqElem` objects and the point at infinity
 is the singleton INFINITY.  The library itself never needs them: it holds a
-field element as an integer node index or as a coefficient list.  Each
-function below works element by element, independently of the exp/log
-tables, the transform character and the factor race that it checks.
+field element as an integer node index or as a coefficient list.  The orbit
+walks below work element by element, independently of the exp/log tables,
+the transform character and the factor race that they check.
+
+Also here: polynomial subtraction, addition and long division
+(`poly_sub`, `poly_add`, `poly_divmod`), `random_irreducible` for seeded
+inputs, `check_lemma_kk` for the k versus -k comparison over a whole field,
+and exact arithmetic in the CM orders (`quad_mul`, `quad_pow`) for the depth
+pairs the slow way.
 """
 
 from __future__ import annotations
 
+import random
+from typing import Optional
+
+from qkforge import dynamics
+from qkforge.cm_arith import QuadInt, _power, _product
 from qkforge.config import field_cap
 from qkforge.errors import InternalConsistencyError, ResourceCapError, UsageError
 from qkforge.extfield import ExtField, FqElem
-from qkforge.ffpoly import Poly, _mul_raw, _prime_factors, inv_mod, is_irreducible
+from qkforge.ffpoly import (
+    Poly,
+    _divmod_raw,
+    _mul_raw,
+    _prime_factors,
+    _sub_raw,
+    inv_mod,
+    is_irreducible,
+)
 from qkforge.qk import _check_k
 
 
@@ -173,3 +193,95 @@ def qk_transform_by_expansion(f: Poly, k: int) -> Poly:
         if i < n:
             pw = _mul_raw(pw, [1, 0, 1], p)
     return Poly(tuple(out), p)
+
+
+def random_irreducible(p: int, n: int, rng: random.Random) -> Poly:
+    """Uniform-ish random monic irreducible of degree n (rejection sampling)."""
+    if n < 1:
+        raise UsageError("degree must be positive")
+    while True:
+        cand = Poly(tuple(rng.randrange(p) for _ in range(n)) + (1,), p)
+        if is_irreducible(cand):
+            return cand
+
+
+def _successor_tables(p: int, n: int, modulus: Poly, ks) -> list[tuple[int, ...]]:
+    """The successor table of each multiplier in ks, from one inverse table
+    mod p when n = 1 and from one set of exp/log tables when n >= 2."""
+    if n == 1:
+        return [dynamics._build_prime_field(p, k) for k in ks]
+    exp, log = dynamics._exp_log_tables(p, n, modulus)
+    return [dynamics._successors(p, exp, log, k) for k in ks]
+
+
+def check_lemma_kk(
+    p: int, n: int, k: int, r_max: int, modulus: Optional[Poly] = None
+) -> bool:
+    """Compare the maps with multipliers k and -k over one field.
+
+    True iff (1) for every point and every r <= r_max the 2r-th iterates of
+    the two maps agree, and (2) whenever the k-map reaches a periodic point
+    after t steps, the (-k)-map is already periodic after t steps as well
+    (equivalently: no point sits farther from its cycle under -k than under
+    k).  r_max = 0 checks nothing and is trivially true.  For r_max >= 1,
+    (1) is one comparison of the two second-iterate tables: r = 1 needs
+    them equal, and equal tables have equal r-th powers for every r.
+    The inputs are checked as `dynamics.build_graph` checks them.
+    """
+    if r_max < 0:
+        raise UsageError("r_max must be >= 0")
+    if r_max == 0:
+        return True
+    k, modulus = dynamics._checked_inputs(p, n, k, modulus)
+    s_pos, s_neg = _successor_tables(p, n, modulus, (k, p - k))
+    if [s_pos[y] for y in s_pos] != [s_neg[y] for y in s_neg]:
+        return False
+    tails_pos = dynamics._analyze(s_pos)[0]
+    tails_neg = dynamics._analyze(s_neg)[0]
+    return all(tn <= tp for tp, tn in zip(tails_pos, tails_neg))
+
+
+def quad_mul(z: QuadInt, w: QuadInt) -> QuadInt:
+    """z * w exactly, by `cm_arith._product`; mixed discriminants raise
+    UsageError."""
+    if z.disc != w.disc:
+        raise UsageError("mixed discriminants")
+    return QuadInt(*_product(z.disc, z.a, z.b, w.a, w.b), z.disc)
+
+
+def quad_pow(z: QuadInt, e: int, mod: Optional[int] = None) -> QuadInt:
+    """z**e exactly by binary powering on `quad_mul`, or, given mod,
+    `cm_arith._power`'s coordinates reduced mod `mod`.  A negative e raises
+    UsageError."""
+    if e < 0:
+        raise UsageError("negative powers are not defined here")
+    if mod is not None:
+        return QuadInt(*_power(z.disc, z.a, z.b, e, mod), z.disc)
+    acc = QuadInt(1, 0, z.disc)
+    while e:
+        if e & 1:
+            acc = quad_mul(acc, z)
+        e >>= 1
+        z = quad_mul(z, z)
+    return acc
+
+
+def poly_sub(a: Poly, b: Poly) -> Poly:
+    """a - b, by `ffpoly._sub_raw`."""
+    if a.p != b.p:
+        raise UsageError(f"mixed moduli: {a.p} vs {b.p}")
+    return Poly(tuple(_sub_raw(list(a.coeffs), list(b.coeffs), a.p)), a.p)
+
+
+def poly_add(a: Poly, b: Poly) -> Poly:
+    """a + b, as a - (0 - b)."""
+    return poly_sub(a, poly_sub(Poly((), b.p), b))
+
+
+def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """(a // b, a % b) by long division, `ffpoly._divmod_raw`; b = 0 raises
+    UsageError."""
+    if a.p != b.p:
+        raise UsageError(f"mixed moduli: {a.p} vs {b.p}")
+    q, r = _divmod_raw(list(a.coeffs), list(b.coeffs), a.p)
+    return Poly(tuple(q), a.p), Poly(tuple(r), a.p)

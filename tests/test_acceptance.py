@@ -12,7 +12,7 @@ import time
 
 from qkforge.cli import main
 from qkforge.cm_arith import depths
-from qkforge.dynamics import build_graph, check_lemma_kk, component_stats
+from qkforge.dynamics import build_graph, component_stats
 from qkforge.errors import UnsupportedPrimeError
 from qkforge.extfield import ExtField
 from qkforge.ffpoly import (
@@ -20,7 +20,6 @@ from qkforge.ffpoly import (
     equal_degree_factorize,
     is_irreducible,
     is_prime,
-    random_irreducible,
 )
 from qkforge.qk import find_k, qk_transform
 from qkforge.seqgen import (
@@ -32,7 +31,13 @@ from qkforge.seqgen import (
     verify_against_schedule,
 )
 
-from oracle import is_periodic, min_poly_theta
+from oracle import (
+    check_lemma_kk,
+    is_periodic,
+    min_poly_theta,
+    poly_divmod,
+    random_irreducible,
+)
 
 EXAMPLE_TIME_LIMIT = 60.0  # seconds, criteria 1-2
 SWEEP_TIME_LIMIT = 300.0  # seconds, criteria 3-5
@@ -105,7 +110,7 @@ def test_acceptance_1_paired_class_reference_run():
         if not is_irreducible(step.poly):
             failures.append(f"step {step.index} is not irreducible")
     report = predict_schedule(P_EXAMPLE, 15, F0.degree)
-    violations = verify_against_schedule(record, report)
+    violations = verify_against_schedule(record)
     if violations:
         failures.append(f"schedule violations: {violations}")
     s, t = observed_flat_steps(record)
@@ -140,8 +145,7 @@ def test_acceptance_2_steady_class_reference_run():
             if step.kind not in (KIND_INITIAL, KIND_DOUBLED)]
     if late:
         failures.append(f"factorization after step 1 at steps {late}")
-    report = predict_schedule(P_EXAMPLE, 7, F0.degree)
-    if verify_against_schedule(record, report):
+    if verify_against_schedule(record):
         failures.append("schedule violations")
 
     elapsed = time.monotonic() - start
@@ -293,7 +297,7 @@ def test_acceptance_8_divisibility_identity():
             f = random_irreducible(p, n, rng)
         k = rng.randrange(1, p)
         g = min_poly_theta(f, k)
-        if not (qk_transform(g, k) % f).is_zero:
+        if not poly_divmod(qk_transform(g, k), f)[1].is_zero:
             failures.append(f"p={p} k={k} f={f.coeffs}")
     _finish("8 divisibility identity over 100 draws", failures)
 

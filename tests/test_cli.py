@@ -487,6 +487,59 @@ def test_explore_unwritable_artifact_exits_2_before_the_graph(flag, tmp_path, mo
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_failed_generate_keeps_an_existing_out_file(tmp_path, capsys):
+    # k = 7 from degree 5 passes the degree cap by step 40: exit 4 after --out was checked
+    out = tmp_path / "x.json"
+    out.write_bytes(b"an earlier record\n")
+    assert main(["generate", "--p", "53", "--k", "7", "--f0", F0_TEXT, "--steps", "40",
+                 "--out", str(out)]) == 4
+    assert out.read_bytes() == b"an earlier record\n"
+    assert capsys.readouterr().out == ""
+
+
+def _violation(*args, **kwargs):
+    raise TheoremViolationError("forged failure")
+
+
+def test_failed_runs_remove_the_artifacts_they_created(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "x.json"
+    assert main(["generate", "--p", "53", "--k", "7", "--f0", F0_TEXT, "--steps", "40",
+                 "--out", str(out)]) == 4
+    assert not out.exists()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "generate_sequence", _violation)
+        assert main(["generate", "--p", "53", "--k", "7", "--f0", F0_TEXT, "--steps", "1",
+                     "--out", str(out)]) == 3
+    assert not out.exists()
+    # a new --dot next to an existing --stats, then a field over the cap
+    dot, stats = tmp_path / "g.dot", tmp_path / "g.json"
+    stats.write_bytes(b"earlier stats\n")
+    monkeypatch.setenv("QKFORGE_CAP", "50")
+    assert main(["explore", "--p", "101", "--k", "5", "--dot", str(dot),
+                 "--stats", str(stats)]) == 4
+    assert not dot.exists() and stats.read_bytes() == b"earlier stats\n"
+    # a writable --dot and an unwritable --stats: exit 2 before the graph
+    monkeypatch.setattr(cli, "build_graph", _never)
+    assert main(["explore", "--p", "11", "--k", "3", "--dot", str(dot),
+                 "--stats", str(tmp_path / "missing" / "g.json")]) == 2
+    assert not dot.exists()
+    capsys.readouterr()
+
+
+def test_successful_runs_replace_a_longer_existing_artifact(tmp_path, capsys):
+    args, digest = PINNED_RECORDS[1]
+    out = tmp_path / "record.json"
+    out.write_bytes(b"x" * 100_000)
+    assert main(["generate", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    fresh, dot = tmp_path / "fresh.dot", tmp_path / "g.dot"
+    dot.write_bytes(b"x" * 100_000)
+    for path in (fresh, dot):
+        assert main(["explore", "--p", "13", "--k", "4", "--dot", str(path)]) == 0
+    assert dot.read_bytes() == fresh.read_bytes()
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # verify-example
 # ---------------------------------------------------------------------------

@@ -13,21 +13,29 @@ from qkforge.dynamics import (
     ComponentStats,
     FunctionalGraph,
     build_graph,
-    check_lemma_kk,
-    component_labels,
     component_stats,
-    distances_to_cycle,
     export_dot,
 )
 from qkforge.errors import InternalConsistencyError, ResourceCapError, UsageError
 from qkforge.extfield import ExtField
 from qkforge.ffpoly import ModulusContext, Poly, smallest_irreducible
 
-from oracle import is_periodic, is_primitive, node_element
+import oracle
+from oracle import check_lemma_kk, is_periodic, is_primitive, node_element
 
 # hand-enumerated successor tables (node 0 = infinity, node 1 + j = element j)
 F11_K3_SUCC = (0, 0, 7, 3, 11, 11, 10, 3, 2, 2, 10, 6)
 F5_K1_SUCC = (0, 0, 3, 1, 1, 4)
+
+
+def distances_to_cycle(graph):
+    """Distance of every node from the cycle of its component (0 = periodic)."""
+    return tuple(dynamics._analyze(graph.successors)[0])
+
+
+def component_labels(graph):
+    """Component id of every node, by each component's smallest node."""
+    return tuple(dynamics._analyze(graph.successors)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +440,7 @@ def test_huge_degree_is_refused_before_p_to_the_n():
 
 def test_lemma_check_rejects_forged_tables(monkeypatch):
     def forged(pos, neg):
-        monkeypatch.setattr(dynamics, "_successor_tables",
+        monkeypatch.setattr(oracle, "_successor_tables",
                             lambda p, n, modulus, ks: [pos, neg])
         return check_lemma_kk(11, 1, 3, 5)
 

@@ -21,7 +21,6 @@ from qkforge.ffpoly import (
     Poly,
     is_irreducible,
     is_prime,
-    random_irreducible,
     smallest_irreducible,
 )
 from qkforge.qk import CLASSES, find_k, qk_transform
@@ -35,13 +34,12 @@ from qkforge.seqgen import (
     SequenceRecord,
     Step,
     generate_sequence,
-    next_poly,
     observed_flat_steps,
     predict_schedule,
     verify_against_schedule,
 )
 
-from oracle import INFINITY, is_periodic, theta_eval
+from oracle import INFINITY, is_periodic, poly_divmod, random_irreducible, theta_eval
 
 P = 53
 F0 = Poly((51, 3, 0, 0, 0, 1), P)  # x^5 + 3x + 51
@@ -126,7 +124,7 @@ def test_predict_schedule_rejects_classes_without_schedule():
 
 
 def test_next_poly_doubles_when_transform_is_irreducible():
-    chosen, alternate, kind = next_poly(F0, 15)
+    chosen, alternate, kind = seqgen._step(F0, 15, 0)
     assert kind == KIND_DOUBLED
     assert alternate is None
     assert chosen == qk_transform(F0, 15)
@@ -136,7 +134,7 @@ def test_next_poly_doubles_when_transform_is_irreducible():
 
 def test_next_poly_split_gives_two_distinct_cofactors():
     prev = qk_transform(F0, 15)  # degree 10, splits on the next step
-    chosen, alternate, kind = next_poly(prev, 15)
+    chosen, alternate, kind = seqgen._step(prev, 15, 0)
     assert kind == KIND_SPLIT_FIRST
     assert alternate is not None
     assert chosen != alternate
@@ -149,28 +147,28 @@ def test_next_poly_split_gives_two_distinct_cofactors():
 
 def test_next_poly_ramified_inputs_square_to_linear_roots():
     # x - 2k transforms to (x - 1)^2; x + 2k transforms to (x + 1)^2
-    chosen, alternate, kind = next_poly(lin(30, 53), 15)
+    chosen, alternate, kind = seqgen._step(lin(30, 53), 15, 0)
     assert (chosen, alternate, kind) == (lin(1, 53), lin(1, 53), KIND_SPLIT_FIRST)
-    chosen, alternate, kind = next_poly(lin(23, 53), 15)
+    chosen, alternate, kind = seqgen._step(lin(23, 53), 15, 0)
     assert (chosen, alternate, kind) == (lin(-1, 53), lin(-1, 53), KIND_SPLIT_FIRST)
     for p in (3, 5, 7, 11, 13, 29, 53):
         for k in range(1, p):
             for sign in (1, -1):
                 f = lin(sign * 2 * k, p)
-                chosen, alternate, kind = next_poly(f, k)
+                chosen, alternate, kind = seqgen._step(f, k, 0)
                 assert (chosen, alternate, kind) == (lin(sign, p), lin(sign, p), KIND_SPLIT_FIRST)
                 assert chosen * chosen == qk_transform(f, k)
 
 
 def test_next_poly_rejects_bad_inputs():
     with pytest.raises(UsageError):
-        next_poly(Poly((52, 0, 1), 53), 15)  # x^2 - 1 is reducible
+        generate_sequence(Poly((52, 0, 1), 53), 15, 0)  # x^2 - 1 is reducible
     with pytest.raises(UsageError):
-        next_poly(Poly((0, 1), 53), 15)  # x itself is excluded
+        generate_sequence(Poly((0, 1), 53), 15, 0)  # x itself is excluded
     with pytest.raises(UsageError):
-        next_poly(Poly((1, 2), 53), 15)  # not monic
+        generate_sequence(Poly((1, 2), 53), 15, 0)  # not monic
     with pytest.raises(UsageError):
-        next_poly(Poly((7,), 53), 15)  # constant
+        generate_sequence(Poly((7,), 53), 15, 0)  # constant
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +189,9 @@ def test_generate_paired_class_reference_prefix():
         KIND_DOUBLED,
     ]
     assert (rec.p, rec.k, rec.class_name, rec.seed) == (53, 15, "C2", 0)
-    assert rec.num_steps == 6
+    assert len(rec.steps) - 1 == 6
     assert observed_flat_steps(rec) == (0, 3)
-    assert verify_against_schedule(rec, predict_schedule(53, 15, 5)) == []
+    assert verify_against_schedule(rec) == []
 
 
 def test_generate_steady_class_reference_prefix():
@@ -202,20 +200,20 @@ def test_generate_steady_class_reference_prefix():
     assert all(s.kind == KIND_DOUBLED for s in rec.steps[1:])
     assert rec.class_name == "C3"
     assert observed_flat_steps(rec) == (0, 1)
-    assert verify_against_schedule(rec, predict_schedule(53, 7, 5)) == []
+    assert verify_against_schedule(rec) == []
 
 
 def test_generate_zero_steps_returns_only_the_start():
     rec = generate_sequence(F0, 15, 0)
     assert rec.degrees() == [5]
     assert rec.steps[0].kind == KIND_INITIAL
-    assert rec.num_steps == 0
+    assert len(rec.steps) - 1 == 0
 
 
 def test_generate_every_step_divides_transform_of_predecessor():
     rec = generate_sequence(F0, 15, 6)
     for prev, cur in zip(rec.steps, rec.steps[1:]):
-        assert (qk_transform(prev.poly, 15) % cur.poly).is_zero
+        assert poly_divmod(qk_transform(prev.poly, 15), cur.poly)[1].is_zero
 
 
 def test_generate_is_deterministic():
@@ -266,16 +264,16 @@ def test_stalled_choice_is_rewound_and_final_record_conforms():
     assert rec.degrees() == [1, 1, 1, 2, 4, 8, 16]
     assert rec.steps[1].kind == KIND_BACKTRACKED
     assert KIND_BACKTRACKED not in [s.kind for s in rec.steps[2:]]
-    assert verify_against_schedule(rec, predict_schedule(11, 2, 1)) == []
+    assert verify_against_schedule(rec) == []
     for prev, cur in zip(rec.steps, rec.steps[1:]):
-        assert (qk_transform(prev.poly, 2) % cur.poly).is_zero
+        assert poly_divmod(qk_transform(prev.poly, 2), cur.poly)[1].is_zero
 
 
 def test_rewind_also_occurs_for_paired_class():
     rec = generate_sequence(lin(9, 13), 4, 6)
     assert rec.degrees() == [1, 1, 1, 2, 2, 2, 4]
     assert rec.steps[1].kind == KIND_BACKTRACKED
-    assert verify_against_schedule(rec, predict_schedule(13, 4, 1)) == []
+    assert verify_against_schedule(rec) == []
 
 
 def test_race_that_neither_factor_wins_is_a_theorem_violation(monkeypatch):
@@ -364,14 +362,14 @@ def test_seeded_chains_conform_are_prefix_stable_and_race_off_the_cycle():
         num_steps = report.st_bound + 2
         rec = generate_sequence(f0, k, num_steps)
         case = (p, k, f0)
-        assert verify_against_schedule(rec, report) == [], case
+        assert verify_against_schedule(rec) == [], case
         for m in range(num_steps):
             assert generate_sequence(f0, k, m).steps == rec.steps[: m + 1], (case, m)
         if p**f0.degree > 10**4:
             continue
         # the first split before any doubling whose two factors differ
         for prev, cur in zip(rec.steps, rec.steps[1:]):
-            first, alternate, _ = next_poly(prev.poly, k)
+            first, alternate, _ = seqgen._step(prev.poly, k, 0)
             if alternate is None:
                 break
             if alternate == first:
@@ -487,12 +485,6 @@ def test_record_constructor_validates_structure():
 # ---------------------------------------------------------------------------
 
 
-def test_verify_rejects_mismatched_report():
-    rec = generate_sequence(F0, 15, 2)
-    with pytest.raises(UsageError):
-        verify_against_schedule(rec, predict_schedule(53, 7, 5))
-
-
 def test_verify_flags_degree_ratio_breaks():
     forged = SequenceRecord(
         p=53, k=15, class_name="C2", seed=0,
@@ -501,7 +493,7 @@ def test_verify_flags_degree_ratio_breaks():
             Step(1, smallest_irreducible(53, 4), KIND_DOUBLED),
         ),
     )
-    violations = verify_against_schedule(forged, predict_schedule(53, 15, 5))
+    violations = verify_against_schedule(forged)
     assert violations
     assert any("step 1" in v for v in violations)
 
@@ -514,7 +506,7 @@ def test_verify_flags_reducible_steps():
             Step(1, F0 * F0, KIND_DOUBLED),  # degree 10 but reducible
         ),
     )
-    violations = verify_against_schedule(forged, predict_schedule(53, 15, 5))
+    violations = verify_against_schedule(forged)
     assert any("irreducibility" in v for v in violations)
 
 
@@ -528,7 +520,7 @@ def _forged_after(*polys: Poly) -> SequenceRecord:
 
 
 def _certificate_failures(record: SequenceRecord) -> list[str]:
-    violations = verify_against_schedule(record, predict_schedule(53, 15, 5))
+    violations = verify_against_schedule(record)
     return [v for v in violations if "fails the irreducibility" in v]
 
 
@@ -537,7 +529,7 @@ def test_verify_flags_flat_step_outside_the_transform():
     # transform of f_1: Rabin's test alone would accept it
     f1 = qk_transform(F0, 15)
     stranger = random_irreducible(53, 10, random.Random(5))
-    assert is_irreducible(stranger) and not (qk_transform(f1, 15) % stranger).is_zero
+    assert is_irreducible(stranger) and not poly_divmod(qk_transform(f1, 15), stranger)[1].is_zero
     failures = _certificate_failures(_forged_after(f1, stranger))
     assert len(failures) == 1
     assert failures[0].startswith("step 2:") and "does not divide" in failures[0]
@@ -590,7 +582,7 @@ def test_reference_chains_run_rabin_only_on_f0(monkeypatch):
         rabin.clear()
         splits.clear()
         rec = generate_sequence(F0, k, steps)
-        assert verify_against_schedule(rec, predict_schedule(53, k, 5)) == []
+        assert verify_against_schedule(rec) == []
         assert rabin == [(F0,), (F0,)]  # generate_sequence, then verify
         if k == 7:
             assert splits == []
@@ -605,7 +597,7 @@ def test_verify_flags_flat_step_counts_beyond_bounds():
         steps.append(Step(j, lin(a, 11), KIND_SPLIT_FIRST))
     forged = SequenceRecord(p=11, k=2, class_name="C3", seed=0,
                             steps=tuple(steps))
-    violations = verify_against_schedule(forged, predict_schedule(11, 2, 1))
+    violations = verify_against_schedule(forged)
     assert any("s=4" in v for v in violations)
     assert any("s+t=4" in v for v in violations)
 
@@ -613,7 +605,7 @@ def test_verify_flags_flat_step_counts_beyond_bounds():
 def test_verify_is_vacuous_before_the_doubling_cascade():
     rec = generate_sequence(F0, 15, 2)  # degrees 5, 10, 10
     assert rec.degrees() == [5, 10, 10]
-    assert verify_against_schedule(rec, predict_schedule(53, 15, 5)) == []
+    assert verify_against_schedule(rec) == []
 
 
 # ---------------------------------------------------------------------------
