@@ -6,8 +6,8 @@ QKFORGE_CAP, a positive integer, replaces the default field-size cap.
 `ffpoly.parse_poly` refuses a degree above MAX_POLY_DEGREE before it
 allocates the coefficients, and `seqgen.generate_sequence` refuses a step
 whose transform would pass it (up front, from the schedule, for C2, C3 and
-C3-).  A packed row table (the Frobenius map of
-Rabin's test and equal-degree splitting) is refused above
+C3-).  A packed row table, the Frobenius map of Rabin's test or the
+split's twisted map (d^2 w bytes at the factor degree d), is refused above
 MAX_ROW_TABLE_BYTES before its first row is made.  `sweep-lemmas` refuses a
 `--max-i` above MAX_SWEEP_DOUBLINGS before any work.  A single depth pair
 needs no cap: `cm_arith.depths` works modulo 2^B, B = O(log pn).
@@ -30,9 +30,9 @@ MAX_POLY_DEGREE = 2**16
 # faster than max_i^2.
 MAX_SWEEP_DOUBLINGS = 64
 
-# The most bytes a packed row table may take (fixed, no override): the
-# Frobenius map mod a degree-n modulus takes n^2 slots of 1 to 8 or more
-# bytes, so at p = 53 the cap is reached near degree 8,192.
+# The most bytes a packed row table may take (fixed, no override): n^2
+# slots of 1 to 8 or more bytes mod a degree-n modulus, so at p = 53 near
+# n = 8,192: Rabin's test at that degree, a split at twice it (n = d).
 MAX_ROW_TABLE_BYTES = 2**28
 
 ENV_FIELD_CAP = "QKFORGE_CAP"

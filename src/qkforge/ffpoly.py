@@ -19,13 +19,13 @@ Three performance tricks keep everything exact but fast in pure Python:
   multiplications instead of a long division.  Both products are truncated:
   only the quotient's coefficients of the first and the modulus-degree low
   coefficients of the second are unpacked;
-* the Frobenius map y -> y^p mod a fixed modulus is linear over F_p, so the
-  context builds it once as n packed rows x^(p*j) mod m (one powmod and
-  n - 2 products); applying it is n big-integer multiply-adds and one
-  unpack (von zur Gathen and Shoup, 1992).  Rabin's test uses it in place
-  of powering by p, and the split of a reciprocal pair g * g* takes the
-  trace a + a^p + ... + a^(p^(d-1)) with it, which needs one squaring and
-  one gcd instead of a norm and a powering by (p - 1)/2.
+* the Frobenius map y -> y^p mod a fixed modulus is linear over F_p, so it
+  is built once as n packed rows x^(p*j) mod m (one powmod, n - 2
+  products); applying it is n big-integer multiply-adds and one unpack
+  (von zur Gathen and Shoup, 1992).  Rabin's test uses it in place of
+  powering by p.  The split of g * g* of degree 2d works in the half-degree
+  field F_p[y]/(h), f = x^d h(x + 1/x), with one table of d rows for
+  y -> c y^p (d^2 w bytes), and ends in one gcd.
 
 Each is cross-checked in the test suite against the plain route it
 replaces: schoolbook products, long division, powering by p.
@@ -38,7 +38,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable
 
 from .config import MAX_POLY_DEGREE, MAX_ROW_TABLE_BYTES
@@ -298,6 +298,28 @@ def _eval_raw(cs: list[int], x: int, p: int) -> int:
     return acc
 
 
+def _theta_lift(cs: list[int], n: int, k: int, p: int) -> list[int]:
+    """The 2n + 1 coefficients of (x/k)^n c(k(x + 1/x)), for k nonzero mod p
+    and c = sum c_i y^i given by at most n + 1 coefficients cs: Horner's rule
+    h <- h (x^2 + 1) + c_i k^(i-n) x^(n-i) from i = n down, on one packed
+    integer (see _slot), two shifts and two additions a step.  A step at most
+    doubles a slot and adds at most p - 1, so slots that hold (p - 1) 2^(r+1)
+    are reduced mod p every r = max(1, 62 - bitlen(p - 1)) steps."""
+    kinv = inv_mod(k, p)
+    size = 2 * n + 1
+    r = max(1, 62 - (p - 1).bit_length())
+    tc, width = _slot((p - 1) << (r + 1))
+    bits = 8 * width
+    h, scale = 0, 1  # scale = k^(i-n)
+    for i in range(n, -1, -1):
+        c = cs[i] * scale % p if i < len(cs) else 0
+        h += (h << 2 * bits) + (c << (n - i) * bits)
+        scale = scale * kinv % p
+        if (n - i) % r == r - 1 and i:
+            h = _pack(_unpack(h, size, tc, width, p), tc, width)
+    return _unpack(h, size, tc, width, p)
+
+
 # ---------------------------------------------------------------------------
 # Poly value type
 # ---------------------------------------------------------------------------
@@ -467,18 +489,16 @@ class ModulusContext:
         y^p = sum(c_j x^(p*j)): one application of the packed rows
         x^(p*j) mod m, built on the first call."""
         if self._frobenius is None:
-            self._frobenius = _PackedRows(self._frobenius_rows(), self.n, self.p)
+            self._frobenius = _PackedRows(self._frobenius_rows([1]), self.n, self.p)
         return _trim(self._frobenius.apply(y))
 
-    def _frobenius_rows(self):
-        # x^(p*j) for j < n: x^p, then n - 2 products
-        yield [1]
-        if self.n > 1:
-            row = xp = self.x_to_p
+    def _frobenius_rows(self, first: list[int]):
+        # rows first * x^(p*j) mod m, j < n, of y -> first * y^p: at most n - 1 products
+        row = first
+        yield row
+        for _ in range(self.n - 1):
+            row = self.x_to_p if row == [1] else self.mulmod(row, self.x_to_p)
             yield row
-            for _ in range(self.n - 2):
-                row = self.mulmod(row, xp)
-                yield row
 
 
 # ---------------------------------------------------------------------------
@@ -536,33 +556,41 @@ def _reciprocal_cofactor(g: list[int], f: list[int], p: int) -> list[int] | None
     return star if _mul_raw(g, star, p) == f else None
 
 
+def _half_degree(fx: list[int], d: int, p: int) -> list[int]:
+    """The monic h of degree d with fx = x^d h(x + 1/x), for fx monic and
+    palindromic of degree 2d: x^-d fx = a_0 + sum a_j (x^j + x^-j) with
+    a_j = fx[d + j], by Clenshaw's recurrence on this Dickson basis in
+    y = x + 1/x, b_j = a_j + y b_(j+1) - b_(j+2); h = a_0 + y b_1 - 2 b_2."""
+    b1, b2 = [], []
+    for j in range(d, 0, -1):
+        b = [fx[d + j]] + b1
+        b[: len(b2)] = map(sub, b, b2)
+        b1, b2 = [c % p for c in b], b1
+    h = [fx[d]] + b1
+    h[: len(b2)] = map(lambda c, e: (c - 2 * e) % p, h, b2)
+    return h
+
+
 def equal_degree_factorize(f: Poly, d: int, seed: int = 0) -> list[Poly]:
-    """Split f = g * g* of degree 2d into g and its reciprocal
-    g* = x^d g(1/x) / g(0): two distinct monic irreducibles of degree d.
-    This is the shape of the transform of an irreducible with character +1.
+    """Split f = g * g* of degree 2d into g and g* = x^d g(1/x) / g(0), two
+    distinct monic irreducibles of degree d (the transform of an irreducible
+    with character +1), sorted by coefficient tuple.  The pair is unique:
+    the seed changes only how many attempts are made.
 
-    For such f, F_p[x]/(f) is F_{p^d} x F_{p^d}, so the trace
-    T = a + a^p + ... + a^(p^(d-1)) of any a is a pair (t1, t2) of elements
-    of F_p: T is t1 mod g and t2 mod g*.  It costs d - 1 applications of the
-    context's Frobenius map and no product.  T is a root of
-    (y - t1)(y - t2), so S = T^2 mod f equals s*T - q exactly, with
-    s = t1 + t2 and q = t1 * t2 (deg T < 2d); s is read off any
-    non-constant coefficient of T and q off the constant ones.  If t1 != t2,
-    T - t1 vanishes mod one factor only, and one gcd,
-    gcd(T - (s + sqrt(s^2 - 4q))/2, f), is g or g* (von zur Gathen and
-    Gerhard, Modern Computer Algebra, ch. 14).  An a whose T is constant
-    (t1 = t2, probability 1/p) is drawn again from a seeded PRNG.  The
-    other factor is the reversal, made monic, and one product checks
-    g * g* == f and g != g*.  The pair is unique, so the seed changes only
-    how many attempts are made.  The two factors come back sorted ascending
-    by coefficient tuple.
+    f = g * g* forces x^(2d) f(1/x) = f, so f = x^d h(x + 1/x) (_half_degree)
+    and the work runs in K = F_p[y]/(h), y = x + 1/x.  For w = x - 1/x,
+    w^2 = D = y^2 - 4 is in K and (w b)^p = w L(b) for b in K, with
+    L = (times c) o (y -> y^p), c = D^((p-1)/2): one table of d packed rows
+    c y^(pj) mod h, d^2 w bytes.  L^j(y) - y L^j(1) = L^j(1) (y^(p^j) - y)
+    gives Rabin's test of h.  The trace of a = w b is T = w S, with
+    S = sum_(i<d) L^i(b).  If h is irreducible and D a square in K, T is t
+    mod g and -t mod g*, so D S^2 = t^2, and gcd(x^d (T - t), f) = g, where
+    x^d T = (x^2 - 1) x^(d-1) S(x + 1/x).  b is 1, then seeded random draws,
+    until t != 0.
 
-    Any other input raises MalformedInputError.  f = g * g* forces f to be
-    palindromic: x^d g(1/x) = g(0) g* and x^d g*(1/x) = g / g(0), so
-    x^(2d) f(1/x) = f, and the coefficients of the monic f read the same in
-    both directions.  An input that is not palindromic is rejected before
-    the first attempt; one whose first non-constant T fails S == s*T - q,
-    the square root, the gcd degree or the product is rejected at once.
+    Any other input raises MalformedInputError: at once if not palindromic;
+    else when f(1) f(-1) = 0 (D not a unit), h fails Rabin's test, D S^2 is
+    not a constant square, or g fails the degree or g * g* == f, g != g*.
     """
     if d < 1:
         raise UsageError(f"factor degree must be positive, got {d}")
@@ -576,35 +604,57 @@ def equal_degree_factorize(f: Poly, d: int, seed: int = 0) -> list[Poly]:
             "the input is not palindromic, so it is not a product of a "
             "polynomial and its reciprocal"
         )
-    ctx = ModulusContext(f)
+    reject = MalformedInputError(f"the input is not a product of a degree-{d} "
+                                 "irreducible and its reciprocal")
+    _row_slot(d, p)  # an oversized table is refused before any work
+    if _eval_raw(fx, 1, p) * _eval_raw(fx, p - 1, p) % p == 0:
+        raise reject
+    hx = _half_degree(fx, d, p)
+    ctx = ModulusContext(Poly(tuple(hx), p))
+    delta = ctx.reduce([-4 % p, 0, 1])
+    rows = _PackedRows(ctx._frobenius_rows(ctx.powmod(delta, (p - 1) // 2)), d, p)
+
+    def times_y(c: list[int]) -> list[int]:  # y * c mod h, c of length d
+        return _trim([(a - c[-1] * b) % p for a, b in zip([0] + c, hx)])
+
+    # Rabin's test of h on the orbits of 1 and y under L; the sum of the
+    # first d terms of the orbit of 1 is the first candidate for S
+    one, y = [1], ctx.reduce([0, 1])
+    s_one = [0] * d
+    checkpoints = {d // r for r in _prime_factors(d)}
+    witness = [1]
+    for j in range(1, d + 1):
+        s_one[: len(one)] = map(add, s_one, one)
+        one, y = rows.apply(one), rows.apply(y)
+        if j in checkpoints:
+            witness = ctx.mulmod(witness, _sub_raw(y, times_y(one), p))
+    if _trim(y) != times_y(one) or not witness:
+        raise reject
     rng = random.Random(seed)
-    for _ in range(128):
-        conj = _trim([rng.randrange(p) for _ in range(2 * d)])
-        trace = conj + [0] * (2 * d - len(conj))
-        for _ in range(d - 1):
-            conj = ctx.frobenius(conj)
-            trace[: len(conj)] = map(add, trace, conj)
-        trace = _trim([c % p for c in trace])
-        if len(trace) < 2:
+    for attempt in range(128):
+        if attempt == 0:
+            s = s_one
+        else:
+            s = z = [rng.randrange(p) for _ in range(d)]
+            for _ in range(d - 1):
+                z = rows.apply(z)
+                s = list(map(add, s, z))
+        s = _trim([c % p for c in s])
+        square = ctx.mulmod(delta, ctx.mulmod(s, s))
+        if not square:
             continue
-        j = len(trace) - 1
-        square = ctx.mulmod(trace, trace)
-        padded = square + [0] * len(trace)
-        s = padded[j] * inv_mod(trace[j], p) % p
-        q = (s * trace[0] - padded[0]) % p
-        if square != _sub_raw([s * c % p for c in trace], [q], p):
-            break
-        root = sqrt_mod_p(s * s - 4 * q, p)
-        if root is None:
-            break
-        g = _gcd_raw(_sub_raw(trace, [(s + root) * inv_mod(2, p) % p], p), fx, p)
+        t = sqrt_mod_p(square[0], p) if len(square) == 1 else None
+        if t is None:
+            raise reject
+        lift = [0, 0] + _theta_lift(s, d - 1, 1, p)  # x^2 * x^(d-1) S(x + 1/x)
+        lift[: 2 * d - 1] = map(sub, lift, lift[2:])  # x^d T
+        lift[d] -= t
+        g = _gcd_raw(_trim([c % p for c in lift]), fx, p)
         star = _reciprocal_cofactor(g, fx, p) if len(g) - 1 == d else None
-        if star is not None and star != g:
-            return [Poly(tuple(h), p) for h in sorted((g, star))]
-        break
-    raise MalformedInputError(
-        f"the input is not a product of a degree-{d} irreducible and its reciprocal"
-    )
+        if star is None or star == g:
+            raise reject
+        return [Poly(tuple(h), p) for h in sorted((g, star))]
+    raise reject
 
 
 def smallest_irreducible(p: int, n: int) -> Poly:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalConsistencyError, UnsupportedPrimeError, UsageError
-from .ffpoly import Poly, _check_odd_prime, _pack, _slot, _unpack, inv_mod, legendre, sqrt_mod_p
+from .ffpoly import Poly, _check_odd_prime, _theta_lift, inv_mod, legendre, sqrt_mod_p
 
 
 @dataclass(frozen=True)
@@ -77,37 +77,15 @@ def _check_k(k: int, p: int) -> int:
 
 
 def qk_transform(f: Poly, k: int) -> Poly:
-    """The transform (x/k)^n * f(k(x + 1/x)) for monic f of degree n >= 1.
-
-    Expanding f = sum a_i y^i gives sum c_i x^(n-i) (x^2+1)^i with
-    c_i = a_i k^(i-n), which Horner's rule builds from i = n down to 0 as
-    h <- h * (x^2 + 1) + c_i x^(n-i).  The 2n + 1 coefficients of h are
-    slots of one packed integer (see ffpoly._slot), so a step is two shifts
-    and two additions: h + (h << 2 slots) + (c_i << (n - i) slots).  A step
-    at most doubles a slot and adds at most p - 1, so r steps from slots
-    below p keep every slot below (p - 1) * 2^(r+1); the slots are sized for
-    that bound and reduced mod p every r = max(1, 62 - bitlen(p - 1))
-    steps, which keeps the integer at O(n) bits.
-    """
+    """The transform (x/k)^n * f(k(x + 1/x)) for monic f of degree n >= 1,
+    by blocked Horner's rule on one packed integer (ffpoly._theta_lift)."""
     p = f.p
     k = _check_k(k, p)
     if f.degree < 1:
         raise UsageError("transform requires a polynomial of degree >= 1")
     if not f.is_monic:
         raise UsageError("transform requires a monic polynomial")
-    n = f.degree
-    kinv = inv_mod(k, p)
-    size = 2 * n + 1
-    r = max(1, 62 - (p - 1).bit_length())
-    tc, width = _slot((p - 1) << (r + 1))
-    bits = 8 * width
-    h, scale = 0, 1  # scale = k^(i-n)
-    for i in range(n, -1, -1):
-        h += (h << 2 * bits) + ((f.coeffs[i] * scale % p) << (n - i) * bits)
-        scale = scale * kinv % p
-        if (n - i) % r == r - 1 and i:
-            h = _pack(_unpack(h, size, tc, width, p), tc, width)
-    return Poly(tuple(_unpack(h, size, tc, width, p)), p)
+    return Poly(tuple(_theta_lift(list(f.coeffs), f.degree, k, p)), p)
 
 
 def transform_character(f: Poly, k: int) -> int:

@@ -10,8 +10,12 @@ the transform character and the factor race that they check.
 Also here: polynomial subtraction, addition and long division
 (`poly_sub`, `poly_add`, `poly_divmod`), `random_irreducible` for seeded
 inputs, `check_lemma_kk` for the k versus -k comparison over a whole field,
-and exact arithmetic in the CM orders (`quad_mul`, `quad_pow`) for the depth
-pairs the slow way.
+exact arithmetic in the CM orders (`quad_mul`, `quad_pow`) for the depth
+pairs the slow way, and three routes to the split of a reciprocal pair
+g * g* that work modulo the degree-2d input itself: by the trace with a
+degree-2d Frobenius table (`split_by_trace`), by powering and recursion
+(`split_by_powering`), and by divisor search (`reciprocal_pair_by_search`,
+on `irreducible_by_trial_division`).
 """
 
 from __future__ import annotations
@@ -25,13 +29,18 @@ from qkforge.config import field_cap
 from qkforge.errors import InternalConsistencyError, ResourceCapError, UsageError
 from qkforge.extfield import ExtField, FqElem
 from qkforge.ffpoly import (
+    ModulusContext,
     Poly,
     _divmod_raw,
+    _gcd_raw,
     _mul_raw,
     _prime_factors,
+    _reciprocal_cofactor,
     _sub_raw,
+    _trim,
     inv_mod,
     is_irreducible,
+    sqrt_mod_p,
 )
 from qkforge.qk import _check_k
 
@@ -285,3 +294,109 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         raise UsageError(f"mixed moduli: {a.p} vs {b.p}")
     q, r = _divmod_raw(list(a.coeffs), list(b.coeffs), a.p)
     return Poly(tuple(q), a.p), Poly(tuple(r), a.p)
+
+
+def _monic_of_degree(p: int, d: int):
+    """Every monic polynomial of degree d over F_p, in base-p order."""
+    for idx in range(p**d):
+        digits = []
+        for _ in range(d):
+            digits.append(idx % p)
+            idx //= p
+        yield Poly(tuple(digits) + (1,), p)
+
+
+def irreducible_by_trial_division(f: Poly) -> bool:
+    """No monic polynomial of degree 1 to deg(f)/2 divides f."""
+    return all(not poly_divmod(f, q)[1].is_zero
+               for e in range(1, f.degree // 2 + 1) for q in _monic_of_degree(f.p, e))
+
+
+def reciprocal_pair_by_search(f: Poly, d: int) -> Optional[list[Poly]]:
+    """The pair [g, g*], sorted by coefficient tuple, if the monic f of
+    degree 2d is g * g* with g irreducible of degree d and g != g*, where
+    g* = x^d g(1/x) / g(0); else None.  By trying every monic g of degree
+    d: exhaustive, for small p^d only."""
+    p = f.p
+    f = f.monic()
+    for g in _monic_of_degree(p, d):
+        if not g.coeffs[0] or not poly_divmod(f, g)[1].is_zero:
+            continue
+        star = Poly(g.coeffs[::-1], p).monic()
+        if star != g and g * star == f and irreducible_by_trial_division(g):
+            return sorted((g, star), key=lambda q: q.coeffs)
+    return None
+
+
+def split_by_trace(f: Poly, d: int, seed: int) -> list[Poly]:
+    """The pair [g, g*] of a reciprocal pair f = g * g* of degree 2d, by the
+    trace T = a + a^p + ... + a^(p^(d-1)) modulo f itself, with the
+    degree-2d context's Frobenius table (von zur Gathen and Gerhard, Modern
+    Computer Algebra, ch. 14).  T is a pair (t1, t2) in F_p x F_p; S = T^2
+    equals s*T - q with s = t1 + t2, q = t1 * t2, and one gcd,
+    gcd(T - (s + sqrt(s^2 - 4q))/2, f), is g or g*.  A constant T is drawn
+    again.  Raises InternalConsistencyError where the trace, the root, the
+    gcd or the product check fails."""
+    f = f.monic()
+    p = f.p
+    fx = list(f.coeffs)
+    ctx = ModulusContext(f)
+    rng = random.Random(seed)
+    for _ in range(128):
+        conj = _trim([rng.randrange(p) for _ in range(2 * d)])
+        trace = conj + [0] * (2 * d - len(conj))
+        for _ in range(d - 1):
+            conj = ctx.frobenius(conj)
+            trace[: len(conj)] = [a + b for a, b in zip(trace, conj)]
+        trace = _trim([c % p for c in trace])
+        if len(trace) < 2:
+            continue
+        j = len(trace) - 1
+        square = ctx.mulmod(trace, trace)
+        padded = square + [0] * len(trace)
+        s = padded[j] * inv_mod(trace[j], p) % p
+        q = (s * trace[0] - padded[0]) % p
+        if square != _sub_raw([s * c % p for c in trace], [q], p):
+            break
+        root = sqrt_mod_p(s * s - 4 * q, p)
+        if root is None:
+            break
+        g = _gcd_raw(_sub_raw(trace, [(s + root) * inv_mod(2, p) % p], p), fx, p)
+        star = _reciprocal_cofactor(g, fx, p) if len(g) - 1 == d else None
+        if star is not None and star != g:
+            return [Poly(tuple(h), p) for h in sorted((g, star))]
+        break
+    raise InternalConsistencyError(f"no split of {f.coeffs} by the trace")
+
+
+def split_by_powering(f: Poly, d: int, seed: int) -> list[Poly]:
+    """Equal-degree splitting of f into its degree-d factors, sorted: a
+    random a, a gcd with a itself first, then a^((p^d-1)/2) - 1 by one
+    powmod, recursing on both sides, the cofactor by long division."""
+    p = f.p
+    rng = random.Random(seed)
+    out = []
+
+    def split(g: Poly) -> None:
+        if g.degree == d:
+            out.append(g)
+            return
+        ctx = ModulusContext(g)
+        while True:
+            a = Poly(tuple(rng.randrange(p) for _ in range(g.degree)), p)
+            if a.degree < 1:
+                continue
+            h = Poly(tuple(_gcd_raw(list(a.coeffs), list(g.coeffs), p)), p)
+            if h.degree == 0:
+                b = poly_sub(Poly(tuple(ctx.powmod(list(a.coeffs), (p**d - 1) // 2)), p),
+                             Poly((1,), p))
+                if b.is_zero:
+                    continue
+                h = Poly(tuple(_gcd_raw(list(b.coeffs), list(g.coeffs), p)), p)
+            if 0 < h.degree < g.degree:
+                split(h)
+                split(poly_divmod(g, h)[0])
+                return
+
+    split(f.monic())
+    return sorted(out, key=lambda q: q.coeffs)

@@ -36,7 +36,16 @@ from qkforge.ffpoly import (
 from qkforge.qk import find_k, qk_transform, transform_character
 from qkforge.seqgen import generate_sequence
 
-from oracle import poly_add, poly_divmod, poly_sub, random_irreducible
+from oracle import (
+    irreducible_by_trial_division,
+    poly_add,
+    poly_divmod,
+    poly_sub,
+    random_irreducible,
+    reciprocal_pair_by_search,
+    split_by_powering,
+    split_by_trace,
+)
 
 
 def _gcd(a: Poly, b: Poly) -> Poly:
@@ -368,22 +377,6 @@ def test_poly_mod_pow_large_exponent() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _irreducible_by_trial_division(f: Poly) -> bool:
-    """Reference oracle: check divisibility by every lower-degree monic."""
-    p, n = f.p, f.degree
-    for d in range(1, n // 2 + 1):
-        for idx in range(p**d):
-            digits = []
-            v = idx
-            for _ in range(d):
-                digits.append(v % p)
-                v //= p
-            g = Poly(tuple(digits + [1]), p)
-            if poly_divmod(f, g)[1].is_zero:
-                return False
-    return True
-
-
 def _rabin_by_powering(f: Poly) -> bool:
     """Reference oracle: Rabin's test with x^(p^j) by powering by p."""
     n, p = f.degree, f.p
@@ -398,39 +391,6 @@ def _rabin_by_powering(f: Poly) -> bool:
     return y == [0, 1]
 
 
-def _split_by_powering(f: Poly, d: int, seed: int) -> list[Poly]:
-    """Reference oracle: recursive equal-degree splitting with
-    a^((p^d-1)/2) by one powmod, a gcd with a itself first, and the
-    cofactor by long division."""
-    p = f.p
-    rng = random.Random(seed)
-    out = []
-
-    def split(g: Poly) -> None:
-        if g.degree == d:
-            out.append(g)
-            return
-        ctx = ModulusContext(g)
-        while True:
-            a = Poly(tuple(rng.randrange(p) for _ in range(g.degree)), p)
-            if a.degree < 1:
-                continue
-            h = _gcd(a, g)
-            if h.degree == 0:
-                b = poly_sub(Poly(tuple(ctx.powmod(list(a.coeffs), (p**d - 1) // 2)), p),
-                             Poly((1,), p))
-                if b.is_zero:
-                    continue
-                h = _gcd(b, g)
-            if 0 < h.degree < g.degree:
-                split(h)
-                split(poly_divmod(g, h)[0])
-                return
-
-    split(f.monic())
-    return sorted(out, key=lambda q: q.coeffs)
-
-
 def test_rabin_and_splitting_match_powering_on_the_reference_chains() -> None:
     f0 = Poly((51, 3, 0, 0, 0, 1), 53)
     for k, steps in ((15, 6), (7, 3)):  # degrees 5 to 40
@@ -443,7 +403,8 @@ def test_rabin_and_splitting_match_powering_on_the_reference_chains() -> None:
             if transform_character(f, k) == 1:
                 for seed in range(3):
                     got = equal_degree_factorize(big, f.degree, seed)
-                    assert got == _split_by_powering(big, f.degree, seed)
+                    assert got == split_by_powering(big, f.degree, seed)
+                    assert got == split_by_trace(big, f.degree, seed)
                     assert len(got) == 2 and got[0] * got[1] == big
 
 
@@ -470,13 +431,32 @@ def test_splitting_matches_powering_on_seeded_transforms() -> None:
     for big, n in _seeded_split_inputs(200):
         for seed in range(3):
             got = equal_degree_factorize(big, n, seed)
-            assert got == _split_by_powering(big, n, seed)
+            assert got == split_by_powering(big, n, seed)
+            assert got == split_by_trace(big, n, seed)
             assert got[0] != got[1] and got[0] * got[1] == big
 
 
+def _reference_splits(steps: int = 11) -> list[tuple[Poly, int]]:
+    """(transform, d) for every chi = +1 step of the k = 15 reference chain
+    over F_53: d = 10, 10, 20, 40, 80, 160 for 11 steps."""
+    chain = generate_sequence(Poly((51, 3, 0, 0, 0, 1), 53), 15, steps)
+    return [(qk_transform(s.poly, 15), s.poly.degree) for s in chain.steps
+            if transform_character(s.poly, 15) == 1]
+
+
+def test_reference_chain_splits_match_the_trace_oracle() -> None:
+    splits = _reference_splits()
+    assert [d for _, d in splits] == [10, 10, 20, 40, 80, 160]
+    for big, d in splits:
+        got = equal_degree_factorize(big, d)
+        assert got == split_by_trace(big, d, 0)
+        assert got[0].degree == d and got[0] * got[1] == big
+
+
 def test_a_valid_split_takes_one_gcd(monkeypatch) -> None:
-    # every split of the k = 15 reference chain, d = 10 to 160: the trace is
-    # constant with probability 1/p, and a non-constant one needs one gcd
+    # every split of the k = 15 reference chain, d = 10 to 160: Rabin's test
+    # of the half-degree h takes no gcd, and the first S with D S^2 != 0
+    # needs one gcd, at degree 2d
     calls = []
     gcd_raw = ffpoly._gcd_raw
 
@@ -498,6 +478,93 @@ def test_a_valid_split_takes_one_gcd(monkeypatch) -> None:
     assert split_degrees == [10, 10, 20, 40, 80, 160]
 
 
+def _palindromic_monics(p: int, d: int):
+    """Every monic palindromic polynomial of degree 2d over F_p: p^d of them,
+    free in the coefficients of x^1 .. x^d."""
+    for idx in range(p**d):
+        half = [1] + [idx // p**i % p for i in range(d)]
+        yield Poly(tuple(half + half[-2::-1]), p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_factorize_decides_every_small_palindromic_input(p) -> None:
+    # ground truth by divisor search: the pair exactly when f = g * g* with g
+    # irreducible of degree d and g != g*; MalformedInputError for the rest,
+    # among them (x -+ 1)^2 (...), h * h with h its own reciprocal, and
+    # products of smaller reciprocal pairs, which only Rabin's test of the
+    # half-degree h tells from g * g*
+    decided = {True: 0, False: 0}
+    for d in (1, 2, 3):
+        for f in _palindromic_monics(p, d):
+            want = reciprocal_pair_by_search(f, d)
+            decided[want is not None] += 1
+            if want is None:
+                with pytest.raises(MalformedInputError):
+                    equal_degree_factorize(f, d)
+            else:
+                assert equal_degree_factorize(f, d) == want, f.coeffs
+    assert decided[True] and decided[False]
+    assert sum(decided.values()) == p + p**2 + p**3
+
+
+def test_a_split_runs_at_the_half_degree(monkeypatch) -> None:
+    # one split of the k = 15 chain at d = 40: one packed table, with d rows,
+    # and no context of degree 2d
+    big, d = _reference_splits(7)[-1]
+    assert d == 40
+    tables, contexts = [], []
+
+    class RecordedRows(ffpoly._PackedRows):
+        def __init__(self, rows, n, p):
+            super().__init__(rows, n, p)
+            tables.append(self)
+
+    class RecordedContext(ModulusContext):
+        def __init__(self, modulus):
+            super().__init__(modulus)
+            contexts.append(self.n)
+
+    monkeypatch.setattr(ffpoly, "_PackedRows", RecordedRows)
+    monkeypatch.setattr(ffpoly, "ModulusContext", RecordedContext)
+    first, second = equal_degree_factorize(big, d)
+    assert first * second == big
+    assert [(t.n, len(t.rows)) for t in tables] == [(d, d)]
+    assert contexts == [d]
+
+
+def test_half_degree_inverts_the_transform_at_k_1() -> None:
+    rng = random.Random(11)
+    pairs = [big for big, _ in _reference_splits(9)]
+    while len(pairs) < 5 + 50:
+        p = rng.choice((3, 5, 13, 53, 65521, 2**31 - 1))
+        g = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(rng.randint(0, 11))] + [1]
+        inv = pow(g[0], -1, p)
+        pairs.append(Poly(tuple(g), p) * Poly(tuple(c * inv for c in reversed(g)), p))
+    for big in pairs:
+        d = big.degree // 2
+        assert big.coeffs == big.coeffs[::-1]
+        h = Poly(tuple(ffpoly._half_degree(list(big.coeffs), d, big.p)), big.p)
+        assert h.degree == d and qk_transform(h, 1) == big
+
+
+def test_split_table_is_capped_at_the_factor_degree(monkeypatch) -> None:
+    # the split's table takes d^2 slots of w bytes: 20^2 * 2 at d = 20, p = 53
+    big, d = _reference_splits(4)[-1]
+    assert d == 20
+    want = equal_degree_factorize(big, d)
+
+    def unreachable(*args):
+        raise AssertionError("work began before the size check")
+
+    monkeypatch.setattr(ffpoly, "MAX_ROW_TABLE_BYTES", d * d * 2 - 1)
+    monkeypatch.setattr(ffpoly, "_half_degree", unreachable)
+    with pytest.raises(ResourceCapError, match=f"{d * d * 2} bytes"):
+        equal_degree_factorize(big, d)
+    monkeypatch.undo()
+    monkeypatch.setattr(ffpoly, "MAX_ROW_TABLE_BYTES", d * d * 2)
+    assert equal_degree_factorize(big, d) == want
+
+
 def test_is_irreducible_matches_trial_division() -> None:
     rng = random.Random(5)
     for p in (3, 5, 7):
@@ -506,7 +573,7 @@ def test_is_irreducible_matches_trial_division() -> None:
                 f = Poly(tuple(rng.randrange(p) for _ in range(deg)) + (1,), p)
                 if f.coefficient(0) == 0:
                     continue  # trivially reducible either way, keep some anyway
-                assert is_irreducible(f) == _irreducible_by_trial_division(f)
+                assert is_irreducible(f) == irreducible_by_trial_division(f)
 
 
 def test_is_irreducible_known_cases() -> None:
@@ -600,15 +667,20 @@ def test_factorize_rejects_a_non_palindromic_input_before_any_attempt(monkeypatc
 
 
 def test_factorize_rejects_palindromic_inputs_that_are_not_reciprocal_pairs() -> None:
-    # palindromic, so they pass the pre-check and fail in the attempts; with
-    # d = 1 the trace of the irreducible x^2 + 46x + 1 is a itself, which
-    # passes S == s*T - q and fails the square root
+    # palindromic, so they pass the pre-check: h * h has a half-degree
+    # (y + 3)^2, which fails Rabin's test; the two transforms are
+    # irreducible, so D is not a square in K and D S^2 is not a constant
+    # square (with d = 1, D S^2 = D is a constant non-square).  The last is
+    # g1 g1* g2 g2* over F_5, with half-degree (y^2 + 4y + 1)(y^2 + 2): its
+    # traces can take the shape of a pair's, and only Rabin's test of the
+    # half-degree rejects it for every seed
     p = 53
     h = Poly((1, 3, 1), p)  # x^2 + 3x + 1, irreducible and its own reciprocal
     q = Poly((6, 1, 1), p)  # character -1 under k = 15: the transform is irreducible
     assert is_irreducible(h) and transform_character(q, 15) == -1
     assert transform_character(Poly((1, 1), p), 15) == -1
-    for f, d in ((h * h, 2), (qk_transform(q, 15), 2), (qk_transform(Poly((1, 1), p), 15), 1)):
+    for f, d in ((h * h, 2), (qk_transform(q, 15), 2), (qk_transform(Poly((1, 1), p), 15), 1),
+                 (Poly((1, 4, 2, 0, 4, 0, 2, 4, 1), 5), 4)):
         assert f.coeffs == f.coeffs[::-1]
         for seed in range(3):
             with pytest.raises(MalformedInputError):
@@ -617,9 +689,9 @@ def test_factorize_rejects_palindromic_inputs_that_are_not_reciprocal_pairs() ->
 
 def test_factorize_rejects_an_irreducible_transform_before_any_gcd(monkeypatch) -> None:
     # the degree-80 transform of the degree-40 step of the k = 15 chain
-    # (character -1) is palindromic and irreducible; its traces are not
-    # pairs of elements of F_p, so the first non-constant one fails
-    # S == s*T - q or the square root, and no gcd is taken
+    # (character -1) is palindromic and irreducible: its half-degree h passes
+    # Rabin's test, but D is not a square in K, so the first S fails
+    # D S^2 == t^2, and no gcd is taken
     f40 = generate_sequence(Poly((51, 3, 0, 0, 0, 1), 53), 15, 7).steps[7].poly
     assert f40.degree == 40 and transform_character(f40, 15) == -1
     big = qk_transform(f40, 15)
