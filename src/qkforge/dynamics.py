@@ -39,6 +39,7 @@ from .ffpoly import (
     Poly,
     _PackedRows,
     _check_odd_prime,
+    _digits,
     _prime_factors,
     _trim,
     is_irreducible,
@@ -73,16 +74,6 @@ class FunctionalGraph:
         if self.n == 1:
             return str(i - 1)
         return ",".join(map(str, _digits(i - 1, self.p, self.n)))
-
-
-def _digits(j: int, p: int, n: int) -> list[int]:
-    """The n base-p digits of the element index j, ascending: the
-    coefficients of the element's representative."""
-    digits = []
-    for _ in range(n):
-        j, d = divmod(j, p)
-        digits.append(d)
-    return digits
 
 
 def _check_size_cap(p: int, n: int) -> None:

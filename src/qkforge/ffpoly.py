@@ -19,13 +19,15 @@ Three performance tricks keep everything exact but fast in pure Python:
   multiplications instead of a long division.  Both products are truncated:
   only the quotient's coefficients of the first and the modulus-degree low
   coefficients of the second are unpacked;
-* the Frobenius map y -> y^p mod a fixed modulus is linear over F_p, so it
-  is built once as n packed rows x^(p*j) mod m (one powmod, n - 2
-  products); applying it is n big-integer multiply-adds and one unpack
-  (von zur Gathen and Shoup, 1992).  Rabin's test uses it in place of
-  powering by p.  The split of g * g* of degree 2d works in the half-degree
-  field F_p[y]/(h), f = x^d h(x + 1/x), with one table of d rows for
-  y -> c y^p (d^2 w bytes), and ends in one gcd.
+* the map L = (times c) o (y -> y^p) mod a fixed modulus, c a unit, is
+  linear over F_p, so it is built once as n packed rows c x^(p*j) mod m (one
+  powmod, at most n - 1 products); applying it is n big-integer
+  multiply-adds and one unpack (von zur Gathen and Shoup, 1992).  One
+  Rabin's test (_rabin) runs on the orbits of 1 and y under L, with no
+  powering by p and no gcd: is_irreducible takes c = 1, and the split of
+  g * g* of degree 2d takes the twist c of its half-degree field
+  F_p[y]/(h), f = x^d h(x + 1/x), with one table of d rows (d^2 w bytes),
+  and ends in one gcd.
 
 Each is cross-checked in the test suite against the plain route it
 replaces: schoolbook products, long division, powering by p.
@@ -37,7 +39,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import add, mul, sub
 from typing import Iterable
 
@@ -291,6 +293,16 @@ def _gcd_raw(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+def _digits(j: int, p: int, n: int) -> list[int]:
+    """The n base-p digits of the index j, ascending: the coefficients of
+    the polynomial of degree < n that the index stands for."""
+    digits = []
+    for _ in range(n):
+        j, d = divmod(j, p)
+        digits.append(d)
+    return digits
+
+
 def _eval_raw(cs: list[int], x: int, p: int) -> int:
     acc = 0
     for c in reversed(cs):
@@ -409,7 +421,6 @@ class ModulusContext:
     Below a degree cutoff, reduction is plain long division.  Above it, the
     context precomputes the power-series inverse of the reversed modulus by
     Newton iteration; reducing a product then costs two multiplications.
-    The Frobenius map y -> y^p is built the first time it is needed.
     """
 
     # Measured crossover for reducing a product of two reduced polynomials
@@ -430,7 +441,6 @@ class ModulusContext:
         self._inv_rev: list[int] | None = None
         if self.n >= self._NEWTON_CUTOFF:
             self._inv_rev = self._newton_inverse(self.n)
-        self._frobenius: _PackedRows | None = None
 
     def _newton_inverse(self, target: int) -> list[int]:
         p = self.p
@@ -479,25 +489,14 @@ class ModulusContext:
                 acc = self.mulmod(acc, acc)
         return result
 
-    @cached_property
-    def x_to_p(self) -> list[int]:
-        """x^p mod m, by one powmod."""
-        return self.powmod([0, 1], self.p)
-
-    def frobenius(self, y: list[int]) -> list[int]:
-        """y^p for reduced y.  With y = sum(c_j x^j) and c_j in F_p,
-        y^p = sum(c_j x^(p*j)): one application of the packed rows
-        x^(p*j) mod m, built on the first call."""
-        if self._frobenius is None:
-            self._frobenius = _PackedRows(self._frobenius_rows([1]), self.n, self.p)
-        return _trim(self._frobenius.apply(y))
-
     def _frobenius_rows(self, first: list[int]):
-        # rows first * x^(p*j) mod m, j < n, of y -> first * y^p: at most n - 1 products
+        # rows first * x^(p*j) mod m, j < n, of y -> first * y^p: one powmod
+        # for x^p and at most n - 1 products
         row = first
         yield row
+        x_to_p = self.powmod([0, 1], self.p)
         for _ in range(self.n - 1):
-            row = self.x_to_p if row == [1] else self.mulmod(row, self.x_to_p)
+            row = x_to_p if row == [1] else self.mulmod(row, x_to_p)
             yield row
 
 
@@ -521,30 +520,49 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _rabin(ctx: ModulusContext, rows: _PackedRows) -> list[int] | None:
+    """Rabin's test of the modulus m of degree n, given the packed rows of
+    L = (times c) o (y -> y^p) for a unit c: the sum of the first n terms of
+    the orbit of 1 under L if m is irreducible, else None.  No gcd is taken.
+
+    L^j(y) - y L^j(1) = L^j(1) (y^(p^j) - y), and L^j(1) is a unit.  If
+    L^n(y) = y L^n(1), m is squarefree and the degree of each factor divides
+    n, so m is reducible iff the product of these differences at j = n/r,
+    r a prime dividing n, is 0 mod m; a zero product at any checkpoint
+    shows it, since an irreducible m divides no y^(p^j) - y with j < n.
+    """
+    n, p, m = ctx.n, ctx.p, ctx._m
+
+    def times_y(c: list[int]) -> list[int]:  # y * c mod m, c of length n
+        return _trim([(a - c[-1] * b) % p for a, b in zip([0] + c, m)])
+
+    checkpoints = {n // r for r in _prime_factors(n)}
+    one, y = [1], ctx.reduce([0, 1])
+    s_one = [0] * n
+    witness = None
+    for j in range(1, n + 1):
+        s_one[: len(one)] = map(add, s_one, one)
+        one, y = rows.apply(one), rows.apply(y)
+        if j in checkpoints:
+            diff = _sub_raw(y, times_y(one), p)
+            witness = diff if witness is None else ctx.mulmod(witness, diff)
+            if not witness:
+                return None
+    return _trim([c % p for c in s_one]) if _trim(y) == times_y(one) else None
+
+
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's test: f of degree n is irreducible over F_p iff x^(p^n) ≡ x
-    mod f and gcd(x^(p^(n/r)) - x, f) = 1 for every prime r dividing n."""
+    """Rabin's test (_rabin with c = 1): f of degree n is irreducible over
+    F_p iff x^(p^n) ≡ x mod f and the product of x^(p^(n/r)) - x over the
+    primes r dividing n is not 0 mod f.  An oversized row table is refused
+    with ResourceCapError before any row is made."""
     n = f.degree
     if n < 1:
         raise UsageError("irreducibility is undefined for constants")
     if n == 1:
         return True
-    f = f.monic()
-    p = f.p
-    _row_slot(n, p)  # an oversized Frobenius table is refused before any work
     ctx = ModulusContext(f)
-    checkpoints = {n // r for r in _prime_factors(n)}
-    fx = list(f.coeffs)
-    # the map is built only past j = 1; for prime n most reducible f fail there
-    y = ctx.x_to_p
-    for j in range(1, n + 1):
-        if j > 1:
-            y = ctx.frobenius(y)
-        if j in checkpoints:
-            g = _gcd_raw(_sub_raw(y, [0, 1], p), fx, p)
-            if g != [1]:
-                return False
-    return y == [0, 1]
+    return _rabin(ctx, _PackedRows(ctx._frobenius_rows([1]), n, f.p)) is not None
 
 
 def _reciprocal_cofactor(g: list[int], f: list[int], p: int) -> list[int] | None:
@@ -581,12 +599,11 @@ def equal_degree_factorize(f: Poly, d: int, seed: int = 0) -> list[Poly]:
     and the work runs in K = F_p[y]/(h), y = x + 1/x.  For w = x - 1/x,
     w^2 = D = y^2 - 4 is in K and (w b)^p = w L(b) for b in K, with
     L = (times c) o (y -> y^p), c = D^((p-1)/2): one table of d packed rows
-    c y^(pj) mod h, d^2 w bytes.  L^j(y) - y L^j(1) = L^j(1) (y^(p^j) - y)
-    gives Rabin's test of h.  The trace of a = w b is T = w S, with
-    S = sum_(i<d) L^i(b).  If h is irreducible and D a square in K, T is t
-    mod g and -t mod g*, so D S^2 = t^2, and gcd(x^d (T - t), f) = g, where
-    x^d T = (x^2 - 1) x^(d-1) S(x + 1/x).  b is 1, then seeded random draws,
-    until t != 0.
+    c y^(pj) mod h, d^2 w bytes, on which _rabin tests h.  The trace of
+    a = w b is T = w S, with S = sum_(i<d) L^i(b).  If h is irreducible and
+    D a square in K, T is t mod g and -t mod g*, so D S^2 = t^2, and
+    gcd(x^d (T - t), f) = g, where x^d T = (x^2 - 1) x^(d-1) S(x + 1/x).
+    b is 1, then seeded random draws, until t != 0.
 
     Any other input raises MalformedInputError: at once if not palindromic;
     else when f(1) f(-1) = 0 (D not a unit), h fails Rabin's test, D S^2 is
@@ -613,33 +630,19 @@ def equal_degree_factorize(f: Poly, d: int, seed: int = 0) -> list[Poly]:
     ctx = ModulusContext(Poly(tuple(hx), p))
     delta = ctx.reduce([-4 % p, 0, 1])
     rows = _PackedRows(ctx._frobenius_rows(ctx.powmod(delta, (p - 1) // 2)), d, p)
-
-    def times_y(c: list[int]) -> list[int]:  # y * c mod h, c of length d
-        return _trim([(a - c[-1] * b) % p for a, b in zip([0] + c, hx)])
-
-    # Rabin's test of h on the orbits of 1 and y under L; the sum of the
-    # first d terms of the orbit of 1 is the first candidate for S
-    one, y = [1], ctx.reduce([0, 1])
-    s_one = [0] * d
-    checkpoints = {d // r for r in _prime_factors(d)}
-    witness = [1]
-    for j in range(1, d + 1):
-        s_one[: len(one)] = map(add, s_one, one)
-        one, y = rows.apply(one), rows.apply(y)
-        if j in checkpoints:
-            witness = ctx.mulmod(witness, _sub_raw(y, times_y(one), p))
-    if _trim(y) != times_y(one) or not witness:
+    # Rabin's test of h; the sum of the first d terms of the orbit of 1 is
+    # the first candidate for S
+    s = _rabin(ctx, rows)
+    if s is None:
         raise reject
     rng = random.Random(seed)
     for attempt in range(128):
-        if attempt == 0:
-            s = s_one
-        else:
+        if attempt:
             s = z = [rng.randrange(p) for _ in range(d)]
             for _ in range(d - 1):
                 z = rows.apply(z)
                 s = list(map(add, s, z))
-        s = _trim([c % p for c in s])
+            s = _trim([c % p for c in s])
         square = ctx.mulmod(delta, ctx.mulmod(s, s))
         if not square:
             continue
@@ -664,12 +667,7 @@ def smallest_irreducible(p: int, n: int) -> Poly:
     if n == 1:
         return Poly.x(p)
     for idx in range(p**n):
-        digits = []
-        v = idx
-        for _ in range(n):
-            digits.append(v % p)
-            v //= p
-        cand = Poly(tuple(digits + [1]), p)
+        cand = Poly(tuple(_digits(idx, p, n)) + (1,), p)
         if is_irreducible(cand):
             return cand
     raise InternalConsistencyError(f"no irreducible of degree {n} over F_{p}")

@@ -31,6 +31,7 @@ from qkforge.extfield import ExtField, FqElem
 from qkforge.ffpoly import (
     ModulusContext,
     Poly,
+    _PackedRows,
     _divmod_raw,
     _gcd_raw,
     _mul_raw,
@@ -341,12 +342,13 @@ def split_by_trace(f: Poly, d: int, seed: int) -> list[Poly]:
     p = f.p
     fx = list(f.coeffs)
     ctx = ModulusContext(f)
+    frobenius = _PackedRows(ctx._frobenius_rows([1]), 2 * d, p)
     rng = random.Random(seed)
     for _ in range(128):
         conj = _trim([rng.randrange(p) for _ in range(2 * d)])
         trace = conj + [0] * (2 * d - len(conj))
         for _ in range(d - 1):
-            conj = ctx.frobenius(conj)
+            conj = _trim(frobenius.apply(conj))
             trace[: len(conj)] = [a + b for a, b in zip(trace, conj)]
         trace = _trim([c % p for c in trace])
         if len(trace) < 2:

@@ -17,9 +17,11 @@ from qkforge.errors import MalformedInputError, ResourceCapError, UnsupportedPri
 from qkforge.ffpoly import (
     ModulusContext,
     Poly,
+    _PackedRows,
     _divmod_raw,
     _gcd_raw,
     _kron_mul,
+    _rabin,
     _school_mul,
     _trim,
     equal_degree_factorize,
@@ -336,9 +338,9 @@ def test_frobenius_matches_powering_by_p_for_each_slot_size(p, n, slot) -> None:
     ctx = ModulusContext(Poly(tuple(m), p))
     ys = [[p - 1] * n, [], [0, 1]] + [_trim([rng.randrange(p) for _ in range(n)])
                                       for _ in range(6)]
+    rows = _PackedRows(ctx._frobenius_rows([1]), n, p)
     for y in ys:
-        assert ctx.frobenius(list(y)) == ctx.powmod(list(y), p)
-    rows = ctx._frobenius
+        assert _trim(rows.apply(list(y))) == ctx.powmod(list(y), p)
     assert (rows.width if rows.tc else None) == slot
 
 
@@ -353,13 +355,14 @@ def test_frobenius_table_over_the_cap_is_refused_before_any_row(monkeypatch) -> 
     monkeypatch.setattr(ModulusContext, "powmod", no_rows)
     monkeypatch.setattr(ModulusContext, "mulmod", no_rows)
     with pytest.raises(ResourceCapError, match="3600 bytes"):
-        ModulusContext(m).frobenius([0, 1])
+        _PackedRows(ModulusContext(m)._frobenius_rows([1]), n, p)
     with pytest.raises(ResourceCapError):
         is_irreducible(m)
     monkeypatch.undo()
     monkeypatch.setattr(ffpoly, "MAX_ROW_TABLE_BYTES", 3600)
     ctx = ModulusContext(m)
-    assert ctx.frobenius([0, 1]) == ctx.powmod([0, 1], p)
+    rows = _PackedRows(ctx._frobenius_rows([1]), n, p)
+    assert _trim(rows.apply([0, 1])) == ctx.powmod([0, 1], p)
 
 
 def test_poly_mod_pow_large_exponent() -> None:
@@ -566,14 +569,58 @@ def test_split_table_is_capped_at_the_factor_degree(monkeypatch) -> None:
 
 
 def test_is_irreducible_matches_trial_division() -> None:
-    rng = random.Random(5)
-    for p in (3, 5, 7):
-        for deg in (2, 3, 4, 5, 6):
-            for _ in range(8):
-                f = Poly(tuple(rng.randrange(p) for _ in range(deg)) + (1,), p)
-                if f.coefficient(0) == 0:
-                    continue  # trivially reducible either way, keep some anyway
-                assert is_irreducible(f) == irreducible_by_trial_division(f)
+    # every monic input, squarefree or not: Rabin's test's product witness
+    # is sound only because its last check rejects repeated factors
+    inputs = [Poly(tuple(idx // p**i % p for i in range(deg)) + (1,), p)
+              for p, top in ((3, 4), (5, 4), (7, 3))
+              for deg in range(1, top + 1) for idx in range(p**deg)]
+    assert len(inputs) == 1299
+    for f in inputs:
+        assert is_irreducible(f) == irreducible_by_trial_division(f), f.coeffs
+
+
+def test_is_irreducible_takes_no_gcd(monkeypatch) -> None:
+    # the k = 15 reference chain to degree 160, each member's square and
+    # each member's transform, irreducible exactly when the character is -1
+    chain = generate_sequence(Poly((51, 3, 0, 0, 0, 1), 53), 15, 11)
+    assert chain.steps[-1].poly.degree == 160
+
+    def unreachable(*args):
+        raise AssertionError("a gcd was taken")
+
+    monkeypatch.setattr(ffpoly, "_gcd_raw", unreachable)
+    for step in chain.steps:
+        f = step.poly
+        assert is_irreducible(f)
+        assert not is_irreducible(f * f)
+        assert is_irreducible(qk_transform(f, 15)) == (transform_character(f, 15) == -1)
+
+
+def test_rabin_with_a_twist_agrees_with_is_irreducible() -> None:
+    # L = (times c) o (y -> y^p) for a random unit c != 1: the same verdict
+    # as c = 1, and for an irreducible modulus the sum of the first n terms
+    # of the orbit of 1, computed here by powering by p
+    rng = random.Random(18)
+    verdicts = set()
+    for p in (3, 5, 7, 53):
+        for n in range(2, 8):
+            for _ in range(10):
+                m = Poly(tuple(rng.randrange(p) for _ in range(n)) + (1,), p)
+                ctx = ModulusContext(m)
+                c = [1]
+                while c == [1] or _gcd_raw(c, ctx._m, p) != [1]:
+                    c = _trim([rng.randrange(p) for _ in range(n)])
+                got = _rabin(ctx, _PackedRows(ctx._frobenius_rows(c), n, p))
+                irreducible = is_irreducible(m)
+                verdicts.add(irreducible)
+                assert (got is not None) == irreducible, (p, m.coeffs, c)
+                if irreducible:
+                    s, z = [0] * n, [1]
+                    for _ in range(n):
+                        s = [(a + b) % p for a, b in zip(s, z + [0] * n)]
+                        z = ctx.mulmod(c, ctx.powmod(z, p))
+                    assert got == _trim(s)
+    assert verdicts == {True, False}
 
 
 def test_is_irreducible_known_cases() -> None:
