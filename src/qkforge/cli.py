@@ -1,6 +1,10 @@
 """Command-line front end: multiplier discovery, schedule prediction,
 transforms, sequence generation, graph exploration, and depth-lemma sweeps.
 
+Each subparser binds its handler as `run`, and `main` calls `args.run(args)`;
+every invocation carries the three artifact paths `out_path`, `dot_path` and
+`stats_path` (None unless `--out`, `--dot` or `--stats` set them).
+
 Exit codes: 0 success; 2 usage or congruence errors, or an output file that
 cannot be written (checked before any work); 3 a verified claim failed
 (theorem violation); 4 a resource cap was exceeded.  All randomness
@@ -15,7 +19,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cm_arith import depth_table, depths, frobenius_pi, rho0_select
@@ -54,23 +57,6 @@ _SCHEDULE_CLASSES = tuple(name for name, spec in CLASSES.items() if spec.disc is
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs of one CLI invocation."""
-
-    p: int
-    k: int
-    f0: Optional[Poly] = None
-    steps: int = 0
-    seed: int = 0
-    n: int = 1
-    modulus: Optional[Poly] = None
-    out_path: Optional[str] = None
-    dot_path: Optional[str] = None
-    stats_path: Optional[str] = None
-    labels: bool = False
-
-
 def _normalize_class(token: str) -> str:
     name = token.strip().upper()
     if name not in CLASSES:
@@ -97,20 +83,21 @@ def _resolve_k(p: int, text: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_find_k(p: int, class_token: str) -> int:
+def cmd_find_k(args: argparse.Namespace) -> int:
     """Print the admissible multipliers of one class and p's congruence
     status; an inadmissible congruence exits with code 2."""
-    p = _check_odd_prime(p)
-    name = _normalize_class(class_token)
+    p = _check_odd_prime(args.p)
+    name = _normalize_class(args.class_token)
     values = find_k(p, name)
     print(f"p = {p}: class {name} admissible ({CLASSES[name].congruence_text()})")
     print(", ".join(str(v) for v in values))
     return 0
 
 
-def cmd_predict(p: int, k: int, n: int) -> int:
+def cmd_predict(args: argparse.Namespace) -> int:
     """Emit the degree-schedule prediction for (p, k, n) as JSON."""
-    report = predict_schedule(p, k, n)
+    p = _check_odd_prime(args.p)
+    report = predict_schedule(p, _resolve_k(p, args.k), args.n)
     name = report.class_name
     pi = frobenius_pi(p, name)
     payload: dict = {
@@ -129,9 +116,11 @@ def cmd_predict(p: int, k: int, n: int) -> int:
     return 0
 
 
-def cmd_transform(p: int, k: int, f0_text: str) -> int:
+def cmd_transform(args: argparse.Namespace) -> int:
     """Apply the degree-doubling transform once and report the outcome."""
-    f = parse_poly(f0_text, p)
+    p = _check_odd_prime(args.p)
+    k = _resolve_k(p, args.k)
+    f = parse_poly(args.f0, p)
     if f.degree < 1 or not f.is_monic:
         raise UsageError("the transform needs a monic polynomial of degree >= 1")
     big = qk_transform(f, k)
@@ -153,15 +142,15 @@ def cmd_transform(p: int, k: int, f0_text: str) -> int:
 
 
 @contextmanager
-def _artifacts(*paths: Optional[str]):
-    """Check that every given artifact path can be written, before any work:
-    each is opened for writing without truncation and closed again, so an
-    unwritable path fails at once (main maps OSError to exit 2) and an
+def _artifacts(args: argparse.Namespace):
+    """Check that every artifact path set in args can be written, before any
+    work: each is opened for writing without truncation and closed again, so
+    an unwritable path fails at once (main maps OSError to exit 2) and an
     existing file keeps its bytes.  If the block raises, the files this
     check created are removed."""
     created = []
     try:
-        for path in filter(None, paths):
+        for path in filter(None, (args.out_path, args.dot_path, args.stats_path)):
             existed = os.path.lexists(path)
             os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
             if not existed:
@@ -182,20 +171,23 @@ def _emit(path: Optional[str], text: str) -> None:
         sys.stdout.write(text)
 
 
-def cmd_generate(config: RunConfig) -> int:
+def cmd_generate(args: argparse.Namespace) -> int:
     """Generate a sequence, verify it against its schedule, and emit the
     record JSON (stdout, or --out FILE).  Schedule violations exit 3 after
     the record is written; a run that fails before that leaves --out as it
     was."""
-    with _artifacts(config.out_path):
-        record = generate_sequence(config.f0, config.k, config.steps, config.seed)
+    p = _check_odd_prime(args.p)
+    k = _resolve_k(p, args.k)
+    f0 = parse_poly(args.f0, p)
+    with _artifacts(args):
+        record = generate_sequence(f0, k, args.steps, args.seed)
         violations: list[str] = []
         if record.class_name in _SCHEDULE_CLASSES:
             violations = verify_against_schedule(record)
         degrees = ",".join(str(d) for d in record.degrees())
-        _emit(config.out_path, record.to_json() + "\n")
-    if config.out_path:
-        print(f"wrote {config.out_path} (degrees {degrees})")
+        _emit(args.out_path, record.to_json() + "\n")
+    if args.out_path:
+        print(f"wrote {args.out_path} (degrees {degrees})")
     if violations:
         raise TheoremViolationError(
             "schedule violations: " + "; ".join(violations) + f"; trace degrees {degrees}"
@@ -215,7 +207,7 @@ _EXAMPLE_RUNS = (
 )
 
 
-def cmd_verify_example() -> int:
+def cmd_verify_example(args: Optional[argparse.Namespace] = None) -> int:
     """Reproduce both reference runs over F_53 and verify them end to end;
     a degree trace that differs from the expected one exits with code 3."""
     f0 = Poly(_EXAMPLE_F0, _EXAMPLE_P)
@@ -241,12 +233,15 @@ def cmd_verify_example() -> int:
     return 0
 
 
-def cmd_explore(config: RunConfig) -> int:
+def cmd_explore(args: argparse.Namespace) -> int:
     """Build the functional graph for (p, n, k) and emit DOT and/or JSON
     component statistics; a run that fails leaves --dot and --stats as they
     were."""
-    with _artifacts(config.dot_path, config.stats_path):
-        graph = build_graph(config.p, config.n, config.k, config.modulus)
+    p = _check_odd_prime(args.p)
+    modulus = parse_poly(args.modulus, p) if args.modulus else None
+    k = _resolve_k(p, args.k)
+    with _artifacts(args):
+        graph = build_graph(p, args.n, k, modulus)
         stats = component_stats(graph)
         payload: dict = {
             "p": graph.p,
@@ -269,11 +264,11 @@ def cmd_explore(config: RunConfig) -> int:
             dp = depths(graph.p, graph.k, graph.n)
             payload["e0"] = dp.e0
             payload["e1"] = dp.e1
-        if config.dot_path:
-            _emit(config.dot_path, export_dot(graph, labels=config.labels))
-        if config.stats_path or not config.dot_path:
-            _emit(config.stats_path, json.dumps(payload, indent=2) + "\n")
-    for path in (config.dot_path, config.stats_path):
+        if args.dot_path:
+            _emit(args.dot_path, export_dot(graph, labels=args.labels))
+        if args.stats_path or not args.dot_path:
+            _emit(args.stats_path, json.dumps(payload, indent=2) + "\n")
+    for path in (args.dot_path, args.stats_path):
         if path:
             print(f"wrote {path}")
     return 0
@@ -286,7 +281,7 @@ def _sweep_classes(max_p: int) -> list[tuple[int, str]]:
             for name in _SCHEDULE_CLASSES if CLASSES[name].admits(p)]
 
 
-def cmd_sweep_lemmas(max_p: int = 300, max_n: int = 6, max_m: int = 3, max_i: int = 3) -> int:
+def cmd_sweep_lemmas(args: argparse.Namespace) -> int:
     """Check the depth-pair laws for every admissible multiplier below max_p.
 
     With (f0, f1, inc) the class's depth-law floors in qk.CLASSES: e0 >= f0,
@@ -297,6 +292,7 @@ def cmd_sweep_lemmas(max_p: int = 300, max_n: int = 6, max_m: int = 3, max_i: in
     a range that checks nothing exit with code 2, and max_i above
     config.MAX_SWEEP_DOUBLINGS with code 4, before any work.
     """
+    max_p, max_n, max_m, max_i = args.max_p, args.max_n, args.max_m, args.max_i
     if min(max_n, max_m, max_i) < 0:
         raise UsageError(
             f"--max-n, --max-m and --max-i must be >= 0, got {max_n}, {max_m}, {max_i}"
@@ -356,7 +352,7 @@ def cmd_sweep_lemmas(max_p: int = 300, max_n: int = 6, max_m: int = 3, max_i: in
 
 
 # ---------------------------------------------------------------------------
-# parser and dispatch
+# parser
 # ---------------------------------------------------------------------------
 
 
@@ -369,23 +365,27 @@ def build_parser() -> argparse.ArgumentParser:
             "sequences, and explore orbit graphs."
         ),
     )
+    parser.set_defaults(out_path=None, dot_path=None, stats_path=None)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sp = sub.add_parser("find-k", help="list admissible multipliers of a class")
     sp.add_argument("--p", type=int, required=True, help="odd prime")
     sp.add_argument("--class", dest="class_token", required=True,
                     help="one of c1, c2, c3, c3-")
+    sp.set_defaults(run=cmd_find_k)
 
     sp = sub.add_parser("predict", help="predict the degree schedule as JSON")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", required=True, help="multiplier (integer or class token)")
     sp.add_argument("--n", type=int, required=True, help="starting degree")
+    sp.set_defaults(run=cmd_predict)
 
     sp = sub.add_parser("transform", help="apply the degree-doubling transform once")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", required=True)
     sp.add_argument("--f0", required=True,
                     help="polynomial: '51,3,0,0,0,1' (ascending) or 'x^5+3*x+51'")
+    sp.set_defaults(run=cmd_transform)
 
     sp = sub.add_parser("generate", help="generate and verify a sequence")
     sp.add_argument("--p", type=int, required=True)
@@ -393,75 +393,40 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--f0", required=True)
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", help="write the record JSON here instead of stdout")
+    sp.add_argument("--out", dest="out_path", metavar="OUT",
+                    help="write the record JSON here instead of stdout")
+    sp.set_defaults(run=cmd_generate)
 
-    sub.add_parser("verify-example", help="reproduce both reference runs over F_53")
+    sp = sub.add_parser("verify-example", help="reproduce both reference runs over F_53")
+    sp.set_defaults(run=cmd_verify_example)
 
     sp = sub.add_parser("explore", help="build and export a functional graph")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--k", required=True)
     sp.add_argument("--modulus", help="field modulus (default: smallest irreducible)")
-    sp.add_argument("--dot", help="write DOT text here")
-    sp.add_argument("--stats", help="write component statistics JSON here")
+    sp.add_argument("--dot", dest="dot_path", metavar="DOT", help="write DOT text here")
+    sp.add_argument("--stats", dest="stats_path", metavar="STATS",
+                    help="write component statistics JSON here")
     sp.add_argument("--labels", action="store_true",
                     help="add label attributes to DOT nodes")
+    sp.set_defaults(run=cmd_explore)
 
     sp = sub.add_parser("sweep-lemmas", help="sweep the depth-pair laws over primes")
     sp.add_argument("--max-p", type=int, default=300)
     sp.add_argument("--max-n", type=int, default=6)
     sp.add_argument("--max-m", type=int, default=3)
     sp.add_argument("--max-i", type=int, default=3)
+    sp.set_defaults(run=cmd_sweep_lemmas)
 
     return parser
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    cmd = args.subcommand
-    if cmd == "find-k":
-        return cmd_find_k(args.p, args.class_token)
-    if cmd == "predict":
-        p = _check_odd_prime(args.p)
-        return cmd_predict(p, _resolve_k(p, args.k), args.n)
-    if cmd == "transform":
-        p = _check_odd_prime(args.p)
-        return cmd_transform(p, _resolve_k(p, args.k), args.f0)
-    if cmd == "generate":
-        p = _check_odd_prime(args.p)
-        config = RunConfig(
-            p=p,
-            k=_resolve_k(p, args.k),
-            f0=parse_poly(args.f0, p),
-            steps=args.steps,
-            seed=args.seed,
-            out_path=args.out,
-        )
-        return cmd_generate(config)
-    if cmd == "verify-example":
-        return cmd_verify_example()
-    if cmd == "explore":
-        p = _check_odd_prime(args.p)
-        modulus = parse_poly(args.modulus, p) if args.modulus else None
-        config = RunConfig(
-            p=p,
-            k=_resolve_k(p, args.k),
-            n=args.n,
-            modulus=modulus,
-            dot_path=args.dot,
-            stats_path=args.stats,
-            labels=args.labels,
-        )
-        return cmd_explore(config)
-    if cmd == "sweep-lemmas":
-        return cmd_sweep_lemmas(args.max_p, args.max_n, args.max_m, args.max_i)
-    raise UsageError(f"unknown subcommand {cmd!r}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.run(args)
     except QkforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

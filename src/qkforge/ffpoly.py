@@ -152,11 +152,6 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
 # Products of degree <= 3, all that F_{p^n} graphs with n <= 3 make, stay on
 # schoolbook.
 _KRONECKER_CUTOFF = 4
-# For p >= 2^31 every slot takes 8 bytes or more, and schoolbook stays ahead
-# longer: square products at p = 2^31 - 1 take 10.3 against 11.6 us by
-# Kronecker at 8 coefficients and tie at 9 (12.8 against 12.7 us); at
-# p = 2^61 - 1, 16.9 against 20.2 us at 8 and 21.7 against 19.7 us at 10.
-_WIDE_KRONECKER_CUTOFF = 8
 
 # Kronecker slot (array typecode, bytes) by the bit length of the column
 # bound: the smallest unsigned array item of 1, 2, 4 or 8 bytes that holds it.
@@ -258,7 +253,7 @@ def _mul_raw(a: list[int], b: list[int], p: int, keep: int | None = None) -> lis
     """a * b, or its `keep` low coefficients, trimmed."""
     if not a or not b:
         return []
-    if min(len(a), len(b)) <= (_WIDE_KRONECKER_CUTOFF if p >> 31 else _KRONECKER_CUTOFF):
+    if min(len(a), len(b)) <= _KRONECKER_CUTOFF:
         out = _school_mul(a, b, p)
         return out if keep is None or keep >= len(out) else _trim(out[:keep])
     return _kron_mul(a, b, p, keep)

@@ -76,6 +76,13 @@ class Step:
         return self.poly.degree
 
 
+def _json_int(value) -> int:
+    """A JSON integer; anything else (a bool, float or string) is a TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SequenceRecord:
     """A generated sequence f_0, f_1, ..., with provenance per step."""
@@ -130,10 +137,10 @@ class SequenceRecord:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SequenceRecord":
         try:
-            p = int(data["p"])
-            k = int(data["k"])
+            p = _json_int(data["p"])
+            k = _json_int(data["k"])
             class_name = str(data["class"])
-            seed = int(data["seed"])
+            seed = _json_int(data["seed"])
             raw_steps = data["steps"]
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInputError(f"record is missing or mistypes a field: {exc}")
@@ -142,9 +149,11 @@ class SequenceRecord:
         steps = []
         for entry in raw_steps:
             try:
-                i = int(entry["i"])
-                coeffs = tuple(int(c) for c in entry["coeffs"])
-                degree = int(entry["degree"])
+                i = _json_int(entry["i"])
+                if not isinstance(entry["coeffs"], list):
+                    raise TypeError(f"'coeffs' must be a list, got {entry['coeffs']!r}")
+                coeffs = tuple(map(_json_int, entry["coeffs"]))
+                degree = _json_int(entry["degree"])
                 kind = str(entry["kind"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise MalformedInputError(f"bad step entry: {exc}")

@@ -8,6 +8,7 @@ import json
 import re
 import sys
 import time
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qkforge
 import qkforge.cli as cli
 from qkforge.cli import main
 from qkforge.cm_arith import depth_table
@@ -767,6 +769,67 @@ def test_missing_required_argument_is_a_usage_error():
     assert info.value.code == 2
 
 
+_MINIMAL_ARGV = {
+    "find-k": ["--p", "53", "--class", "c2"],
+    "predict": ["--p", "53", "--k", "7", "--n", "5"],
+    "transform": ["--p", "53", "--k", "15", "--f0", F0_TEXT],
+    "generate": ["--p", "53", "--k", "15", "--f0", F0_TEXT, "--steps", "1"],
+    "verify-example": [],
+    "explore": ["--p", "11", "--k", "2"],
+    "sweep-lemmas": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MINIMAL_ARGV))
+def test_each_subparser_binds_its_handler(name):
+    args = cli.build_parser().parse_args([name, *_MINIMAL_ARGV[name]])
+    assert args.run is getattr(cli, "cmd_" + name.replace("-", "_"))
+    assert (args.out_path, args.dot_path, args.stats_path) == (None, None, None)
+
+
+def test_artifact_options_set_their_paths_and_keep_their_help(capsys):
+    parser = cli.build_parser()
+    args = parser.parse_args(["generate", *_MINIMAL_ARGV["generate"], "--out", "r.json"])
+    assert (args.out_path, args.dot_path, args.stats_path) == ("r.json", None, None)
+    args = parser.parse_args(["explore", *_MINIMAL_ARGV["explore"],
+                              "--dot", "g.dot", "--stats", "s.json"])
+    assert (args.out_path, args.dot_path, args.stats_path) == (None, "g.dot", "s.json")
+    for name, shown in (("generate", ["--out OUT"]), ("explore", ["--dot DOT", "--stats STATS"])):
+        with pytest.raises(SystemExit) as info:
+            main([name, "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert all(option in out for option in shown), out
+
+
+def _benchmark_tracing() -> types.ModuleType:
+    """qkbench/tracing.py, compiled from its source so that nothing is written
+    next to it."""
+    path = Path(__file__).resolve().parents[1] / "qkbench" / "tracing.py"
+    module = types.ModuleType("qkbench_tracing")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_benchmark_hooks_install_and_count_artifact_bytes(tmp_path, capsys):
+    tracing = _benchmark_tracing()
+    tracing.Marks(qkforge).uninstall()  # KeyError if a marked method left its class
+    tracer = tracing.Tracer(qkforge)
+    record, stats = tmp_path / "record.json", tmp_path / "stats.json"
+    tracer.install()
+    try:
+        assert qkforge.cli.main(["generate", *_MINIMAL_ARGV["generate"],
+                                 "--out", str(record)]) == 0
+        assert qkforge.cli.main(["explore", *_MINIMAL_ARGV["explore"],
+                                 "--stats", str(stats)]) == 0
+    finally:
+        tracer.uninstall()
+    assert qkforge.cli.main is main
+    metrics = tracer.layer_metrics()
+    size = record.stat().st_size + stats.stat().st_size
+    assert metrics["cli.artifact_bytes"] == (size, "bytes")
+
+
 # ---------------------------------------------------------------------------
 # fuzzed argument vectors
 # ---------------------------------------------------------------------------
@@ -805,8 +868,18 @@ def _field_degrees(p: int):
 
 @st.composite
 def _argv(draw, tmp):
-    cmd = draw(st.sampled_from(
-        ("find-k", "predict", "transform", "generate", "explore", "sweep-lemmas")))
+    argv = draw(_subcommand_argv(tmp))
+    if draw(st.integers(0, 15)) == 0:
+        argv.append(draw(st.sampled_from(("-h", "--help"))))
+    return argv
+
+
+@st.composite
+def _subcommand_argv(draw, tmp):
+    cmd = draw(st.sampled_from(("find-k", "predict", "transform", "generate", "explore",
+                                "sweep-lemmas", "verify-example", "--help")))
+    if cmd in ("verify-example", "--help"):
+        return [cmd]
     if cmd == "sweep-lemmas":
         return [cmd, f"--max-p={draw(st.integers(-5, 199))}",
                 f"--max-n={draw(st.integers(-1, 6))}", f"--max-m={draw(st.integers(-1, 3))}",
@@ -838,7 +911,8 @@ def _argv(draw, tmp):
 @settings(derandomize=True, database=None, max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(data=st.data())
-def test_fuzzed_argv_ends_in_a_documented_exit_code(data, tmp_path):
+def test_fuzzed_argv_ends_in_a_documented_exit_code(data, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_EXAMPLE_RUNS", SHORT_RUNS)
     argv = data.draw(_argv(tmp_path), label="argv")
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

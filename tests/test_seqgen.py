@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import qkforge.seqgen as seqgen
+from qkforge.cli import main
 from qkforge.cm_arith import DepthPair
 from qkforge.errors import (
     MalformedInputError,
@@ -442,6 +443,33 @@ def test_record_parsing_rejects_malformed_input():
     degree_lies["steps"][1]["degree"] = 3
     with pytest.raises(MalformedInputError):
         SequenceRecord.from_json_dict(degree_lies)
+
+
+def test_record_parsing_accepts_only_json_integers(tmp_path):
+    # a record that `generate --out` wrote reads back unchanged
+    out = tmp_path / "record.json"
+    assert main(["generate", "--p", "53", "--k", "15", "--f0", "51,3,0,0,0,1",
+                 "--steps", "2", "--out", str(out)]) == 0
+    good = json.loads(out.read_text())
+    assert SequenceRecord.from_json_dict(good) == generate_sequence(F0, 15, 2)
+
+    top = [("p", True), ("p", "53"), ("p", 53.9), ("k", "15"), ("k", 15.0),
+           ("seed", True), ("seed", "0"), ("seed", 0.5)]
+    for field, value in top:
+        data = dict(good, **{field: value})
+        with pytest.raises(MalformedInputError, match="mistypes a field"):
+            SequenceRecord.from_json_dict(data)
+    f0 = good["steps"][0]["coeffs"]
+    # "51" used to read as 5 + x, which matches degree 1
+    entries = [{"i": False}, {"i": "0"}, {"i": 0.0}, {"degree": "5"}, {"degree": 5.9},
+               {"coeffs": "51", "degree": 1}, {"coeffs": [51.9] + f0[1:]},
+               {"coeffs": [True] + f0[1:]}, {"coeffs": ["51"] + f0[1:]},
+               {"coeffs": {"0": 51}}, {"coeffs": tuple(f0)}]
+    for change in entries:
+        data = json.loads(json.dumps(good))
+        data["steps"][0].update(change)
+        with pytest.raises(MalformedInputError, match="bad step entry"):
+            SequenceRecord.from_json_dict(data)
 
 
 def test_record_parsing_checks_irreducibility_unless_disabled():
