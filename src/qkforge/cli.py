@@ -1,8 +1,12 @@
 """Command-line front end: multiplier discovery, schedule prediction,
 transforms, sequence generation, graph exploration, and depth-lemma sweeps.
 
-Each subparser binds its handler as `run`, and `main` calls `args.run(args)`;
-every invocation carries the three artifact paths `out_path`, `dot_path` and
+Each subcommand's arguments and handler are declared once (`_subcommands`).
+`main` builds only the named subcommand's parser, and falls back to the full
+parser (`build_parser`), with its usage, help and error texts, when arguments
+are left over or the subcommand is missing or unknown.  Either parser binds
+the handler as `run`, and `main` calls `args.run(args)`; every invocation
+carries the three artifact paths `out_path`, `dot_path` and
 `stats_path` (None unless `--out`, `--dot` or `--stats` set them).
 
 Exit codes: 0 success; 2 usage or congruence errors, or an output file that
@@ -356,6 +360,63 @@ def cmd_sweep_lemmas(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _subcommands() -> dict:
+    """name -> (help, handler, arguments) of every subcommand, each argument
+    a flag and its add_argument keywords.  Built on each call, so that a
+    handler rebound on this module (as a tracer does) is the one bound."""
+    p_arg = ("--p", dict(type=int, required=True))
+    return {
+        "find-k": ("list admissible multipliers of a class", cmd_find_k, [
+            ("--p", dict(type=int, required=True, help="odd prime")),
+            ("--class", dict(dest="class_token", required=True, help="one of c1, c2, c3, c3-")),
+        ]),
+        "predict": ("predict the degree schedule as JSON", cmd_predict, [
+            p_arg,
+            ("--k", dict(required=True, help="multiplier (integer or class token)")),
+            ("--n", dict(type=int, required=True, help="starting degree")),
+        ]),
+        "transform": ("apply the degree-doubling transform once", cmd_transform, [
+            p_arg,
+            ("--k", dict(required=True)),
+            ("--f0", dict(required=True,
+                          help="polynomial: '51,3,0,0,0,1' (ascending) or 'x^5+3*x+51'")),
+        ]),
+        "generate": ("generate and verify a sequence", cmd_generate, [
+            p_arg,
+            ("--k", dict(required=True)),
+            ("--f0", dict(required=True)),
+            ("--steps", dict(type=int, required=True)),
+            ("--seed", dict(type=int, default=0)),
+            ("--out", dict(dest="out_path", metavar="OUT",
+                           help="write the record JSON here instead of stdout")),
+        ]),
+        "verify-example": ("reproduce both reference runs over F_53", cmd_verify_example, []),
+        "explore": ("build and export a functional graph", cmd_explore, [
+            p_arg,
+            ("--n", dict(type=int, default=1)),
+            ("--k", dict(required=True)),
+            ("--modulus", dict(help="field modulus (default: smallest irreducible)")),
+            ("--dot", dict(dest="dot_path", metavar="DOT", help="write DOT text here")),
+            ("--stats", dict(dest="stats_path", metavar="STATS",
+                             help="write component statistics JSON here")),
+            ("--labels", dict(action="store_true", help="add label attributes to DOT nodes")),
+        ]),
+        "sweep-lemmas": ("sweep the depth-pair laws over primes", cmd_sweep_lemmas, [
+            (flag, dict(type=int, default=default)) for flag, default in
+            (("--max-p", 300), ("--max-n", 6), ("--max-m", 3), ("--max-i", 3))
+        ]),
+    }
+
+
+def _fill(parser: argparse.ArgumentParser, handler, arguments) -> argparse.ArgumentParser:
+    """Add one subcommand's arguments to parser and bind its handler as
+    `run`, with every artifact path None unless an option sets it."""
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(run=handler, out_path=None, dot_path=None, stats_path=None)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qkforge",
@@ -365,66 +426,26 @@ def build_parser() -> argparse.ArgumentParser:
             "sequences, and explore orbit graphs."
         ),
     )
-    parser.set_defaults(out_path=None, dot_path=None, stats_path=None)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    sp = sub.add_parser("find-k", help="list admissible multipliers of a class")
-    sp.add_argument("--p", type=int, required=True, help="odd prime")
-    sp.add_argument("--class", dest="class_token", required=True,
-                    help="one of c1, c2, c3, c3-")
-    sp.set_defaults(run=cmd_find_k)
-
-    sp = sub.add_parser("predict", help="predict the degree schedule as JSON")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", required=True, help="multiplier (integer or class token)")
-    sp.add_argument("--n", type=int, required=True, help="starting degree")
-    sp.set_defaults(run=cmd_predict)
-
-    sp = sub.add_parser("transform", help="apply the degree-doubling transform once")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", required=True)
-    sp.add_argument("--f0", required=True,
-                    help="polynomial: '51,3,0,0,0,1' (ascending) or 'x^5+3*x+51'")
-    sp.set_defaults(run=cmd_transform)
-
-    sp = sub.add_parser("generate", help="generate and verify a sequence")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", required=True)
-    sp.add_argument("--f0", required=True)
-    sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", dest="out_path", metavar="OUT",
-                    help="write the record JSON here instead of stdout")
-    sp.set_defaults(run=cmd_generate)
-
-    sp = sub.add_parser("verify-example", help="reproduce both reference runs over F_53")
-    sp.set_defaults(run=cmd_verify_example)
-
-    sp = sub.add_parser("explore", help="build and export a functional graph")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--k", required=True)
-    sp.add_argument("--modulus", help="field modulus (default: smallest irreducible)")
-    sp.add_argument("--dot", dest="dot_path", metavar="DOT", help="write DOT text here")
-    sp.add_argument("--stats", dest="stats_path", metavar="STATS",
-                    help="write component statistics JSON here")
-    sp.add_argument("--labels", action="store_true",
-                    help="add label attributes to DOT nodes")
-    sp.set_defaults(run=cmd_explore)
-
-    sp = sub.add_parser("sweep-lemmas", help="sweep the depth-pair laws over primes")
-    sp.add_argument("--max-p", type=int, default=300)
-    sp.add_argument("--max-n", type=int, default=6)
-    sp.add_argument("--max-m", type=int, default=3)
-    sp.add_argument("--max-i", type=int, default=3)
-    sp.set_defaults(run=cmd_sweep_lemmas)
-
+    for name, (help_text, handler, arguments) in _subcommands().items():
+        _fill(sub.add_parser(name, help=help_text), handler, arguments)
     return parser
 
 
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """argv parsed by the named subcommand's parser alone, else by the full one."""
+    table = _subcommands()
+    if argv and argv[0] in table:
+        _, handler, arguments = table[argv[0]]
+        lone = _fill(argparse.ArgumentParser(prog=f"qkforge {argv[0]}"), handler, arguments)
+        args, extra = lone.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.run(args)
     except QkforgeError as exc:

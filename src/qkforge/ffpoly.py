@@ -532,12 +532,17 @@ def _rabin(ctx: ModulusContext, rows: _PackedRows) -> list[int] | None:
         return _trim([(a - c[-1] * b) % p for a, b in zip([0] + c, m)])
 
     checkpoints = {n // r for r in _prime_factors(n)}
-    one, y = [1], ctx.reduce([0, 1])
-    s_one = [0] * n
+    one, y = [1] + [0] * (n - 1), ctx.reduce([0, 1])
+    # the first row is L(1) = c, and c = 1 packs as 1: then the orbit of 1
+    # stays at 1, and its first n terms sum to n
+    fixed = rows.rows[0] == 1
+    s_one = [n] if fixed else [0] * n
     witness = None
     for j in range(1, n + 1):
-        s_one[: len(one)] = map(add, s_one, one)
-        one, y = rows.apply(one), rows.apply(y)
+        if not fixed:
+            s_one = list(map(add, s_one, one))
+            one = rows.apply(one)
+        y = rows.apply(y)
         if j in checkpoints:
             diff = _sub_raw(y, times_y(one), p)
             witness = diff if witness is None else ctx.mulmod(witness, diff)

@@ -139,11 +139,15 @@ class SequenceRecord:
         try:
             p = _json_int(data["p"])
             k = _json_int(data["k"])
-            class_name = str(data["class"])
+            class_name = data["class"]
             seed = _json_int(data["seed"])
             raw_steps = data["steps"]
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInputError(f"record is missing or mistypes a field: {exc}")
+        if class_name != classify_k(p, k).name:
+            raise MalformedInputError(
+                f"record class {class_name!r} is not the class of k={k} mod p={p}"
+            )
         if not isinstance(raw_steps, list) or not raw_steps:
             raise MalformedInputError("record field 'steps' must be a non-empty list")
         steps = []

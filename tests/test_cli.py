@@ -5,7 +5,9 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 import types
@@ -802,6 +804,95 @@ def test_artifact_options_set_their_paths_and_keep_their_help(capsys):
         assert all(option in out for option in shown), out
 
 
+def _outcome(argv, cwd: Path, monkeypatch) -> tuple:
+    """What main(argv) does, run in cwd: how it ends (a return or a
+    SystemExit), the exit code, stdout, stderr, and the bytes of every file
+    it leaves in cwd."""
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            ended = ("return", main(argv))
+        except SystemExit as exc:
+            ended = ("exit", exc.code)
+    files = {path.name: path.read_bytes() for path in sorted(cwd.iterdir())}
+    return (*ended, out.getvalue(), err.getvalue(), files)
+
+
+def _parity_argv() -> list:
+    argv = [[], ["-h"], ["--help"], ["frobnicate"], ["pred", "--p", "53"], ["--bogus"],
+            ["-h", "predict"], ["--", "predict"]]
+    for name, minimal in _MINIMAL_ARGV.items():
+        argv += [[name, "-h"], [name, "--help"], [name], [name, *minimal],
+                 [name, *minimal, "extra"], [name, *minimal, "--bogus"],
+                 [name, *minimal, "--x"], [name, *minimal, "--"], [name, "--bogus", "-h"]]
+    predict = ["predict", "--p", "53", "--k", "7"]
+    generate = ["generate", *_MINIMAL_ARGV["generate"]]
+    explore = ["explore", *_MINIMAL_ARGV["explore"]]
+    return argv + [
+        predict, [*predict, "--n", "x"], [*predict, "--n"], [*predict, "--n=5"],
+        ["predict", "--p", "53", "--p", "11", "--k", "c2", "--n", "5"],
+        ["predict", "--", "--p", "53", "--k", "7", "--n", "5"],
+        ["find-k", "--p", "53", "--cl", "c3"], ["find-k", "--p", "15", "--class", "c2"],
+        ["transform", "--p", "53", "--k", "0", "--f0", F0_TEXT],
+        [*generate, "--out", "r.json"], [*generate, "--ou", "r.json"], [*generate, "--out"],
+        [*generate, "--out", "no-such-dir/r.json"], [*generate, "--seed", "2", "--steps", "2"],
+        [*explore, "--dot", "g.dot", "--stats", "s.json", "--labels"], [*explore, "--dot"],
+        [*explore, "--st", "s.json", "--n", "2"], [*explore, "--modulus", "x^2+1"],
+        ["sweep-lemmas", "--max-p", "60", "--max-n", "3"], ["sweep-lemmas", "--max", "60"],
+        ["sweep-lemmas", "--max-i", "65"], ["sweep-lemmas", "--max-n", "-1"],
+    ]
+
+
+@pytest.mark.parametrize("argv", _parity_argv(), ids=lambda argv: " ".join(argv) or "none")
+def test_the_lone_subcommand_parser_matches_the_full_parser(argv, tmp_path, monkeypatch):
+    # main parses with the named subcommand's parser alone; the full parser
+    # is the reference, and a vector that it accepts never builds it
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "_EXAMPLE_RUNS", SHORT_RUNS)
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(argv) or build())
+    fast = _outcome(argv, tmp_path / "fast", monkeypatch)
+    monkeypatch.setattr(cli, "_parse", lambda argv: build().parse_args(argv))
+    full = _outcome(argv, tmp_path / "full", monkeypatch)
+    assert fast == full
+    if full[0] == "return":
+        assert not built
+
+
+def test_the_module_entry_point_reads_sys_argv(monkeypatch, capsys):
+    # `python -m qkforge.cli` calls main() with no argv
+    src = str(Path(qkforge.__file__).resolve().parents[1])
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["predict", "--p", "53", "--k", "7", "--n", "5"], ["--help"]):
+        done = subprocess.run([sys.executable, "-m", "qkforge.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        seen = capsys.readouterr()
+        assert (done.returncode, done.stdout, done.stderr) == (code, seen.out, seen.err)
+        assert code == 0 and done.stdout
+
+
+def test_a_rebound_handler_runs_on_both_parse_routes(monkeypatch, capsys):
+    # a parser binds the handler the module holds when the parser is built,
+    # as the benchmark's tracer needs
+    calls = []
+    handler = cli.cmd_predict
+    monkeypatch.setattr(cli, "cmd_predict", lambda args: calls.append(args) or handler(args))
+    argv = ["predict", *_MINIMAL_ARGV["predict"]]
+    assert main(argv) == 0
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+    assert main(argv) == 0
+    assert len(calls) == 2
+    assert capsys.readouterr().out.count('"e0"') == 2
+
+
 def _benchmark_tracing() -> types.ModuleType:
     """qkbench/tracing.py, compiled from its source so that nothing is written
     next to it."""
@@ -914,6 +1005,14 @@ def _subcommand_argv(draw, tmp):
 def test_fuzzed_argv_ends_in_a_documented_exit_code(data, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_EXAMPLE_RUNS", SHORT_RUNS)
     argv = data.draw(_argv(tmp_path), label="argv")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            full = vars(cli.build_parser().parse_args(argv))
+        except SystemExit:  # help, or argparse rejects the vector
+            full = None
+    if full is not None:  # the lone subcommand parser reads the same namespace
+        del full["subcommand"]
+        assert vars(cli._parse(argv)) == full
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:

@@ -623,6 +623,22 @@ def test_rabin_with_a_twist_agrees_with_is_irreducible() -> None:
     assert verdicts == {True, False}
 
 
+def test_rabin_leaves_the_constant_orbit_of_one_alone(monkeypatch) -> None:
+    # with c = 1, L(1) = 1: an irreducible member of degree n of the k = 15
+    # chain costs n applications of the table (the orbit of y), not 2n
+    applied = []
+    apply = _PackedRows.apply
+    monkeypatch.setattr(_PackedRows, "apply", lambda self, cs: applied.append(1) or apply(self, cs))
+    chain = generate_sequence(Poly((51, 3, 0, 0, 0, 1), 53), 15, 8)
+    for step in chain.steps:
+        applied.clear()
+        assert is_irreducible(step.poly)
+        assert len(applied) == step.poly.degree
+    applied.clear()
+    product = chain.steps[-1].poly * chain.steps[0].poly
+    assert not is_irreducible(product) and len(applied) <= product.degree
+
+
 def test_is_irreducible_known_cases() -> None:
     assert is_irreducible(Poly((1, 0, 1), 3))  # x^2+1 over F_3
     assert not is_irreducible(Poly((1, 0, 1), 5))  # (x+2)(x+3) over F_5

@@ -472,6 +472,19 @@ def test_record_parsing_accepts_only_json_integers(tmp_path):
             SequenceRecord.from_json_dict(data)
 
 
+def test_record_parsing_checks_the_class_against_k(tmp_path):
+    # a k = 15 record over F_53 is of class C2, and says so
+    out = tmp_path / "record.json"
+    assert main(["generate", "--p", "53", "--k", "15", "--f0", "51,3,0,0,0,1",
+                 "--steps", "2", "--out", str(out)]) == 0
+    good = json.loads(out.read_text())
+    assert good["class"] == "C2"
+    assert SequenceRecord.from_json_dict(good).class_name == "C2"
+    for wrong in (7, None, "C3", "c2"):
+        with pytest.raises(MalformedInputError, match="is not the class of k=15"):
+            SequenceRecord.from_json_dict(dict(good, **{"class": wrong}))
+
+
 def test_record_parsing_checks_irreducibility_unless_disabled():
     rec = generate_sequence(F0, 15, 1)
     data = json.loads(rec.to_json())
