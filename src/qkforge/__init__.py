@@ -19,7 +19,6 @@ from .cm_arith import (
     DepthPair,
     QuadInt,
     count_points,
-    depth_table,
     depths,
     frobenius_pi,
     rho0_select,
@@ -81,7 +80,6 @@ __all__ = [
     "classify_k",
     "component_stats",
     "count_points",
-    "depth_table",
     "depths",
     "equal_degree_factorize",
     "export_dot",

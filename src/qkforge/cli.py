@@ -25,7 +25,7 @@ import sys
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
-from .cm_arith import depth_table, depths, frobenius_pi, rho0_select
+from .cm_arith import _embedding, _ladder, depths, frobenius_pi, rho0_select
 from .config import MAX_SWEEP_DOUBLINGS
 from .dynamics import build_graph, component_stats, export_dot
 from .errors import (
@@ -291,8 +291,10 @@ def cmd_sweep_lemmas(args: argparse.Namespace) -> int:
     With (f0, f1, inc) the class's depth-law floors in qk.CLASSES: e0 >= f0,
     e0 = f0 forces e1 >= f1, e0 > f0 forces e1 = f1 - 1, doubling the
     extension degree sends (e0, e1) to (e0 + e1, f1 - 1), and afterwards each
-    doubling adds exactly inc to e0.  Each multiplier's pairs come from one
-    `depth_table`.  Any failed identity exits with code 3; negative bounds or
+    doubling adds exactly inc to e0.  A multiplier's pairs depend on it only
+    through its key from `cm_arith._embedding`: the Frobenius element pi,
+    which fixes (p, disc), and a parity.  So the sweep climbs one ladder per
+    key, and the multipliers sharing it read the same pairs.  Any failed identity exits with code 3; negative bounds or
     a range that checks nothing exit with code 2, and max_i above
     config.MAX_SWEEP_DOUBLINGS with code 4, before any work.
     """
@@ -314,14 +316,22 @@ def cmd_sweep_lemmas(args: argparse.Namespace) -> int:
     degrees = set(range(1, max_n + 1))
     for m in range(1, max_m + 1):
         degrees.update(m << i for i in range(max_i + 2))
+    ns = sorted(degrees)
+    # The sweep takes p in order, so the ladder of a key (p, disc, parity) is
+    # kept, under (disc, parity), only until the next p.
+    ladders: dict[tuple[int, int], tuple[int, dict[int, tuple[int, int]]]] = {}
     violations: list[str] = []
     checked = 0
     for p, name in sweep:
         low_e0, low_e1, inc = CLASSES[name].floors
         for k in find_k(p, name):
-            table = depth_table(p, k, degrees)
+            _, pi, parity = _embedding(p, k)
+            at, table = ladders.get((pi.disc, parity), (None, None))
+            if at != p:
+                table = _ladder(p, pi, parity, ns)
+                ladders[pi.disc, parity] = p, table
             for n in range(1, max_n + 1):
-                e0, e1 = table[n].e0, table[n].e1
+                e0, e1 = table[n]
                 checked += 1 if e0 < low_e0 else 2  # the floor, then one e1 law
                 if e0 < low_e0:
                     failed = f"e0={e0} < {low_e0}"
@@ -334,18 +344,18 @@ def cmd_sweep_lemmas(args: argparse.Namespace) -> int:
                 violations.append(f"p={p} k={k} n={n} ({name}): {failed}")
             for m in range(1, max_m + 1):
                 checked += 1 + max_i
-                base, doubled = table[m], table[2 * m]
-                if not (doubled.e0 == base.e0 + base.e1 and doubled.e1 == low_e1 - 1):
+                (e0, e1), doubled = table[m], table[2 * m]
+                if doubled != (e0 + e1, low_e1 - 1):
                     violations.append(
-                        f"p={p} k={k} m={m} ({name}): ({base.e0},{base.e1}) doubled to "
-                        f"({doubled.e0},{doubled.e1})"
+                        f"p={p} k={k} m={m} ({name}): ({e0},{e1}) doubled to "
+                        f"({doubled[0]},{doubled[1]})"
                     )
                 for i in range(1, max_i + 1):
-                    lower, upper = table[m << i], table[m << (i + 1)]
-                    if not (upper.e0 == lower.e0 + inc and upper.e1 == lower.e1 == low_e1 - 1):
+                    (e0, e1), upper = table[m << i], table[m << (i + 1)]
+                    if not (upper == (e0 + inc, low_e1 - 1) and e1 == low_e1 - 1):
                         violations.append(
-                            f"p={p} k={k} m={m} ({name}) i={i}: ({lower.e0},{lower.e1}) -> "
-                            f"({upper.e0},{upper.e1}), expected +{inc}"
+                            f"p={p} k={k} m={m} ({name}) i={i}: ({e0},{e1}) -> "
+                            f"({upper[0]},{upper[1]}), expected +{inc}"
                         )
     print(f"checked {checked} identities below p < {max_p}: "
           f"{len(violations)} violations")

@@ -24,15 +24,17 @@ extension degree n:
   2k + 1 mod p;
 * C3-: the same with k replaced by -k (a C3 multiplier).
 
-`depth_table` never forms pi^n, whose coordinates grow like p^(n/2): for
-a set of degrees it fixes one precision B = 2*(p.bit_length() +
-max_n.bit_length()) + 8 from the largest degree and climbs one ladder of
-powers z_n = pi^n mod 2^B on integer pairs, z_n = z_(n-1)*pi or z_(n/2)^2
-where the set holds that degree.  It reads the C2 depths off N(z_n -+ 1)
-mod 2^B and the C3 depths off x -+ 1 mod 2^B, where x is z_n with alpha
-sent to the 2-adic root of x^2 - x + 2 that lies in rho0 (the completion at
-rho0 is Z_2).  Every depth is below the bound of its own degree, hence below
-B (see `depth_table`).  `depths` is the table of one degree.
+A multiplier enters its pairs only through its key (`_embedding`), so a
+sweep climbs one ladder per key at p.  The ladder (`_ladder`) never forms
+pi^n, whose coordinates grow like p^(n/2): for a set of degrees it fixes
+one precision B = 2*(p.bit_length() + max_n.bit_length()) + 8 from the
+largest degree and climbs one ladder of powers z_n = pi^n mod 2^B on
+integer pairs, z_n = z_(n-1)*pi or z_(n/2)^2 where the set holds that
+degree.  It reads the C2 depths off N(z_n -+ 1) mod 2^B and the C3 depths
+off x -+ 1 mod 2^B, where x is z_n with alpha sent to the 2-adic root of
+x^2 - x + 2 that lies in rho0 (the completion at rho0 is Z_2).  Every depth
+is below the bound of its own degree, hence below B (see `_ladder`).
+`depths` is the ladder of one degree.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable
 
 from .errors import InternalConsistencyError, UnsupportedPrimeError, UsageError
 from .ffpoly import _check_odd_prime, inv_mod, legendre, sqrt_mod_p
@@ -285,25 +286,17 @@ class DepthPair:
         return self.e0 + self.e1
 
 
-def depth_table(p: int, k: int, degrees: Iterable[int]) -> dict[int, DepthPair]:
-    """Depth pairs for multiplier k at every extension degree in `degrees`,
-    keyed by degree.
-
-    What depends on (p, k) alone is resolved once per call: the class of k,
-    pi, and for C3 / C3- the root of x^2 - x + 2 in rho0 to one precision B
-    fixed by the largest degree.  The powers pi^n mod 2^B climb one ladder in
-    increasing n: z_n = z_(n-1)*pi when the set holds n - 1, z_n = z_(n/2)^2
-    when it holds n/2, and binary powering otherwise, so consecutive degrees
-    and doubling chains cost one product each.  Every pair is read off its
-    own z_n; none is derived from another.
+def _embedding(p: int, k: int) -> tuple[str, QuadInt, int]:
+    """The class name of k and the key (pi, parity) through which its depth
+    pairs depend on k: pi is the Frobenius element of the order of k's class
+    at p, so it fixes (p, disc), and parity is 0 for C2, and for C3 / C3-
+    the first coordinate of rho0, which picks the root of x^2 - x + 2 in Z_2
+    (alpha holds the even root, 1 - alpha the odd one).  So C3 k and C3- -k
+    share a key, and multipliers with one key have equal depth pairs.
 
     Raises UnsupportedPrimeError when the required CM structure does not
-    exist at p, and UsageError for k outside the C2/C3/C3- classes or for a
-    set of degrees that is empty or holds one below 1.
+    exist at p, and UsageError for k outside the C2/C3/C3- classes.
     """
-    ns = sorted(set(degrees))
-    if not ns or ns[0] < 1:
-        raise UsageError("extension degree must be positive")
     kc = classify_k(p, k)
     spec = kc.spec
     if spec is None or spec.disc is None:
@@ -311,8 +304,22 @@ def depth_table(p: int, k: int, degrees: Iterable[int]) -> dict[int, DepthPair]:
             f"depth pairs are defined for C2, C3, and C3- multipliers; "
             f"k={k} mod {p} is {kc.name}"
         )
-    disc = spec.disc
-    pi = _frobenius_pi_disc(p, disc)
+    pi = _frobenius_pi_disc(p, spec.disc)
+    return kc.name, pi, 0 if spec.disc == -4 else _rho0(p, kc.k, spec.b, pi).a
+
+
+def _ladder(p: int, pi: QuadInt, parity: int, ns: list[int]) -> dict[int, tuple[int, int]]:
+    """(e0, e1) at every degree of ns, an ascending list of positive degrees,
+    for the key (pi, parity) of `_embedding` at p, keyed by degree.
+
+    pi and, for disc -7, the 2-adic root are taken once, to one precision B
+    set by the largest degree.  The powers pi^n mod 2^B climb one ladder in
+    increasing n: z_n = z_(n-1)*pi when ns holds n - 1, z_n = z_(n/2)^2 when
+    it holds n/2, and binary powering otherwise, so consecutive degrees and
+    doubling chains cost one product each.  Every pair is read off its own
+    z_n; none is derived from another.
+    """
+    disc = pi.disc
     # The valuations at degree n depend only on pi^n mod 2^B.  Lifting the
     # exponent bounds each of them by nu(pi - u) + 2*nu_2(n) + 6 for some
     # unit u of the order, and nu(pi - u) <= log2 N(pi - u) < log2(4p), so
@@ -321,34 +328,36 @@ def depth_table(p: int, k: int, degrees: Iterable[int]) -> dict[int, DepthPair]:
     bits = 2 * (p.bit_length() + ns[-1].bit_length()) + 8
     mod = 1 << bits
     if disc == -7:
-        # rho0 = alpha holds the even root, rho0 = 1 - alpha the odd one
-        root = _alpha_root_2adic(_rho0(p, kc.k, spec.b, pi).a, bits)
+        root = _alpha_root_2adic(parity, bits)
     u, v = pi.a % mod, pi.b % mod
-    ladder: dict[int, tuple[int, int]] = {}
-    table = {}
+    powers: dict[int, tuple[int, int]] = {}
+    pairs = {}
     for n in ns:
-        if n - 1 in ladder:
-            a, b = _product(disc, *ladder[n - 1], u, v)
-        elif n % 2 == 0 and n // 2 in ladder:
-            a, b = _product(disc, *ladder[n // 2], *ladder[n // 2])
+        if n - 1 in powers:
+            a, b = _product(disc, *powers[n - 1], u, v)
+        elif n % 2 == 0 and n // 2 in powers:
+            a, b = _product(disc, *powers[n // 2], *powers[n // 2])
         else:
             a, b = _power(disc, u, v, n, mod)
-        ladder[n] = a, b = a % mod, b % mod
+        powers[n] = a, b = a % mod, b % mod
         if disc == -4:
             below, above = (a - 1) ** 2 + b * b, (a + 1) ** 2 + b * b
         else:
             x = a + b * root
             below, above = x - 1, x + 1
-        table[n] = DepthPair(_nu2(below % mod), _nu2(above % mod), p, n, kc.name)
-    return table
+        pairs[n] = _nu2(below % mod), _nu2(above % mod)
+    return pairs
 
 
 def depths(p: int, k: int, n: int) -> DepthPair:
-    """Depth pair for multiplier k at extension degree n: the `depth_table`
-    of the one degree n, so B is fixed by n and pi^n comes from binary
-    powering.
+    """Depth pair for multiplier k at extension degree n: the ladder of the
+    one degree n, so B is fixed by n and pi^n comes from binary powering.
 
     Raises UnsupportedPrimeError when the required CM structure does not
-    exist at p, and UsageError for k outside the C2/C3/C3- classes.
+    exist at p, and UsageError for k outside the C2/C3/C3- classes or for
+    n below 1.
     """
-    return depth_table(p, k, (n,))[n]
+    if n < 1:
+        raise UsageError("extension degree must be positive")
+    name, pi, parity = _embedding(p, k)
+    return DepthPair(*_ladder(p, pi, parity, [n])[n], p, n, name)

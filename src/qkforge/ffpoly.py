@@ -661,14 +661,25 @@ def equal_degree_factorize(f: Poly, d: int, seed: int = 0) -> list[Poly]:
 
 
 def smallest_irreducible(p: int, n: int) -> Poly:
-    """Lexicographically smallest monic irreducible of degree n over F_p."""
+    """Lexicographically smallest monic irreducible of degree n over F_p.
+
+    A candidate f with a root in F_p, that is with gcd(x^p - x, f) != 1, is
+    skipped, those with f(0) = 0 before any arithmetic.  At degree n <= 3 a
+    candidate without a root is irreducible; Rabin's test decides the rest.
+    """
     if n < 1:
         raise UsageError("degree must be positive")
     if n == 1:
         return Poly.x(p)
     for idx in range(p**n):
-        cand = Poly(tuple(_digits(idx, p, n)) + (1,), p)
-        if is_irreducible(cand):
+        if idx % p == 0:
+            continue
+        cs = _digits(idx, p, n) + [1]
+        cand = Poly(tuple(cs), p)
+        x_to_p = ModulusContext(cand).powmod([0, 1], p)
+        if len(_gcd_raw(cs, _sub_raw(x_to_p, [0, 1], p), p)) > 1:
+            continue
+        if n <= 3 or is_irreducible(cand):
             return cand
     raise InternalConsistencyError(f"no irreducible of degree {n} over F_{p}")
 

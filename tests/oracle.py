@@ -11,7 +11,9 @@ Also here: polynomial subtraction, addition and long division
 (`poly_sub`, `poly_add`, `poly_divmod`), `random_irreducible` for seeded
 inputs, `check_lemma_kk` for the k versus -k comparison over a whole field,
 exact arithmetic in the CM orders (`quad_mul`, `quad_pow`) for the depth
-pairs the slow way, and three routes to the split of a reciprocal pair
+pairs the slow way, `depth_table` and `sweep_lemmas_by_multiplier` for the
+depth pairs and the depth-law sweep with one ladder per multiplier, and
+three routes to the split of a reciprocal pair
 g * g* that work modulo the degree-2d input itself: by the trace with a
 degree-2d Frobenius table (`split_by_trace`), by powering and recursion
 (`split_by_powering`), and by divisor search (`reciprocal_pair_by_search`,
@@ -21,10 +23,10 @@ on `irreducible_by_trial_division`).
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Iterable, Optional
 
-from qkforge import dynamics
-from qkforge.cm_arith import QuadInt, _power, _product
+from qkforge import cm_arith, dynamics
+from qkforge.cm_arith import DepthPair, QuadInt, _power, _product
 from qkforge.config import field_cap
 from qkforge.errors import InternalConsistencyError, ResourceCapError, UsageError
 from qkforge.extfield import ExtField, FqElem
@@ -41,9 +43,10 @@ from qkforge.ffpoly import (
     _trim,
     inv_mod,
     is_irreducible,
+    is_prime,
     sqrt_mod_p,
 )
-from qkforge.qk import _check_k
+from qkforge.qk import CLASSES, _check_k, find_k
 
 
 class _Infinity:
@@ -274,6 +277,68 @@ def quad_pow(z: QuadInt, e: int, mod: Optional[int] = None) -> QuadInt:
         e >>= 1
         z = quad_mul(z, z)
     return acc
+
+
+def depth_table(p: int, k: int, degrees: Iterable[int]) -> dict[int, DepthPair]:
+    """Depth pairs for multiplier k at every degree in `degrees`, keyed by
+    degree: one `cm_arith._ladder` for this one multiplier.  Raises as
+    `cm_arith.depths` does, and UsageError for a set of degrees that is
+    empty or holds one below 1."""
+    ns = sorted(set(degrees))
+    if not ns or ns[0] < 1:
+        raise UsageError("extension degree must be positive")
+    name, pi, parity = cm_arith._embedding(p, k)
+    return {n: DepthPair(e0, e1, p, n, name)
+            for n, (e0, e1) in cm_arith._ladder(p, pi, parity, ns).items()}
+
+
+def sweep_lemmas_by_multiplier(max_p: int, max_n: int, max_m: int,
+                               max_i: int) -> tuple[str, list[str]]:
+    """The depth-law sweep of `sweep-lemmas` for valid bounds, with one
+    `depth_table` per multiplier: the summary line it prints and every
+    violation, in order."""
+    degrees = set(range(1, max_n + 1))
+    for m in range(1, max_m + 1):
+        degrees.update(m << i for i in range(max_i + 2))
+    violations: list[str] = []
+    checked = 0
+    for p in filter(is_prime, range(3, max_p)):
+        for name, spec in CLASSES.items():
+            if spec.disc is None or not spec.admits(p):
+                continue
+            low_e0, low_e1, inc = spec.floors
+            for k in find_k(p, name):
+                table = depth_table(p, k, degrees)
+                for n in range(1, max_n + 1):
+                    e0, e1 = table[n].e0, table[n].e1
+                    checked += 1 if e0 < low_e0 else 2
+                    if e0 < low_e0:
+                        failed = f"e0={e0} < {low_e0}"
+                    elif e0 == low_e0 and e1 < low_e1:
+                        failed = f"e0={low_e0} but e1={e1} < {low_e1}"
+                    elif e0 > low_e0 and e1 != low_e1 - 1:
+                        failed = f"e0={e0} but e1={e1} != {low_e1 - 1}"
+                    else:
+                        continue
+                    violations.append(f"p={p} k={k} n={n} ({name}): {failed}")
+                for m in range(1, max_m + 1):
+                    checked += 1 + max_i
+                    base, doubled = table[m], table[2 * m]
+                    if not (doubled.e0 == base.e0 + base.e1 and doubled.e1 == low_e1 - 1):
+                        violations.append(
+                            f"p={p} k={k} m={m} ({name}): ({base.e0},{base.e1}) doubled to "
+                            f"({doubled.e0},{doubled.e1})"
+                        )
+                    for i in range(1, max_i + 1):
+                        lower, upper = table[m << i], table[m << (i + 1)]
+                        if not (upper.e0 == lower.e0 + inc
+                                and upper.e1 == lower.e1 == low_e1 - 1):
+                            violations.append(
+                                f"p={p} k={k} m={m} ({name}) i={i}: ({lower.e0},{lower.e1}) "
+                                f"-> ({upper.e0},{upper.e1}), expected +{inc}"
+                            )
+    summary = f"checked {checked} identities below p < {max_p}: {len(violations)} violations"
+    return summary, violations
 
 
 def poly_sub(a: Poly, b: Poly) -> Poly:

@@ -1,7 +1,6 @@
 """Tests for the command-line front end: argument resolution, subcommand
 output, exit codes, and artifact determinism."""
 
-import dataclasses
 import hashlib
 import io
 import json
@@ -20,13 +19,16 @@ from hypothesis import strategies as st
 
 import qkforge
 import qkforge.cli as cli
+import qkforge.cm_arith as cm_arith
 from qkforge.cli import main
-from qkforge.cm_arith import depth_table
+from qkforge.cm_arith import _embedding, _ladder
 from qkforge.config import MAX_POLY_DEGREE, MAX_SWEEP_DOUBLINGS
 from qkforge.errors import TheoremViolationError
 from qkforge.ffpoly import Poly, format_poly, format_poly_human, sqrt_mod_p
 from qkforge.qk import qk_transform
 from qkforge.seqgen import SequenceRecord, generate_sequence
+
+from oracle import sweep_lemmas_by_multiplier
 
 F0_TEXT = "51,3,0,0,0,1"
 
@@ -694,7 +696,7 @@ def test_sweep_lemmas_without_a_prime_exits_2(capsys):
     ["--max-n", "0", "--max-m", "0"],  # no identity to check
 ])
 def test_sweep_lemmas_that_checks_nothing_exits_2(argv, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "depth_table", _never)
+    monkeypatch.setattr(cli, "_ladder", _never)
     assert main(["sweep-lemmas", "--max-p", "30", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -702,7 +704,7 @@ def test_sweep_lemmas_that_checks_nothing_exits_2(argv, monkeypatch, capsys):
 
 
 def test_sweep_lemmas_over_the_doubling_cap_exits_4_at_once(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "depth_table", _never)
+    monkeypatch.setattr(cli, "_ladder", _never)
     assert main(["sweep-lemmas", "--max-p", "6", "--max-i", "2000"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -716,42 +718,78 @@ def test_sweep_lemmas_at_the_doubling_cap_runs(capsys):
     assert capsys.readouterr().out.endswith(": 0 violations\n")
 
 
-def test_sweep_lemmas_builds_one_depth_table_per_multiplier(monkeypatch, capsys):
-    tables = []
+def test_sweep_lemmas_builds_one_ladder_per_key(monkeypatch, capsys):
+    ladders = []
 
-    def counted(p, k, degrees):
-        tables.append((p, k))
-        return depth_table(p, k, degrees)
+    def counted(p, pi, parity, ns):
+        ladders.append((pi, parity))
+        return _ladder(p, pi, parity, ns)
 
-    monkeypatch.setattr(cli, "depth_table", counted)
+    monkeypatch.setattr(cli, "_ladder", counted)
     monkeypatch.setattr(cli, "depths", _never)
     assert main(["sweep-lemmas", "--max-p", "600"]) == 0
     assert capsys.readouterr() == (GOLDEN["sweep_lemmas_max_p_600"], "")
-    assert len(tables) == len(set(tables)) == 306
+    assert len(ladders) == len(set(ladders)) == 153
+
+
+def _one_wrong_pair(monkeypatch, p, k, n, wrong):
+    """Make the ladder of the key of (p, k) return `wrong` at degree n, both
+    for the sweep and for `oracle.depth_table`."""
+    key = _embedding(p, k)[1:]
+
+    def ladder(q, pi, parity, ns):
+        pairs = _ladder(q, pi, parity, ns)
+        if (pi, parity) == key:
+            pairs[n] = wrong
+        return pairs
+
+    monkeypatch.setattr(cli, "_ladder", ladder)
+    monkeypatch.setattr(cm_arith, "_ladder", ladder)
 
 
 @pytest.mark.parametrize("p, k, n, wrong, out, err", [
+    # k = 15 and k = 38 = -15 are the C2 multipliers at 53: one key
     (53, 15, 1, (1, 3),
-     "checked 911 identities below p < 60: 2 violations\n",
+     "checked 910 identities below p < 60: 4 violations\n",
      "error: depth-law violations: p=53 k=15 n=1 (C2): e0=1 < 2; "
-     "p=53 k=15 m=1 (C2): (1,3) doubled to (5,2)\n"),
+     "p=53 k=15 m=1 (C2): (1,3) doubled to (5,2); "
+     "p=53 k=38 n=1 (C2): e0=1 < 2; "
+     "p=53 k=38 m=1 (C2): (1,3) doubled to (5,2)\n"),
+    # k = 3 (C3) and k = 8 = -3 (C3-) share a key at 11
     (11, 3, 2, (4, 5),
-     "checked 912 identities below p < 60: 4 violations\n",
+     "checked 912 identities below p < 60: 8 violations\n",
      "error: depth-law violations: p=11 k=3 n=2 (C3): e0=4 but e1=5 != 1; "
      "p=11 k=3 m=1 (C3): (3,1) doubled to (4,5); "
      "p=11 k=3 m=1 (C3) i=1: (4,5) -> (5,1), expected +1; "
-     "p=11 k=3 m=2 (C3): (4,5) doubled to (5,1)\n"),
+     "p=11 k=3 m=2 (C3): (4,5) doubled to (5,1); "
+     "p=11 k=8 n=2 (C3-): e0=4 but e1=5 != 1\n"),
 ])
 def test_sweep_lemmas_names_a_violated_law(p, k, n, wrong, out, err, monkeypatch, capsys):
-    def one_wrong_pair(q, j, degrees):
-        table = depth_table(q, j, degrees)
-        if (q, j) == (p, k):
-            table[n] = dataclasses.replace(table[n], e0=wrong[0], e1=wrong[1])
-        return table
-
-    monkeypatch.setattr(cli, "depth_table", one_wrong_pair)
+    _one_wrong_pair(monkeypatch, p, k, n, wrong)
     assert main(["sweep-lemmas", "--max-p", "60"]) == 3
     assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("bounds, wrong", [
+    ((600, 6, 3, 3), None),
+    ((60, 4, 2, 2), None),
+    ((7, 1, 0, 0), None),
+    ((200, 0, 3, 5), None),
+    ((300, 10, 0, 0), None),
+    ((120, 3, 5, 8), None),
+    ((60, 6, 3, 3), (11, 3, 2, (4, 5))),
+    ((120, 5, 2, 3), (113, 21, 4, (2, 2))),
+])
+def test_sweep_lemmas_matches_one_table_per_multiplier(bounds, wrong, monkeypatch, capsys):
+    if wrong:
+        _one_wrong_pair(monkeypatch, *wrong)
+    max_p, max_n, max_m, max_i = bounds
+    summary, violations = sweep_lemmas_by_multiplier(*bounds)
+    code = main(["sweep-lemmas", "--max-p", str(max_p), "--max-n", str(max_n),
+                 "--max-m", str(max_m), "--max-i", str(max_i)])
+    assert (code, bool(violations)) == ((3, True) if wrong else (0, False))
+    err = f"error: depth-law violations: {'; '.join(violations[:5])}\n" if wrong else ""
+    assert capsys.readouterr() == (summary + "\n", err)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from qkforge.cm_arith import (
     DepthPair,
     QuadInt,
     count_points,
+    _embedding,
     _nu2,
-    depth_table,
     depths,
     frobenius_pi,
     rho0_select,
@@ -22,7 +22,7 @@ from qkforge.errors import InternalConsistencyError, UnsupportedPrimeError, Usag
 from qkforge.ffpoly import is_prime
 from qkforge.qk import CLASSES, classify_k, find_k
 
-from oracle import quad_mul, quad_pow
+from oracle import depth_table, quad_mul, quad_pow
 
 
 def pair(d: DepthPair) -> tuple[int, int]:
@@ -423,6 +423,31 @@ def test_depth_table_takes_any_iterable_and_rejects_bad_degrees() -> None:
             depth_table(53, 15, degrees)
     with pytest.raises(UsageError):
         depth_table(53, 27, (1, 2))  # C1
+
+
+def test_multipliers_with_one_key_have_one_table() -> None:
+    # every multiplier below 600 at the sweep-lemmas defaults (6, 3, 3): the
+    # key (pi, parity) fixes the pairs, C3 k and C3- -k share one, and the
+    # two C3 multipliers at p pick the two roots of x^2 - x + 2
+    degrees = _sweep_degrees(6, 3, 3)
+    keys = 0
+    for p in range(3, 600, 2):
+        if not is_prime(p):
+            continue
+        tables: dict = {}
+        for name in ("C2", "C3", "C3-"):
+            if not CLASSES[name].admits(p):
+                continue
+            for k in find_k(p, name):
+                got, pi, parity = _embedding(p, k)
+                assert got == name and pi == frobenius_pi(p, name), (p, k)
+                pairs = {n: pair(dp) for n, dp in depth_table(p, k, degrees).items()}
+                assert tables.setdefault((pi, parity), pairs) == pairs, (p, k)
+                if name != "C2":
+                    assert _embedding(p, -k)[1:] == (pi, parity), (p, k)
+        assert len(tables) == CLASSES["C2"].admits(p) + 2 * CLASSES["C3"].admits(p), p
+        keys += len(tables)
+    assert keys == 153
 
 
 @pytest.mark.parametrize(

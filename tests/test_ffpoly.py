@@ -18,6 +18,7 @@ from qkforge.ffpoly import (
     ModulusContext,
     Poly,
     _PackedRows,
+    _digits,
     _divmod_raw,
     _gcd_raw,
     _kron_mul,
@@ -661,6 +662,31 @@ def test_smallest_irreducible() -> None:
     for idx in range(f.coefficient(0) + 5 * f.coefficient(1)):
         g = Poly((idx % 5, idx // 5, 1), 5)
         assert not is_irreducible(g)
+
+
+def test_smallest_irreducible_matches_trial_division() -> None:
+    # no smaller candidate is irreducible and the result is, both by trial
+    # division
+    for p in filter(is_prime, range(3, 30)):
+        for n in range(1, 5):
+            if p**n >= 10**5:
+                continue
+            f = smallest_irreducible(p, n)
+            assert f.degree == n and f.is_monic and irreducible_by_trial_division(f), (p, n)
+            idx = sum(c * p**i for i, c in enumerate(f.coeffs[:-1]))
+            for j in range(idx):
+                g = Poly(tuple(_digits(j, p, n)) + (1,), p)
+                assert not irreducible_by_trial_division(g), (p, n, g)
+
+
+def test_smallest_irreducible_at_large_p() -> None:
+    # x^2 + c is irreducible iff -c is not a square, x^3 + c at p = 1 (mod 3)
+    # iff -c is not a cube; the root test costs O(log p) products, so the
+    # search stays fast where p itself is out of reach
+    for p, n, e in ((2053, 2, 2), (10**9 + 9, 2, 2), (2053, 3, 3), (10**9 + 9, 3, 3)):
+        assert is_prime(p) and p % 4 == 1 and p % 3 == 1
+        c = next(c for c in range(1, p) if pow(-c, (p - 1) // e, p) != 1)
+        assert smallest_irreducible(p, n).coeffs == (c,) + (0,) * (n - 1) + (1,), (p, n)
 
 
 def test_random_irreducible_is_irreducible() -> None:

@@ -12,7 +12,7 @@ PUBLIC_NAMES = {
     "FqElem", "FunctionalGraph", "InternalConsistencyError", "KClass", "MalformedInputError",
     "Poly", "QkforgeError", "QuadInt", "ResourceCapError", "ScheduleReport", "SequenceRecord",
     "Step", "TheoremViolationError", "UnsupportedPrimeError", "UsageError", "batch_inverse",
-    "build_graph", "classify_k", "component_stats", "count_points", "depth_table", "depths",
+    "build_graph", "classify_k", "component_stats", "count_points", "depths",
     "equal_degree_factorize", "export_dot", "find_k", "format_poly", "format_poly_human",
     "frobenius_pi", "generate_sequence", "is_irreducible", "is_prime", "observed_flat_steps",
     "parse_poly", "predict_schedule", "qk_transform", "rho0_select", "smallest_irreducible",
@@ -40,7 +40,7 @@ KEPT_FOR_BENCHMARK = {
 
 
 def test_public_names_are_pinned():
-    assert len(qkforge.__all__) == len(PUBLIC_NAMES) == 45
+    assert len(qkforge.__all__) == len(PUBLIC_NAMES) == 44
     assert set(qkforge.__all__) == PUBLIC_NAMES
 
 
