@@ -11,9 +11,9 @@ carries the three artifact paths `out_path`, `dot_path` and
 
 Exit codes: 0 success; 2 usage or congruence errors, or an output file that
 cannot be written (checked before any work); 3 a verified claim failed
-(theorem violation); 4 a resource cap was exceeded.  All randomness
-is surfaced as --seed (default 0) and every JSON artifact is byte-stable
-across runs with identical arguments.
+(theorem violation); 4 a resource cap was exceeded.  The construction is
+deterministic: `generate --seed` (default 0) is only recorded in the record,
+and every JSON artifact is byte-stable across runs with identical arguments.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
         return 0
     print("irreducible: no")
     if irreducible_input and f != Poly.x(p):  # the chain excludes f = x
-        chosen, alternate, _ = _step(f, k, 0)
+        chosen, alternate, _ = _step(f, k)
         print(f"factor 1:    {format_poly_human(chosen)}")
         print(f"factor 2:    {format_poly_human(alternate)}")
     return 0

@@ -6,11 +6,11 @@ QKFORGE_CAP, a positive integer, replaces the default field-size cap.
 `ffpoly.parse_poly` refuses a degree above MAX_POLY_DEGREE before it
 allocates the coefficients, and `seqgen.generate_sequence` refuses a step
 whose transform would pass it (up front, from the schedule, for C2, C3 and
-C3-).  A packed row table of the map z -> c z^p that Rabin's test runs on
-(c = 1 for `ffpoly.is_irreducible`; the split's twist, d^2 w bytes at the
-factor degree d) is refused above MAX_ROW_TABLE_BYTES before its first row
-is made.  `sweep-lemmas` refuses a `--max-i` above MAX_SWEEP_DOUBLINGS
-before any work.  A single depth pair
+C3-).  A packed row table of a map z -> c z^p (c = 1 for Rabin's test in
+`ffpoly.is_irreducible`; for `ffpoly.equal_degree_factorize`, the twist c of
+the split's field, d^2 w bytes at the factor degree d) is refused above
+MAX_ROW_TABLE_BYTES before its first row is made.  `sweep-lemmas` refuses
+a `--max-i` above MAX_SWEEP_DOUBLINGS before any work.  A single depth pair
 needs no cap: `cm_arith.depths` works modulo 2^B, B = O(log pn).
 """
 

@@ -22,12 +22,12 @@ Three performance tricks keep everything exact but fast in pure Python:
 * the map L = (times c) o (y -> y^p) mod a fixed modulus, c a unit, is
   linear over F_p, so it is built once as n packed rows c x^(p*j) mod m (one
   powmod, at most n - 1 products); applying it is n big-integer
-  multiply-adds and one unpack (von zur Gathen and Shoup, 1992).  One
-  Rabin's test (_rabin) runs on the orbits of 1 and y under L, with no
-  powering by p and no gcd: is_irreducible takes c = 1, and the split of
-  g * g* of degree 2d takes the twist c of its half-degree field
-  F_p[y]/(h), f = x^d h(x + 1/x), with one table of d rows (d^2 w bytes),
-  and ends in one gcd.
+  multiply-adds and one unpack (von zur Gathen and Shoup, 1992).
+  is_irreducible runs Rabin's test on the orbit of x under c = 1, with no
+  powering by p and no gcd.  The split of the transform g * g* of an
+  irreducible f of degree d sums the orbit of 1 under the twist c of the
+  field F_p[y]/(h), h(y) = k^-d f(k y): one table of d rows (d^2 w bytes),
+  d - 1 applications, and one gcd.
 
 Each is cross-checked in the test suite against the plain route it
 replaces: schoolbook products, long division, powering by p.
@@ -35,7 +35,6 @@ replaces: schoolbook products, long division, powering by p.
 
 from __future__ import annotations
 
-import random
 import sys
 from array import array
 from dataclasses import dataclass
@@ -515,54 +514,32 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _rabin(ctx: ModulusContext, rows: _PackedRows) -> list[int] | None:
-    """Rabin's test of the modulus m of degree n, given the packed rows of
-    L = (times c) o (y -> y^p) for a unit c: the sum of the first n terms of
-    the orbit of 1 under L if m is irreducible, else None.  No gcd is taken.
-
-    L^j(y) - y L^j(1) = L^j(1) (y^(p^j) - y), and L^j(1) is a unit.  If
-    L^n(y) = y L^n(1), m is squarefree and the degree of each factor divides
-    n, so m is reducible iff the product of these differences at j = n/r,
-    r a prime dividing n, is 0 mod m; a zero product at any checkpoint
-    shows it, since an irreducible m divides no y^(p^j) - y with j < n.
-    """
-    n, p, m = ctx.n, ctx.p, ctx._m
-
-    def times_y(c: list[int]) -> list[int]:  # y * c mod m, c of length n
-        return _trim([(a - c[-1] * b) % p for a, b in zip([0] + c, m)])
-
-    checkpoints = {n // r for r in _prime_factors(n)}
-    one, y = [1] + [0] * (n - 1), ctx.reduce([0, 1])
-    # the first row is L(1) = c, and c = 1 packs as 1: then the orbit of 1
-    # stays at 1, and its first n terms sum to n
-    fixed = rows.rows[0] == 1
-    s_one = [n] if fixed else [0] * n
-    witness = None
-    for j in range(1, n + 1):
-        if not fixed:
-            s_one = list(map(add, s_one, one))
-            one = rows.apply(one)
-        y = rows.apply(y)
-        if j in checkpoints:
-            diff = _sub_raw(y, times_y(one), p)
-            witness = diff if witness is None else ctx.mulmod(witness, diff)
-            if not witness:
-                return None
-    return _trim([c % p for c in s_one]) if _trim(y) == times_y(one) else None
-
-
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's test (_rabin with c = 1): f of degree n is irreducible over
-    F_p iff x^(p^n) ≡ x mod f and the product of x^(p^(n/r)) - x over the
-    primes r dividing n is not 0 mod f.  An oversized row table is refused
-    with ResourceCapError before any row is made."""
-    n = f.degree
+    """Rabin's test: f of degree n is irreducible over F_p iff
+    x^(p^n) ≡ x mod f and the product of x^(p^(n/r)) - x over the primes r
+    dividing n is not 0 mod f (an irreducible f divides no x^(p^j) - x with
+    j < n, so a zero product at any checkpoint ends the test).  The powers
+    x^(p^j) are the orbit of x under the packed Frobenius rows x^(pj) mod f:
+    n applications, and no gcd.  An oversized row table is refused with
+    ResourceCapError before any row is made."""
+    n, p = f.degree, f.p
     if n < 1:
         raise UsageError("irreducibility is undefined for constants")
     if n == 1:
         return True
     ctx = ModulusContext(f)
-    return _rabin(ctx, _PackedRows(ctx._frobenius_rows([1]), n, f.p)) is not None
+    rows = _PackedRows(ctx._frobenius_rows([1]), n, p)
+    checkpoints = {n // r for r in _prime_factors(n)}
+    x = z = [0, 1]
+    witness = None
+    for j in range(1, n + 1):
+        z = rows.apply(z)
+        if j in checkpoints:
+            diff = _sub_raw(z, x, p)
+            witness = diff if witness is None else ctx.mulmod(witness, diff)
+            if not witness:
+                return False
+    return _trim(z) == x
 
 
 def _reciprocal_cofactor(g: list[int], f: list[int], p: int) -> list[int] | None:
@@ -574,75 +551,49 @@ def _reciprocal_cofactor(g: list[int], f: list[int], p: int) -> list[int] | None
     return star if _mul_raw(g, star, p) == f else None
 
 
-def _half_degree(fx: list[int], d: int, p: int) -> list[int]:
-    """The monic h of degree d with fx = x^d h(x + 1/x), for fx monic and
-    palindromic of degree 2d: x^-d fx = a_0 + sum a_j (x^j + x^-j) with
-    a_j = fx[d + j], by Clenshaw's recurrence on this Dickson basis in
-    y = x + 1/x, b_j = a_j + y b_(j+1) - b_(j+2); h = a_0 + y b_1 - 2 b_2."""
-    b1, b2 = [], []
-    for j in range(d, 0, -1):
-        b = [fx[d + j]] + b1
-        b[: len(b2)] = map(sub, b, b2)
-        b1, b2 = [c % p for c in b], b1
-    h = [fx[d]] + b1
-    h[: len(b2)] = map(lambda c, e: (c - 2 * e) % p, h, b2)
-    return h
+def equal_degree_factorize(f: Poly, k: int) -> list[Poly]:
+    """Split the transform F = (x/k)^d f(k(x + 1/x)) of a monic irreducible
+    f of degree d with character legendre(f(2k) f(-2k), p) = +1 into g and
+    g* = x^d g(1/x) / g(0), the two distinct monic irreducibles of degree d
+    with g * g* = F (Meyn 1990; S. D. Cohen 1992), sorted by coefficient
+    tuple.  f must be irreducible; that is not checked here (a chain's f0
+    passes Rabin's test, and the character certifies each later step).
 
+    F = x^d h(x + 1/x) with h(y) = k^-d f(k y), and the work runs in the
+    field K = F_p[y]/(h), y = x + 1/x.  For w = x - 1/x, w^2 = D = y^2 - 4
+    is in K and (w b)^p = w L(b) for b in K, with L = (times c) o
+    (y -> y^p), c = D^((p-1)/2): one table of d packed rows c y^(pj) mod h,
+    d^2 w bytes.  The trace of a = w b is T = w S, with
+    S = sum_(i<d) L^i(b).  D is a square in K, so T is t mod g and -t mod
+    g*, D S^2 = t^2, and gcd(x^d (T - t), F) = g, where
+    x^d T = (x^2 - 1) x^(d-1) S(x + 1/x).  b runs through y^j, j < d,
+    until t != 0: b -> t is a nonzero linear form on K, so some y^j has
+    t != 0, and for the reference chains b = 1 does.
 
-def equal_degree_factorize(f: Poly, d: int, seed: int = 0) -> list[Poly]:
-    """Split f = g * g* of degree 2d into g and g* = x^d g(1/x) / g(0), two
-    distinct monic irreducibles of degree d (the transform of an irreducible
-    with character +1), sorted by coefficient tuple.  The pair is unique:
-    the seed changes only how many attempts are made.
-
-    f = g * g* forces x^(2d) f(1/x) = f, so f = x^d h(x + 1/x) (_half_degree)
-    and the work runs in K = F_p[y]/(h), y = x + 1/x.  For w = x - 1/x,
-    w^2 = D = y^2 - 4 is in K and (w b)^p = w L(b) for b in K, with
-    L = (times c) o (y -> y^p), c = D^((p-1)/2): one table of d packed rows
-    c y^(pj) mod h, d^2 w bytes, on which _rabin tests h.  The trace of
-    a = w b is T = w S, with S = sum_(i<d) L^i(b).  If h is irreducible and
-    D a square in K, T is t mod g and -t mod g*, so D S^2 = t^2, and
-    gcd(x^d (T - t), f) = g, where x^d T = (x^2 - 1) x^(d-1) S(x + 1/x).
-    b is 1, then seeded random draws, until t != 0.
-
-    Any other input raises MalformedInputError: at once if not palindromic;
-    else when f(1) f(-1) = 0 (D not a unit), h fails Rabin's test, D S^2 is
-    not a constant square, or g fails the degree or g * g* == f, g != g*.
+    MalformedInputError when f(2k) f(-2k) = 0 (D not a unit in K), when D S^2
+    is not a constant square (the character is -1), or when g fails the
+    degree, g != g* or g * g* == F check.
     """
-    if d < 1:
-        raise UsageError(f"factor degree must be positive, got {d}")
-    if f.degree != 2 * d:
-        raise MalformedInputError(f"degree {f.degree} is not twice the factor degree {d}")
-    f = f.monic()
-    p = f.p
-    fx = list(f.coeffs)
-    if fx != fx[::-1]:
-        raise MalformedInputError(
-            "the input is not palindromic, so it is not a product of a "
-            "polynomial and its reciprocal"
-        )
-    reject = MalformedInputError(f"the input is not a product of a degree-{d} "
-                                 "irreducible and its reciprocal")
+    d, p = f.degree, f.p
+    if d < 1 or not f.is_monic:
+        raise UsageError("the split needs a monic polynomial of degree >= 1")
     _row_slot(d, p)  # an oversized table is refused before any work
-    if _eval_raw(fx, 1, p) * _eval_raw(fx, p - 1, p) % p == 0:
+    fx = list(f.coeffs)
+    kinv = inv_mod(k, p)
+    reject = MalformedInputError(f"the transform is not a product of a degree-{d} "
+                                 "irreducible and its reciprocal")
+    if _eval_raw(fx, 2 * k, p) * _eval_raw(fx, -2 * k, p) % p == 0:
         raise reject
-    hx = _half_degree(fx, d, p)
+    hx = [c * pow(kinv, d - i, p) % p for i, c in enumerate(fx)]
     ctx = ModulusContext(Poly(tuple(hx), p))
     delta = ctx.reduce([-4 % p, 0, 1])
     rows = _PackedRows(ctx._frobenius_rows(ctx.powmod(delta, (p - 1) // 2)), d, p)
-    # Rabin's test of h; the sum of the first d terms of the orbit of 1 is
-    # the first candidate for S
-    s = _rabin(ctx, rows)
-    if s is None:
-        raise reject
-    rng = random.Random(seed)
-    for attempt in range(128):
-        if attempt:
-            s = z = [rng.randrange(p) for _ in range(d)]
-            for _ in range(d - 1):
-                z = rows.apply(z)
-                s = list(map(add, s, z))
-            s = _trim([c % p for c in s])
+    for j in range(d):
+        s = z = [0] * j + [1] + [0] * (d - 1 - j)  # b = y^j
+        for _ in range(d - 1):
+            z = rows.apply(z)
+            s = list(map(add, s, z))
+        s = _trim([c % p for c in s])
         square = ctx.mulmod(delta, ctx.mulmod(s, s))
         if not square:
             continue
@@ -652,8 +603,9 @@ def equal_degree_factorize(f: Poly, d: int, seed: int = 0) -> list[Poly]:
         lift = [0, 0] + _theta_lift(s, d - 1, 1, p)  # x^2 * x^(d-1) S(x + 1/x)
         lift[: 2 * d - 1] = map(sub, lift, lift[2:])  # x^d T
         lift[d] -= t
-        g = _gcd_raw(_trim([c % p for c in lift]), fx, p)
-        star = _reciprocal_cofactor(g, fx, p) if len(g) - 1 == d else None
+        big = _theta_lift(fx, d, k, p)
+        g = _gcd_raw(_trim([c % p for c in lift]), big, p)
+        star = _reciprocal_cofactor(g, big, p) if len(g) - 1 == d else None
         if star is None or star == g:
             raise reject
         return [Poly(tuple(h), p) for h in sorted((g, star))]

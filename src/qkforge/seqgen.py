@@ -28,7 +28,8 @@ irreducibility and degree-ratio invariants apply.
 A record is verified as a certificate chain: f_0 passes Rabin's test, and
 each later step is the transform of its predecessor (chi = -1) or, at the
 same degree, a monic f with f * f* equal to that transform (chi != -1),
-which makes it irreducible.
+which makes it irreducible.  verify_against_schedule and the record reader
+(SequenceRecord.from_json_dict) both check it.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ STEP_KINDS = (
     KIND_BACKTRACKED,
 )
 
+# The record's "rng" field; with "seed" it is provenance only, since no
+# step draws a random number.
 RNG_NAME = "mt19937"
 
 # ---------------------------------------------------------------------------
@@ -166,10 +169,12 @@ class SequenceRecord:
                 raise MalformedInputError(
                     f"step {i}: declared degree {degree} but coefficients give {poly.degree}"
                 )
-            if not is_irreducible(poly):
-                raise MalformedInputError(f"step {i}: polynomial is not irreducible")
             steps.append(Step(i, poly, kind))
-        return cls(p=p, k=k, class_name=class_name, seed=seed, steps=tuple(steps))
+        record = cls(p=p, k=k, class_name=class_name, seed=seed, steps=tuple(steps))
+        broken = _certificate_violations(record)
+        if broken:
+            raise MalformedInputError("; ".join(broken))
+        return record
 
 
 @dataclass(frozen=True)
@@ -213,38 +218,35 @@ def _check_irr_input(f: Poly) -> None:
         raise UsageError("the input polynomial must be irreducible")
 
 
-def _step(f: Poly, k: int, seed: int) -> tuple[Poly, Optional[Poly], str]:
-    """One construction step: transform f and resolve the dichotomy.
+def _step(f: Poly, k: int) -> tuple[Poly, Optional[Poly], str]:
+    """One construction step: the transform character of f decides it.
 
-    f must be monic, irreducible and not x; the transform character decides
-    the step, with no irreducibility test.  Returns (chosen, alternate,
-    kind).  When the transform is irreducible the degree doubles and there
-    is no alternate.  Otherwise the transform splits into two monic
-    irreducibles of degree n = deg f; the canonically first is chosen and
-    the other returned as the alternate.  A transform that fails the
-    dichotomy altogether is a theorem violation.  A transform of degree
-    above config.MAX_POLY_DEGREE is refused with ResourceCapError before it
-    is formed."""
+    f must be monic, irreducible and not x; no irreducibility test runs.
+    Returns (chosen, alternate, kind).  For character -1 the transform is
+    irreducible: it is formed, the degree doubles, and there is no
+    alternate.  For +1 the transform splits into two monic irreducibles of
+    degree n = deg f (equal_degree_factorize, from f and k); the
+    canonically first is chosen and the other returned as the alternate.  A
+    split that fails the dichotomy is a theorem violation.  A transform of
+    degree above config.MAX_POLY_DEGREE is refused with ResourceCapError
+    before any work."""
     if 2 * f.degree > MAX_POLY_DEGREE:
         raise ResourceCapError(
             f"the transform of a degree-{f.degree} polynomial would pass the "
             f"degree cap of {MAX_POLY_DEGREE}"
         )
-    big = qk_transform(f, k)
     chi = transform_character(f, k)
     if chi == -1:
-        return big, None, KIND_DOUBLED
-    p = f.p
-    n = f.degree
+        return qk_transform(f, k), None, KIND_DOUBLED
     if chi == 0:
         # A repeated root of the transform is a double preimage under theta,
         # i.e. one of the critical points +-1, whose images are +-2k.  So only
         # the ramified inputs x -+ 2k have a repeated factor: their transform
         # is the square (x -+ 1)^2, and both "factors" coincide.
-        root = Poly((f.coefficient(0) * inv_mod(2 * k, p), 1), p)
+        root = Poly((f.coefficient(0) * inv_mod(2 * k, f.p), 1), f.p)
         return root, root, KIND_SPLIT_FIRST
     try:
-        first, second = equal_degree_factorize(big, n, seed=seed)
+        first, second = equal_degree_factorize(f, k)
     except MalformedInputError as exc:
         raise TheoremViolationError(
             f"transform of {f} violates the split dichotomy: {exc}"
@@ -274,7 +276,8 @@ def generate_sequence(f0: Poly, k: int, num_steps: int, seed: int = 0) -> Sequen
     is kept, with kind "backtracked", when the first lies on a cycle.  A
     race that neither factor wins within max(e0, e1) steps raises a theorem
     violation with the trace.  The race does not depend on num_steps, so a
-    shorter run is a prefix of a longer one.
+    shorter run is a prefix of a longer one.  The construction draws no
+    random numbers: `seed` is only recorded, with RNG_NAME.
 
     No step forms a transform of degree above config.MAX_POLY_DEGREE (see
     _step).  For C2, C3 and C3- the schedule bounds the degrees from below:
@@ -308,14 +311,14 @@ def generate_sequence(f0: Poly, k: int, num_steps: int, seed: int = 0) -> Sequen
 
     steps: list[Step] = [Step(0, f0, KIND_INITIAL)]
     while len(steps) <= num_steps:
-        chosen, alternate, kind = _step(steps[-1].poly, kc.k, seed)
+        chosen, alternate, kind = _step(steps[-1].poly, kc.k)
         run = [Step(len(steps), chosen, kind)]
         # A doubling (no alternate) ends the chance to race; a ramified step
         # (both factors equal) leaves nothing to choose and keeps it open.
         if racing and alternate != chosen:
             racing = False
             if alternate is not None:
-                run = _race(steps, run[0], alternate, kc.k, seed, rounds)
+                run = _race(steps, run[0], alternate, kc.k, rounds)
         steps.extend(run[: num_steps + 1 - len(steps)])
 
     return SequenceRecord(
@@ -324,7 +327,7 @@ def generate_sequence(f0: Poly, k: int, num_steps: int, seed: int = 0) -> Sequen
 
 
 def _race(
-    steps: list[Step], first: Step, alternate: Poly, k: int, seed: int, rounds: int
+    steps: list[Step], first: Step, alternate: Poly, k: int, rounds: int
 ) -> list[Step]:
     """Follow first factors from both factors of a split in lockstep, and
     return the run (the split step up to its doubling) of the factor that
@@ -342,7 +345,7 @@ def _race(
     for _ in range(rounds):
         for run in runs:
             last = run[-1]
-            chosen, _, kind = _step(last.poly, k, seed)
+            chosen, _, kind = _step(last.poly, k)
             run.append(Step(last.index + 1, chosen, kind))
             if kind == KIND_DOUBLED:
                 return run
@@ -386,6 +389,34 @@ def _broken_link(prev: Poly, cur: Poly, k: int) -> Optional[str]:
     return None
 
 
+def _certificate_violations(record: SequenceRecord) -> list[str]:
+    """The breaks in the record's irreducibility certificate, as
+    human-readable strings: f_0 is a constant or fails Rabin's test, or a
+    later step is a constant, or its degree is neither equal to nor double
+    its predecessor's, or it is not linked to its predecessor
+    (_broken_link).  Empty when every step is certified irreducible."""
+    violations = []
+    f0 = record.steps[0].poly
+    if f0.degree < 1 or not is_irreducible(f0):
+        violations.append("step 0: polynomial fails the irreducibility test")
+    for prev, cur in zip(record.steps, record.steps[1:]):
+        if cur.degree < 1:
+            violations.append(f"step {cur.index}: a constant is not irreducible")
+            continue
+        if cur.degree not in (prev.degree, 2 * prev.degree):
+            violations.append(
+                f"step {cur.index}: degree {cur.degree} is neither equal to nor "
+                f"double the previous degree {prev.degree}"
+            )
+            continue
+        broken = _broken_link(prev.poly, cur.poly, record.k)
+        if broken:
+            violations.append(
+                f"step {cur.index}: polynomial fails the irreducibility certificate: {broken}"
+            )
+    return violations
+
+
 def _pattern_level(pattern: str, offset: int) -> int:
     """How many times the class pattern has doubled the starting degree at
     the step `offset` >= 1 steps past the last flat step (index s + t)."""
@@ -409,21 +440,7 @@ def verify_against_schedule(record: SequenceRecord) -> list[str]:
     """
     n = record.steps[0].degree
     report = predict_schedule(record.p, record.k, n)
-    violations: list[str] = []
-    if not is_irreducible(record.steps[0].poly):
-        violations.append("step 0: polynomial fails the irreducibility test")
-    for prev, cur in zip(record.steps, record.steps[1:]):
-        if cur.degree not in (prev.degree, 2 * prev.degree):
-            violations.append(
-                f"step {cur.index}: degree {cur.degree} is neither equal to nor "
-                f"double the previous degree {prev.degree}"
-            )
-            continue
-        broken = _broken_link(prev.poly, cur.poly, record.k)
-        if broken:
-            violations.append(
-                f"step {cur.index}: polynomial fails the irreducibility certificate: {broken}"
-            )
+    violations = _certificate_violations(record)
     s, t = observed_flat_steps(record)
     if s > report.s_bound:
         violations.append(f"observed s={s} exceeds s_bound={report.s_bound}")

@@ -17,12 +17,15 @@ three routes to the split of a reciprocal pair
 g * g* that work modulo the degree-2d input itself: by the trace with a
 degree-2d Frobenius table (`split_by_trace`), by powering and recursion
 (`split_by_powering`), and by divisor search (`reciprocal_pair_by_search`,
-on `irreducible_by_trial_division`).
+on `irreducible_by_trial_division`).  `reciprocal_pairs` tabulates every
+reciprocal pair of a small field at once, from the irreducibles of a sieve
+(`monic_irreducibles`).
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from qkforge import cm_arith, dynamics
@@ -376,6 +379,30 @@ def irreducible_by_trial_division(f: Poly) -> bool:
     """No monic polynomial of degree 1 to deg(f)/2 divides f."""
     return all(not poly_divmod(f, q)[1].is_zero
                for e in range(1, f.degree // 2 + 1) for q in _monic_of_degree(f.p, e))
+
+
+@lru_cache(maxsize=None)
+def monic_irreducibles(p: int, d: int) -> tuple[Poly, ...]:
+    """Every monic irreducible of degree d over F_p, in base-p order: the
+    monic polynomials of degree d that are no product of two monic factors
+    of lower degree (a sieve, for small p^d only)."""
+    reducible = {a * b for e in range(1, d // 2 + 1)
+                 for a in _monic_of_degree(p, e) for b in _monic_of_degree(p, d - e)}
+    return tuple(g for g in _monic_of_degree(p, d) if g not in reducible)
+
+
+@lru_cache(maxsize=None)
+def reciprocal_pairs(p: int, d: int) -> dict[Poly, list[Poly]]:
+    """{g * g*: [g, g*] sorted by coefficient tuple} over every monic
+    irreducible g of degree d over F_p with g(0) != 0 and g != g*, where
+    g* = x^d g(1/x) / g(0): what reciprocal_pair_by_search finds in each
+    product, for all of them at once."""
+    pairs = {}
+    for g in monic_irreducibles(p, d):
+        star = Poly(g.coeffs[::-1], p).monic() if g.coeffs[0] else g
+        if star != g:
+            pairs[g * star] = sorted((g, star), key=lambda q: q.coeffs)
+    return pairs
 
 
 def reciprocal_pair_by_search(f: Poly, d: int) -> Optional[list[Poly]]:

@@ -245,7 +245,7 @@ def test_acceptance_6_transform_structure_brute_force():
                 if g.degree != 2 * n:
                     failures.append(f"{tag}: irreducible but degree != 2n")
                 continue
-            factors = equal_degree_factorize(g, n)
+            factors = equal_degree_factorize(f, k)
             if len(factors) != 2 or factors[0] == factors[1]:
                 failures.append(f"{tag}: not two distinct factors")
                 continue

@@ -22,7 +22,6 @@ from qkforge.ffpoly import (
     _divmod_raw,
     _gcd_raw,
     _kron_mul,
-    _rabin,
     _school_mul,
     _trim,
     equal_degree_factorize,
@@ -41,11 +40,13 @@ from qkforge.seqgen import generate_sequence
 
 from oracle import (
     irreducible_by_trial_division,
+    monic_irreducibles,
     poly_add,
     poly_divmod,
     poly_sub,
     random_irreducible,
     reciprocal_pair_by_search,
+    reciprocal_pairs,
     split_by_powering,
     split_by_trace,
 )
@@ -405,17 +406,17 @@ def test_rabin_and_splitting_match_powering_on_the_reference_chains() -> None:
             assert is_irreducible(big) == _rabin_by_powering(big)
             assert not is_irreducible(f * f) and not _rabin_by_powering(f * f)
             if transform_character(f, k) == 1:
+                got = equal_degree_factorize(f, k)
+                assert len(got) == 2 and got[0] * got[1] == big
                 for seed in range(3):
-                    got = equal_degree_factorize(big, f.degree, seed)
                     assert got == split_by_powering(big, f.degree, seed)
                     assert got == split_by_trace(big, f.degree, seed)
-                    assert len(got) == 2 and got[0] * got[1] == big
 
 
 def _seeded_split_inputs(count: int) -> list[tuple[Poly, int]]:
-    """(transform, n) for `count` seeded monic irreducibles f of degree n
-    <= 6 over primes p < 160 whose transform under a C1, C2, C3 or C3-
-    multiplier has character +1, i.e. is a reciprocal pair g * g*."""
+    """(f, k) for `count` seeded monic irreducibles f of degree <= 6 over
+    primes p < 160 and C1, C2, C3 or C3- multipliers k with character +1,
+    whose transform is a reciprocal pair g * g*."""
     rng = random.Random(3)
     primes = [p for p in range(3, 160) if is_prime(p)]
     out = []
@@ -427,94 +428,129 @@ def _seeded_split_inputs(count: int) -> list[tuple[Poly, int]]:
             continue
         f = random_irreducible(p, rng.randint(1, 6), rng)
         if f != Poly.x(p) and transform_character(f, k) == 1:
-            out.append((qk_transform(f, k), f.degree))
+            out.append((f, k))
     return out
 
 
 def test_splitting_matches_powering_on_seeded_transforms() -> None:
-    for big, n in _seeded_split_inputs(200):
+    for f, k in _seeded_split_inputs(200):
+        big, n = qk_transform(f, k), f.degree
+        got = equal_degree_factorize(f, k)
+        assert got[0] != got[1] and got[0] * got[1] == big
         for seed in range(3):
-            got = equal_degree_factorize(big, n, seed)
             assert got == split_by_powering(big, n, seed)
             assert got == split_by_trace(big, n, seed)
-            assert got[0] != got[1] and got[0] * got[1] == big
 
 
-def _reference_splits(steps: int = 11) -> list[tuple[Poly, int]]:
-    """(transform, d) for every chi = +1 step of the k = 15 reference chain
-    over F_53: d = 10, 10, 20, 40, 80, 160 for 11 steps."""
+def _reference_splits(steps: int = 11) -> list[Poly]:
+    """Every member f with chi = +1 of the k = 15 reference chain over F_53:
+    degrees 10, 10, 20, 40, 80, 160 for 11 steps."""
     chain = generate_sequence(Poly((51, 3, 0, 0, 0, 1), 53), 15, steps)
-    return [(qk_transform(s.poly, 15), s.poly.degree) for s in chain.steps
-            if transform_character(s.poly, 15) == 1]
+    return [s.poly for s in chain.steps if transform_character(s.poly, 15) == 1]
 
 
 def test_reference_chain_splits_match_the_trace_oracle() -> None:
     splits = _reference_splits()
-    assert [d for _, d in splits] == [10, 10, 20, 40, 80, 160]
-    for big, d in splits:
-        got = equal_degree_factorize(big, d)
+    assert [f.degree for f in splits] == [10, 10, 20, 40, 80, 160]
+    for f in splits:
+        big, d = qk_transform(f, 15), f.degree
+        got = equal_degree_factorize(f, 15)
         assert got == split_by_trace(big, d, 0)
         assert got[0].degree == d and got[0] * got[1] == big
 
 
 def test_a_valid_split_takes_one_gcd(monkeypatch) -> None:
-    # every split of the k = 15 reference chain, d = 10 to 160: Rabin's test
-    # of the half-degree h takes no gcd, and the first S with D S^2 != 0
-    # needs one gcd, at degree 2d
-    calls = []
-    gcd_raw = ffpoly._gcd_raw
+    # every split of the k = 15 reference chain, d = 10 to 160: the orbit of
+    # b = 1 alone, S = sum_(i<d) L^i(1), takes d - 1 applications of the
+    # table, has D S^2 != 0 and needs one gcd, at degree 2d
+    calls, applied = [], []
+    gcd_raw, apply = ffpoly._gcd_raw, _PackedRows.apply
 
     def counted_gcd(a, b, p):
         calls.append(len(b) - 1)
         return gcd_raw(a, b, p)
 
-    chain = generate_sequence(Poly((51, 3, 0, 0, 0, 1), 53), 15, 11)
     monkeypatch.setattr(ffpoly, "_gcd_raw", counted_gcd)
-    split_degrees = []
-    for step in chain.steps:
-        f = step.poly
-        if transform_character(f, 15) == 1:
-            split_degrees.append(f.degree)
-            for seed in range(3):
-                calls.clear()
-                equal_degree_factorize(qk_transform(f, 15), f.degree, seed)
-                assert calls == [2 * f.degree]
-    assert split_degrees == [10, 10, 20, 40, 80, 160]
+    monkeypatch.setattr(_PackedRows, "apply", lambda self, cs: applied.append(1) or apply(self, cs))
+    splits = _reference_splits()
+    assert [f.degree for f in splits] == [10, 10, 20, 40, 80, 160]
+    for f in splits:
+        calls.clear()
+        applied.clear()
+        equal_degree_factorize(f, 15)
+        assert calls == [2 * f.degree]
+        assert len(applied) == f.degree - 1
 
 
-def _palindromic_monics(p: int, d: int):
-    """Every monic palindromic polynomial of degree 2d over F_p: p^d of them,
-    free in the coefficients of x^1 .. x^d."""
-    for idx in range(p**d):
-        half = [1] + [idx // p**i % p for i in range(d)]
-        yield Poly(tuple(half + half[-2::-1]), p)
+def _small_split_cases():
+    """(p, d) for the exhaustive split test: degree <= 4 for p <= 7, <= 3
+    above."""
+    return [(p, d) for p in (3, 5, 7, 11, 13) for d in range(1, (4 if p <= 7 else 3) + 1)]
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_factorize_decides_every_small_palindromic_input(p) -> None:
-    # ground truth by divisor search: the pair exactly when f = g * g* with g
-    # irreducible of degree d and g != g*; MalformedInputError for the rest,
-    # among them (x -+ 1)^2 (...), h * h with h its own reciprocal, and
-    # products of smaller reciprocal pairs, which only Rabin's test of the
-    # half-degree h tells from g * g*
-    decided = {True: 0, False: 0}
-    for d in (1, 2, 3):
-        for f in _palindromic_monics(p, d):
-            want = reciprocal_pair_by_search(f, d)
-            decided[want is not None] += 1
-            if want is None:
-                with pytest.raises(MalformedInputError):
-                    equal_degree_factorize(f, d)
-            else:
-                assert equal_degree_factorize(f, d) == want, f.coeffs
-    assert decided[True] and decided[False]
-    assert sum(decided.values()) == p + p**2 + p**3
+@pytest.mark.parametrize("p, splits", [(3, 26), (5, 388), (7, 2130), (11, 2490), (13, 4860)])
+def test_factorize_splits_every_small_transform_of_an_irreducible(p, splits) -> None:
+    # every monic irreducible f of degree d <= 3 over F_p (<= 4 for p <= 7)
+    # and every k != 0: chi = +1 gives the pair that divisor search finds in
+    # the transform; chi = -1 (an irreducible transform) and chi = 0
+    # (x -+ 2k, a square transform) are refused
+    verdicts = {-1: 0, 0: 0, 1: 0}
+    for _, d in [case for case in _small_split_cases() if case[0] == p]:
+        pairs = reciprocal_pairs(p, d)
+        for f in monic_irreducibles(p, d):
+            for k in range(1, p):
+                chi = transform_character(f, k)
+                verdicts[chi] += 1
+                if chi == 1:
+                    want = pairs.get(qk_transform(f, k))
+                    assert want is not None and equal_degree_factorize(f, k) == want, (p, k, f)
+                else:
+                    with pytest.raises(MalformedInputError):
+                        equal_degree_factorize(f, k)
+    # 9,894 splits over the five fields, 16 of them of f = x, which a chain
+    # excludes
+    assert verdicts[1] == splits and verdicts[-1] and verdicts[0]
+
+
+def test_factorize_retries_with_the_next_power_of_y(monkeypatch) -> None:
+    # b = 1 can give S = 0, and then b = y, y^2, ... follow, d - 1
+    # applications of the table each: x^2 + 2 over F_5 (k = 2) needs b = y,
+    # and x^4 + x^2 + 2 (k = 1) needs b = y^3, the last of the d attempts
+    applied = []
+    apply = _PackedRows.apply
+    monkeypatch.setattr(_PackedRows, "apply", lambda self, cs: applied.append(1) or apply(self, cs))
+    for f, k, attempts in ((Poly((2, 0, 1), 5), 2, 2), (Poly((2, 0, 1, 0, 1), 5), 1, 4)):
+        d = f.degree
+        assert is_irreducible(f) and transform_character(f, k) == 1
+        applied.clear()
+        got = equal_degree_factorize(f, k)
+        assert len(applied) == attempts * (d - 1), f
+        assert got == reciprocal_pair_by_search(qk_transform(f, k), d)
+
+
+def test_the_pair_table_is_divisor_search() -> None:
+    # monic_irreducibles has Gauss's count (1/d) sum_(e | d) mu(d/e) p^e in
+    # every case of the exhaustive split test, and reciprocal_pairs agrees
+    # with reciprocal_pair_by_search on every monic palindromic input of
+    # degree 2d <= 6 over F_3 and F_5
+    mobius = {1: 1, 2: -1, 3: -1, 4: 0}
+    for p, d in _small_split_cases():
+        count = sum(mobius[d // e] * p**e for e in range(1, d + 1) if d % e == 0) // d
+        assert len(monic_irreducibles(p, d)) == count, (p, d)
+    for p in (3, 5):
+        for d in (1, 2, 3):
+            pairs = reciprocal_pairs(p, d)
+            for idx in range(p**d):
+                half = [1] + _digits(idx, p, d)
+                f = Poly(tuple(half + half[-2::-1]), p)
+                assert pairs.get(f) == reciprocal_pair_by_search(f, d), f.coeffs
 
 
 def test_a_split_runs_at_the_half_degree(monkeypatch) -> None:
     # one split of the k = 15 chain at d = 40: one packed table, with d rows,
     # and no context of degree 2d
-    big, d = _reference_splits(7)[-1]
+    f = _reference_splits(7)[-1]
+    big, d = qk_transform(f, 15), f.degree
     assert d == 40
     tables, contexts = [], []
 
@@ -530,43 +566,30 @@ def test_a_split_runs_at_the_half_degree(monkeypatch) -> None:
 
     monkeypatch.setattr(ffpoly, "_PackedRows", RecordedRows)
     monkeypatch.setattr(ffpoly, "ModulusContext", RecordedContext)
-    first, second = equal_degree_factorize(big, d)
+    first, second = equal_degree_factorize(f, 15)
     assert first * second == big
     assert [(t.n, len(t.rows)) for t in tables] == [(d, d)]
     assert contexts == [d]
 
 
-def test_half_degree_inverts_the_transform_at_k_1() -> None:
-    rng = random.Random(11)
-    pairs = [big for big, _ in _reference_splits(9)]
-    while len(pairs) < 5 + 50:
-        p = rng.choice((3, 5, 13, 53, 65521, 2**31 - 1))
-        g = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(rng.randint(0, 11))] + [1]
-        inv = pow(g[0], -1, p)
-        pairs.append(Poly(tuple(g), p) * Poly(tuple(c * inv for c in reversed(g)), p))
-    for big in pairs:
-        d = big.degree // 2
-        assert big.coeffs == big.coeffs[::-1]
-        h = Poly(tuple(ffpoly._half_degree(list(big.coeffs), d, big.p)), big.p)
-        assert h.degree == d and qk_transform(h, 1) == big
-
-
 def test_split_table_is_capped_at_the_factor_degree(monkeypatch) -> None:
     # the split's table takes d^2 slots of w bytes: 20^2 * 2 at d = 20, p = 53
-    big, d = _reference_splits(4)[-1]
+    f = _reference_splits(4)[-1]
+    d = f.degree
     assert d == 20
-    want = equal_degree_factorize(big, d)
+    want = equal_degree_factorize(f, 15)
 
     def unreachable(*args):
         raise AssertionError("work began before the size check")
 
     monkeypatch.setattr(ffpoly, "MAX_ROW_TABLE_BYTES", d * d * 2 - 1)
-    monkeypatch.setattr(ffpoly, "_half_degree", unreachable)
+    monkeypatch.setattr(ffpoly, "_eval_raw", unreachable)
+    monkeypatch.setattr(ffpoly, "ModulusContext", unreachable)
     with pytest.raises(ResourceCapError, match=f"{d * d * 2} bytes"):
-        equal_degree_factorize(big, d)
+        equal_degree_factorize(f, 15)
     monkeypatch.undo()
     monkeypatch.setattr(ffpoly, "MAX_ROW_TABLE_BYTES", d * d * 2)
-    assert equal_degree_factorize(big, d) == want
+    assert equal_degree_factorize(f, 15) == want
 
 
 def test_is_irreducible_matches_trial_division() -> None:
@@ -597,36 +620,9 @@ def test_is_irreducible_takes_no_gcd(monkeypatch) -> None:
         assert is_irreducible(qk_transform(f, 15)) == (transform_character(f, 15) == -1)
 
 
-def test_rabin_with_a_twist_agrees_with_is_irreducible() -> None:
-    # L = (times c) o (y -> y^p) for a random unit c != 1: the same verdict
-    # as c = 1, and for an irreducible modulus the sum of the first n terms
-    # of the orbit of 1, computed here by powering by p
-    rng = random.Random(18)
-    verdicts = set()
-    for p in (3, 5, 7, 53):
-        for n in range(2, 8):
-            for _ in range(10):
-                m = Poly(tuple(rng.randrange(p) for _ in range(n)) + (1,), p)
-                ctx = ModulusContext(m)
-                c = [1]
-                while c == [1] or _gcd_raw(c, ctx._m, p) != [1]:
-                    c = _trim([rng.randrange(p) for _ in range(n)])
-                got = _rabin(ctx, _PackedRows(ctx._frobenius_rows(c), n, p))
-                irreducible = is_irreducible(m)
-                verdicts.add(irreducible)
-                assert (got is not None) == irreducible, (p, m.coeffs, c)
-                if irreducible:
-                    s, z = [0] * n, [1]
-                    for _ in range(n):
-                        s = [(a + b) % p for a, b in zip(s, z + [0] * n)]
-                        z = ctx.mulmod(c, ctx.powmod(z, p))
-                    assert got == _trim(s)
-    assert verdicts == {True, False}
-
-
-def test_rabin_leaves_the_constant_orbit_of_one_alone(monkeypatch) -> None:
-    # with c = 1, L(1) = 1: an irreducible member of degree n of the k = 15
-    # chain costs n applications of the table (the orbit of y), not 2n
+def test_is_irreducible_applies_the_table_n_times(monkeypatch) -> None:
+    # Rabin's test follows the orbit of x alone: an irreducible member of
+    # degree n of the k = 15 chain costs n applications of the table
     applied = []
     apply = _PackedRows.apply
     monkeypatch.setattr(_PackedRows, "apply", lambda self, cs: applied.append(1) or apply(self, cs))
@@ -702,110 +698,77 @@ def test_random_irreducible_is_irreducible() -> None:
 
 
 def test_factorize_hand_value() -> None:
-    # x^2 + 1 = (x+2)(x+3) over F_5
-    factors = equal_degree_factorize(Poly((1, 0, 1), 5), 1)
-    assert [f.coeffs for f in factors] == [(2, 1), (3, 1)]
+    # the transform of x is x^2 + 1 = (x+2)(x+3) over F_5, for every k
+    for k in range(1, 5):
+        factors = equal_degree_factorize(Poly.x(5), k)
+        assert [f.coeffs for f in factors] == [(2, 1), (3, 1)]
 
 
 def _reciprocal(g: Poly) -> Poly:
     return Poly(g.coeffs[::-1], g.p).monic()
 
 
-def test_factorize_deterministic_for_seed() -> None:
+def test_factorize_is_deterministic() -> None:
     # the first split of the k = 15 reference chain, degree 20 into 10 + 10
     f10 = generate_sequence(Poly((51, 3, 0, 0, 0, 1), 53), 15, 1).steps[1].poly
     big = qk_transform(f10, 15)
     assert big.degree == 20 and not is_irreducible(big)
-    runs = [equal_degree_factorize(big, 10, seed=123) for _ in range(3)]
+    runs = [equal_degree_factorize(f10, 15) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
     first, second = runs[0]
     assert first.coeffs < second.coeffs and second == _reciprocal(first)
 
 
-def test_factorize_sorted_output_seed_independent() -> None:
+def test_factorize_output_is_sorted_for_every_multiplier() -> None:
     p = 13
     g = Poly((2, 1, 1), p)  # x^2 + x + 2, irreducible; reciprocal x^2 + 7x + 7
     assert is_irreducible(g) and _reciprocal(g) != g
-    f = g * _reciprocal(g)
-    got = [equal_degree_factorize(f, 2, seed=seed) for seed in range(20)]
-    assert all(parts == sorted((g, _reciprocal(g)), key=lambda q: q.coeffs) for parts in got)
+    big = g * _reciprocal(g)  # x^4 + a x^3 + b x^2 + a x + 1 = x^2 h(x + 1/x)
+    a, b = big.coeffs[3], big.coeffs[2]
+    for k in range(1, p):
+        # h(y) = y^2 + a y + b - 2, and the transform of k^2 h(y/k) is big
+        f = Poly(((b - 2) * k * k, a * k, 1), p)
+        assert qk_transform(f, k) == big
+        assert equal_degree_factorize(f, k) == sorted((g, _reciprocal(g)), key=lambda q: q.coeffs)
 
 
-def test_factorize_rejects_what_is_not_a_reciprocal_pair() -> None:
-    p = 53
-    g = Poly((7, 1, 1), p)  # x^2 + x + 7, irreducible
-    assert is_irreducible(g) and _reciprocal(g) != g
-    for f in (Poly((1, 0, 1), p) * g, g * g):
-        for seed in range(3):
-            with pytest.raises(MalformedInputError):
-                equal_degree_factorize(f, 2, seed=seed)
-
-
-def test_factorize_rejects_a_non_palindromic_input_before_any_attempt(monkeypatch) -> None:
-    # f = g * g* satisfies x^(2d) f(1/x) = f; these inputs do not, so no gcd is taken
+def test_factorize_rejects_a_ramified_input_before_any_work(monkeypatch) -> None:
+    # x -+ 2k (character 0) has f(2k) f(-2k) = 0: D is not a unit in K, and
+    # the split refuses it before building the field or its table
     def unreachable(*args):
-        raise AssertionError("a split attempt was made")
+        raise AssertionError("the split built its field")
 
-    monkeypatch.setattr(ffpoly, "_gcd_raw", unreachable)
-    p = 53
-    g = Poly((7, 1, 1), p)  # x^2 + x + 7, irreducible, not its own reciprocal
-    for f, d in ((Poly((1, 0, 1), p) * g, 2), (g * g, 2),
-                 (Poly((1, 1) + (0,) * 78 + (1,), p), 40)):
-        with pytest.raises(MalformedInputError, match="not palindromic"):
-            equal_degree_factorize(f, d)
+    monkeypatch.setattr(ffpoly, "ModulusContext", unreachable)
+    monkeypatch.setattr(ffpoly, "_PackedRows", unreachable)
+    for p, k in ((5, 1), (13, 4), (53, 15)):
+        for sign in (1, -1):
+            f = Poly((-sign * 2 * k % p, 1), p)
+            assert transform_character(f, k) == 0
+            with pytest.raises(MalformedInputError, match="not a product"):
+                equal_degree_factorize(f, k)
 
 
-def test_factorize_rejects_palindromic_inputs_that_are_not_reciprocal_pairs() -> None:
-    # palindromic, so they pass the pre-check: h * h has a half-degree
-    # (y + 3)^2, which fails Rabin's test; the two transforms are
-    # irreducible, so D is not a square in K and D S^2 is not a constant
-    # square (with d = 1, D S^2 = D is a constant non-square).  The last is
-    # g1 g1* g2 g2* over F_5, with half-degree (y^2 + 4y + 1)(y^2 + 2): its
-    # traces can take the shape of a pair's, and only Rabin's test of the
-    # half-degree rejects it for every seed
-    p = 53
-    h = Poly((1, 3, 1), p)  # x^2 + 3x + 1, irreducible and its own reciprocal
-    q = Poly((6, 1, 1), p)  # character -1 under k = 15: the transform is irreducible
-    assert is_irreducible(h) and transform_character(q, 15) == -1
-    assert transform_character(Poly((1, 1), p), 15) == -1
-    for f, d in ((h * h, 2), (qk_transform(q, 15), 2), (qk_transform(Poly((1, 1), p), 15), 1),
-                 (Poly((1, 4, 2, 0, 4, 0, 2, 4, 1), 5), 4)):
-        assert f.coeffs == f.coeffs[::-1]
-        for seed in range(3):
-            with pytest.raises(MalformedInputError):
-                equal_degree_factorize(f, d, seed=seed)
+def test_factorize_refuses_a_constant_or_non_monic_input() -> None:
+    # the split's input is a monic f of degree >= 1, a chain member
+    for f in (Poly((1,), 53), Poly((3,), 53), Poly((1, 2), 53), Poly((6, 1, 2), 53)):
+        with pytest.raises(UsageError, match="monic polynomial of degree >= 1"):
+            equal_degree_factorize(f, 15)
 
 
 def test_factorize_rejects_an_irreducible_transform_before_any_gcd(monkeypatch) -> None:
     # the degree-80 transform of the degree-40 step of the k = 15 chain
-    # (character -1) is palindromic and irreducible: its half-degree h passes
-    # Rabin's test, but D is not a square in K, so the first S fails
-    # D S^2 == t^2, and no gcd is taken
+    # (character -1) is irreducible: D is not a square in K, so the first S
+    # fails D S^2 == t^2, and no gcd is taken
     f40 = generate_sequence(Poly((51, 3, 0, 0, 0, 1), 53), 15, 7).steps[7].poly
     assert f40.degree == 40 and transform_character(f40, 15) == -1
-    big = qk_transform(f40, 15)
+    assert is_irreducible(qk_transform(f40, 15))
 
     def unreachable(*args):
         raise AssertionError("a gcd was taken")
 
     monkeypatch.setattr(ffpoly, "_gcd_raw", unreachable)
-    for seed in range(3):
-        with pytest.raises(MalformedInputError):
-            equal_degree_factorize(big, 40, seed)
-
-
-def test_factorize_rejects_wrong_degree() -> None:
-    p = 5
-    with pytest.raises(MalformedInputError):
-        equal_degree_factorize(Poly((1, 0, 1), p) * Poly((2, 1), p), 2)
-
-
-def test_factorize_detects_unequal_split() -> None:
-    # (x+1)(x^2+2) over F_5: degree 3 is not a multiple of 2
-    p = 5
-    f = Poly((1, 1), p) * Poly((2, 0, 1), p)
-    with pytest.raises(MalformedInputError):
-        equal_degree_factorize(f, 2)
+    with pytest.raises(MalformedInputError, match="not a product"):
+        equal_degree_factorize(f40, 15)
 
 
 # ---------------------------------------------------------------------------

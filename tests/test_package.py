@@ -114,3 +114,12 @@ def test_only_extfield_and_the_package_use_field_elements():
         imported = list(_imported_modules(ast.parse(text, filename=str(path))))
         assert not [m for m in imported if "extfield" in m.split(".")], path.name
         assert not re.search(r"extfield|FqElem|theta_eval|is_periodic|INFINITY", text), path.name
+
+
+def test_no_module_imports_random():
+    # every subcommand is deterministic: no step draws a random number, and
+    # `generate --seed` is only recorded
+    src = Path(qkforge.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        imported = _imported_modules(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        assert "random" not in {m.split(".")[0] for m in imported}, path.name

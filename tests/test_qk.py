@@ -187,7 +187,7 @@ def test_transform_dichotomy_small_fields() -> None:
                     g = qk_transform(f, k)
                     if is_irreducible(g):
                         continue
-                    parts = equal_degree_factorize(g, n, seed=0)
+                    parts = equal_degree_factorize(f, k)
                     assert len(parts) == 2
                     assert parts[0] != parts[1]
                     assert all(is_irreducible(h) for h in parts)
@@ -212,7 +212,7 @@ def test_transform_character_matches_rabin() -> None:
                 if chi == 0:
                     assert f.degree == 1 and f(2 * k) * f(-2 * k) % p == 0, tag
                 elif chi == 1:
-                    first, second = equal_degree_factorize(g, n, seed=0)
+                    first, second = equal_degree_factorize(f, k)
                     assert first.is_monic and second.is_monic, tag
                     assert second == Poly(first.coeffs[::-1], p).monic(), tag
     assert classes == {"C1", "C2", "C3", "C3-", "Generic"}

@@ -125,7 +125,7 @@ def test_predict_schedule_rejects_classes_without_schedule():
 
 
 def test_next_poly_doubles_when_transform_is_irreducible():
-    chosen, alternate, kind = seqgen._step(F0, 15, 0)
+    chosen, alternate, kind = seqgen._step(F0, 15)
     assert kind == KIND_DOUBLED
     assert alternate is None
     assert chosen == qk_transform(F0, 15)
@@ -135,7 +135,7 @@ def test_next_poly_doubles_when_transform_is_irreducible():
 
 def test_next_poly_split_gives_two_distinct_cofactors():
     prev = qk_transform(F0, 15)  # degree 10, splits on the next step
-    chosen, alternate, kind = seqgen._step(prev, 15, 0)
+    chosen, alternate, kind = seqgen._step(prev, 15)
     assert kind == KIND_SPLIT_FIRST
     assert alternate is not None
     assert chosen != alternate
@@ -148,15 +148,15 @@ def test_next_poly_split_gives_two_distinct_cofactors():
 
 def test_next_poly_ramified_inputs_square_to_linear_roots():
     # x - 2k transforms to (x - 1)^2; x + 2k transforms to (x + 1)^2
-    chosen, alternate, kind = seqgen._step(lin(30, 53), 15, 0)
+    chosen, alternate, kind = seqgen._step(lin(30, 53), 15)
     assert (chosen, alternate, kind) == (lin(1, 53), lin(1, 53), KIND_SPLIT_FIRST)
-    chosen, alternate, kind = seqgen._step(lin(23, 53), 15, 0)
+    chosen, alternate, kind = seqgen._step(lin(23, 53), 15)
     assert (chosen, alternate, kind) == (lin(-1, 53), lin(-1, 53), KIND_SPLIT_FIRST)
     for p in (3, 5, 7, 11, 13, 29, 53):
         for k in range(1, p):
             for sign in (1, -1):
                 f = lin(sign * 2 * k, p)
-                chosen, alternate, kind = seqgen._step(f, k, 0)
+                chosen, alternate, kind = seqgen._step(f, k)
                 assert (chosen, alternate, kind) == (lin(sign, p), lin(sign, p), KIND_SPLIT_FIRST)
                 assert chosen * chosen == qk_transform(f, k)
 
@@ -291,7 +291,7 @@ def test_race_that_neither_factor_wins_is_a_theorem_violation(monkeypatch):
 
 
 def test_failed_split_is_a_theorem_violation(monkeypatch):
-    def fail(f, d, seed=0):
+    def fail(f, k):
         raise MalformedInputError("forced")
 
     monkeypatch.setattr(seqgen, "equal_degree_factorize", fail)
@@ -364,13 +364,15 @@ def test_seeded_chains_conform_are_prefix_stable_and_race_off_the_cycle():
         rec = generate_sequence(f0, k, num_steps)
         case = (p, k, f0)
         assert verify_against_schedule(rec) == [], case
+        # the splits rely on the certificate: Rabin's test agrees on every member
+        assert all(is_irreducible(s.poly) for s in rec.steps), case
         for m in range(num_steps):
             assert generate_sequence(f0, k, m).steps == rec.steps[: m + 1], (case, m)
         if p**f0.degree > 10**4:
             continue
         # the first split before any doubling whose two factors differ
         for prev, cur in zip(rec.steps, rec.steps[1:]):
-            first, alternate, _ = seqgen._step(prev.poly, k, 0)
+            first, alternate, _ = seqgen._step(prev.poly, k)
             if alternate is None:
                 break
             if alternate == first:
@@ -444,6 +446,15 @@ def test_record_parsing_rejects_malformed_input():
     with pytest.raises(MalformedInputError):
         SequenceRecord.from_json_dict(degree_lies)
 
+    # constant steps are refused by the certificate, not by a transform of
+    # degree 0 that would raise a bare UsageError
+    for steps, broken in (([0], "step 0: polynomial fails"), ([1, 2], "step 2: a constant")):
+        constant = json.loads(generate_sequence(F0, 15, 2).to_json())
+        for j in steps:
+            constant["steps"][j].update(coeffs=[1], degree=0)
+        with pytest.raises(MalformedInputError, match=broken):
+            SequenceRecord.from_json_dict(constant)
+
 
 def test_record_parsing_accepts_only_json_integers(tmp_path):
     # a record that `generate --out` wrote reads back unchanged
@@ -492,8 +503,27 @@ def test_record_parsing_checks_irreducibility_unless_disabled():
     reducible = (F0 * F0).coeffs
     data["steps"][1]["coeffs"] = list(reducible)
     data["steps"][1]["degree"] = 10
-    with pytest.raises(MalformedInputError):
+    with pytest.raises(MalformedInputError, match="step 1: .* not the transform"):
         SequenceRecord.from_json_dict(data)
+
+
+def test_record_parsing_refuses_an_irreducible_but_unlinked_step():
+    # an irreducible degree-10 polynomial that does not divide the split
+    # transform of f_1 passes Rabin's test, but not the certificate chain
+    f1 = qk_transform(F0, 15)
+    stranger = random_irreducible(53, 10, random.Random(5))
+    data = _forged_after(f1, stranger).to_json_dict()
+    assert is_irreducible(stranger)
+    with pytest.raises(MalformedInputError, match="step 2: .* does not divide"):
+        SequenceRecord.from_json_dict(data)
+
+
+def test_record_parsing_runs_rabin_only_on_f0(monkeypatch):
+    # the 12-step k = 15 record reads back with one Rabin's test, on f_0
+    rec = generate_sequence(F0, 15, 12)
+    rabin = _count_calls(monkeypatch, "is_irreducible")
+    assert SequenceRecord.from_json_dict(json.loads(rec.to_json())) == rec
+    assert rabin == [(F0,)]
 
 
 def test_record_constructor_validates_structure():
@@ -565,6 +595,16 @@ def _certificate_failures(record: SequenceRecord) -> list[str]:
     return [v for v in violations if "fails the irreducibility" in v]
 
 
+def test_verify_reports_constant_steps_as_certificate_breaks():
+    # a constant is no link of the chain: each one is reported, and no
+    # transform of degree 0 is formed
+    one = Poly((1,), 53)
+    forged = _forged_after(qk_transform(F0, 15), one, one)
+    assert _certificate_failures(forged) == []
+    broken = [v for v in verify_against_schedule(forged) if "constant" in v]
+    assert broken == ["step 2: a constant is not irreducible", "step 3: a constant is not irreducible"]
+
+
 def test_verify_flags_flat_step_outside_the_transform():
     # an irreducible degree-10 polynomial that is not a factor of the split
     # transform of f_1: Rabin's test alone would accept it
@@ -625,10 +665,10 @@ def test_reference_chains_run_rabin_only_on_f0(monkeypatch):
         rec = generate_sequence(F0, k, steps)
         assert verify_against_schedule(rec) == []
         assert rabin == [(F0,), (F0,)]  # generate_sequence, then verify
-        if k == 7:
-            assert splits == []
-        else:
-            assert len(splits) == 6
+        # each split takes a chain member f and k, not the transform
+        members = {s.poly for s in rec.steps}
+        assert all(f in members and k_ == k for f, k_ in splits)
+        assert [f.degree for f, _ in splits] == ([] if k == 7 else [10, 10, 20, 40, 80, 160])
 
 
 def test_verify_flags_flat_step_counts_beyond_bounds():
