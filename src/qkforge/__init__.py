@@ -20,8 +20,6 @@ from .cm_arith import (
     QuadInt,
     count_points,
     depths,
-    frobenius_pi,
-    rho0_select,
 )
 from .extfield import ExtField, FqElem, batch_inverse
 from .ffpoly import (
@@ -86,7 +84,6 @@ __all__ = [
     "find_k",
     "format_poly",
     "format_poly_human",
-    "frobenius_pi",
     "generate_sequence",
     "is_irreducible",
     "is_prime",
@@ -94,7 +91,6 @@ __all__ = [
     "parse_poly",
     "predict_schedule",
     "qk_transform",
-    "rho0_select",
     "smallest_irreducible",
     "sqrt_mod_p",
     "verify_against_schedule",

@@ -25,7 +25,7 @@ import sys
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
-from .cm_arith import _embedding, _ladder, depths, frobenius_pi, rho0_select
+from .cm_arith import _embedding, _ladder, depths
 from .config import MAX_SWEEP_DOUBLINGS
 from .dynamics import build_graph, component_stats, export_dot
 from .errors import (
@@ -102,15 +102,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     """Emit the degree-schedule prediction for (p, k, n) as JSON."""
     p = _check_odd_prime(args.p)
     report = predict_schedule(p, _resolve_k(p, args.k), args.n)
-    name = report.class_name
-    pi = frobenius_pi(p, name)
-    payload: dict = {
-        "a_p": (pi + pi.conj()).a,
-        "pi": [pi.a, pi.b],
-    }
-    if pi.disc == -7:
-        rho = rho0_select(p, report.k, pi)
-        payload["rho0"] = [rho.a, rho.b]
+    _, pi, rho0 = _embedding(p, report.k)
+    payload: dict = {"a_p": (pi + pi.conj()).a, "pi": [pi.a, pi.b]}
+    if rho0 is not None:
+        payload["rho0"] = [rho0.a, rho0.b]
     payload["e0"] = report.e0
     payload["e1"] = report.e1
     payload["s_bound"] = report.s_bound
@@ -293,8 +288,9 @@ def cmd_sweep_lemmas(args: argparse.Namespace) -> int:
     extension degree sends (e0, e1) to (e0 + e1, f1 - 1), and afterwards each
     doubling adds exactly inc to e0.  A multiplier's pairs depend on it only
     through its key from `cm_arith._embedding`: the Frobenius element pi,
-    which fixes (p, disc), and a parity.  So the sweep climbs one ladder per
-    key, and the multipliers sharing it read the same pairs.  Any failed identity exits with code 3; negative bounds or
+    which fixes (p, disc), and the prime rho0 above 2 (None for C2).  So the
+    sweep climbs one ladder per key, and the multipliers sharing it read the
+    same pairs.  Any failed identity exits with code 3; negative bounds or
     a range that checks nothing exit with code 2, and max_i above
     config.MAX_SWEEP_DOUBLINGS with code 4, before any work.
     """
@@ -317,19 +313,19 @@ def cmd_sweep_lemmas(args: argparse.Namespace) -> int:
     for m in range(1, max_m + 1):
         degrees.update(m << i for i in range(max_i + 2))
     ns = sorted(degrees)
-    # The sweep takes p in order, so the ladder of a key (p, disc, parity) is
-    # kept, under (disc, parity), only until the next p.
-    ladders: dict[tuple[int, int], tuple[int, dict[int, tuple[int, int]]]] = {}
+    # The sweep takes p in order, so the ladder of a key (p, disc, rho0) is
+    # kept, under (disc, rho0), only until the next p.
+    ladders: dict[tuple, tuple[int, dict[int, tuple[int, int]]]] = {}
     violations: list[str] = []
     checked = 0
     for p, name in sweep:
         low_e0, low_e1, inc = CLASSES[name].floors
         for k in find_k(p, name):
-            _, pi, parity = _embedding(p, k)
-            at, table = ladders.get((pi.disc, parity), (None, None))
+            _, pi, rho0 = _embedding(p, k)
+            at, table = ladders.get((pi.disc, rho0), (None, None))
             if at != p:
-                table = _ladder(p, pi, parity, ns)
-                ladders[pi.disc, parity] = p, table
+                table = _ladder(p, pi, rho0, ns)
+                ladders[pi.disc, rho0] = p, table
             for n in range(1, max_n + 1):
                 e0, e1 = table[n]
                 checked += 1 if e0 < low_e0 else 2  # the floor, then one e1 law

@@ -24,8 +24,9 @@ extension degree n:
   2k + 1 mod p;
 * C3-: the same with k replaced by -k (a C3 multiplier).
 
-A multiplier enters its pairs only through its key (`_embedding`), so a
-sweep climbs one ladder per key at p.  The ladder (`_ladder`) never forms
+`_embedding` is the one route from a multiplier k to its class, pi and
+rho0 (None for C2); k enters its pairs only through the key (pi, rho0), so
+a sweep climbs one ladder per key at p.  The ladder (`_ladder`) never forms
 pi^n, whose coordinates grow like p^(n/2): for a set of degrees it fixes
 one precision B = 2*(p.bit_length() + max_n.bit_length()) + 8 from the
 largest degree and climbs one ladder of powers z_n = pi^n mod 2^B on
@@ -115,17 +116,16 @@ class CurveParams:
 
 CURVE_DISC4 = CurveParams(-4, 1, 0)
 CURVE_DISC7 = CurveParams(-7, -35, 98)
-CURVES = {curve.disc: curve for curve in (CURVE_DISC4, CURVE_DISC7)}
 
 
-def _check_split_prime(p: int, curve: CurveParams) -> None:
-    """p must split in the curve's order, i.e. satisfy the congruence of the
-    multiplier classes attached to that order."""
+def _check_split_prime(p: int, disc: int) -> None:
+    """p must split in the order of discriminant disc, i.e. satisfy the
+    congruence of the multiplier classes attached to that order."""
     _check_odd_prime(p)
-    spec = next(s for s in CLASSES.values() if s.disc == curve.disc)
+    spec = next(s for s in CLASSES.values() if s.disc == disc)
     if not spec.admits(p):
         raise UnsupportedPrimeError(
-            f"p={p} fails the congruence of the disc {curve.disc} order: "
+            f"p={p} fails the congruence of the disc {disc} order: "
             f"it {spec.congruence_text()}"
         )
 
@@ -133,7 +133,7 @@ def _check_split_prime(p: int, curve: CurveParams) -> None:
 @lru_cache(maxsize=None)
 def count_points(curve: CurveParams, p: int) -> int:
     """#E(F_p) for the given curve, by a quadratic-character sum in O(p)."""
-    _check_split_prime(p, curve)
+    _check_split_prime(p, curve.disc)
     squares = bytearray(p)
     for x in range(p // 2 + 1):
         squares[x * x % p] = 1
@@ -166,7 +166,14 @@ def _cornacchia(p: int, d: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def _frobenius_pi_disc(p: int, disc: int) -> QuadInt:
-    _check_split_prime(p, CURVES[disc])
+    """The canonical Frobenius element of norm p and trace t = p + 1 - #E(F_p)
+    in the order of discriminant disc, found without counting points: second
+    coordinate positive, first fixed by t.  Disc -4: p = a^2 + b^2 by
+    Cornacchia, pi = a + b*i with a = t/2 the odd coordinate, a = 1 (mod 4).
+    Disc -7: p = x^2 + 7y^2 by Cornacchia, pi = u + v*alpha with v = 2y,
+    u = (t - v)/2, t = +-2x signed so that legendre(t, 7) = +1 exactly when
+    t = 2 (mod 4)."""
+    _check_split_prime(p, disc)
     if disc == -4:
         # p = a^2 + b^2 with a odd and pi = a + b*i.  For y^2 = x^3 + x the
         # trace is 2a with a = 1 (mod 4): Ireland-Rosen, A Classical
@@ -195,48 +202,15 @@ def _frobenius_pi_disc(p: int, disc: int) -> QuadInt:
     return pi
 
 
-def frobenius_pi(p: int, class_name: str) -> QuadInt:
-    """The canonical Frobenius element of norm p and trace p + 1 - #E(F_p)
-    in the order attached to the multiplier class, found without counting
-    points.
-
-    Canonical form: second coordinate positive; first coordinate determined
-    by the trace t.  C2 (disc -4): p = a^2 + b^2 by Cornacchia, pi = a + b*i
-    with a = t/2 the odd coordinate, a = 1 (mod 4).  C3 / C3- (disc -7):
-    p = x^2 + 7y^2 by Cornacchia, pi = u + v*alpha with v = 2y,
-    t = +-2x signed so that legendre(t, 7) = +1 exactly when t = 2 (mod 4),
-    and u = (t - v)/2.
-    """
-    spec = CLASSES.get(class_name)
-    if spec is None or spec.disc is None:
-        raise UsageError(
-            f"no CM order is attached to class {class_name!r}; expected C2, C3, or C3-"
-        )
-    return _frobenius_pi_disc(p, spec.disc)
-
-
 _ALPHA, _ALPHA_BAR = QuadInt(0, 1, -7), QuadInt(1, -1, -7)
 
 
-def rho0_select(p: int, k: int, pi: QuadInt) -> QuadInt:
-    """The prime above 2 in Z[alpha] matching the C3 or C3- multiplier k.
-
-    k solves 2k^2 + bk + 1 = 0 with b = 1 (C3) or b = -1 (C3-), so 2bk + 1
-    is a root of x^2 - x + 2 mod p (the minimal polynomial of alpha), hence
-    the residue of exactly one of alpha, conj(alpha) modulo pi; return that
-    one.
-    """
-    if pi.disc != -7:
-        raise UsageError("rho0 selection lives in the disc -7 order")
-    k %= p
-    spec = classify_k(p, k).spec
-    if spec is None or spec.disc != -7:
-        raise UsageError(f"k={k} is not a C3 or C3- multiplier mod {p}")
-    return _rho0(p, k, spec.b, pi)
-
-
 def _rho0(p: int, k: int, b: int, pi: QuadInt) -> QuadInt:
-    """`rho0_select` for a k already known to solve 2k^2 + bk + 1 = 0 mod p."""
+    """The prime above 2 in Z[alpha] that the C3 (b = 1) or C3- (b = -1)
+    multiplier k selects, for pi of disc -7: k solves 2k^2 + bk + 1 = 0 mod p,
+    so 2bk + 1 is a root of x^2 - x + 2 mod p (the minimal polynomial of
+    alpha), hence the residue mod pi of exactly one of alpha, conj(alpha);
+    return that one.  So C3 k and C3- -k select the same prime."""
     u, v = pi.a, pi.b
     if v % p == 0:
         raise InternalConsistencyError("Frobenius with p | v cannot happen for split p")
@@ -286,13 +260,13 @@ class DepthPair:
         return self.e0 + self.e1
 
 
-def _embedding(p: int, k: int) -> tuple[str, QuadInt, int]:
-    """The class name of k and the key (pi, parity) through which its depth
+def _embedding(p: int, k: int) -> tuple[str, QuadInt, QuadInt | None]:
+    """The class name of k and the key (pi, rho0) through which its depth
     pairs depend on k: pi is the Frobenius element of the order of k's class
-    at p, so it fixes (p, disc), and parity is 0 for C2, and for C3 / C3-
-    the first coordinate of rho0, which picks the root of x^2 - x + 2 in Z_2
-    (alpha holds the even root, 1 - alpha the odd one).  So C3 k and C3- -k
-    share a key, and multipliers with one key have equal depth pairs.
+    at p (`_frobenius_pi_disc`), so it fixes (p, disc), and rho0 is None for
+    C2 and for C3 / C3- the prime above 2 that k selects (`_rho0`).  So C3 k
+    and C3- -k share a key, and multipliers with one key have equal depth
+    pairs.  This is the one route from a multiplier to its CM data.
 
     Raises UnsupportedPrimeError when the required CM structure does not
     exist at p, and UsageError for k outside the C2/C3/C3- classes.
@@ -301,23 +275,26 @@ def _embedding(p: int, k: int) -> tuple[str, QuadInt, int]:
     spec = kc.spec
     if spec is None or spec.disc is None:
         raise UsageError(
-            f"depth pairs are defined for C2, C3, and C3- multipliers; "
-            f"k={k} mod {p} is {kc.name}"
+            f"no schedule prediction exists for class {kc.name}; "
+            "supported classes are C2, C3, and C3-"
         )
     pi = _frobenius_pi_disc(p, spec.disc)
-    return kc.name, pi, 0 if spec.disc == -4 else _rho0(p, kc.k, spec.b, pi).a
+    return kc.name, pi, None if spec.disc == -4 else _rho0(p, kc.k, spec.b, pi)
 
 
-def _ladder(p: int, pi: QuadInt, parity: int, ns: list[int]) -> dict[int, tuple[int, int]]:
+def _ladder(p: int, pi: QuadInt, rho0: QuadInt | None,
+            ns: list[int]) -> dict[int, tuple[int, int]]:
     """(e0, e1) at every degree of ns, an ascending list of positive degrees,
-    for the key (pi, parity) of `_embedding` at p, keyed by degree.
+    for the key (pi, rho0) of `_embedding` at p, keyed by degree.
 
-    pi and, for disc -7, the 2-adic root are taken once, to one precision B
-    set by the largest degree.  The powers pi^n mod 2^B climb one ladder in
-    increasing n: z_n = z_(n-1)*pi when ns holds n - 1, z_n = z_(n/2)^2 when
-    it holds n/2, and binary powering otherwise, so consecutive degrees and
-    doubling chains cost one product each.  Every pair is read off its own
-    z_n; none is derived from another.
+    pi and, for disc -7, the 2-adic root of x^2 - x + 2 in rho0 are taken
+    once, to one precision B set by the largest degree; the root's parity
+    is rho0's first coordinate (alpha holds the even root, 1 - alpha the odd
+    one).  The powers pi^n mod 2^B climb one ladder in increasing n:
+    z_n = z_(n-1)*pi when ns holds n - 1, z_n = z_(n/2)^2 when it holds n/2,
+    and binary powering otherwise, so consecutive degrees and doubling
+    chains cost one product each.  Every pair is read off its own z_n; none
+    is derived from another.
     """
     disc = pi.disc
     # The valuations at degree n depend only on pi^n mod 2^B.  Lifting the
@@ -328,7 +305,7 @@ def _ladder(p: int, pi: QuadInt, parity: int, ns: list[int]) -> dict[int, tuple[
     bits = 2 * (p.bit_length() + ns[-1].bit_length()) + 8
     mod = 1 << bits
     if disc == -7:
-        root = _alpha_root_2adic(parity, bits)
+        root = _alpha_root_2adic(rho0.a, bits)
     u, v = pi.a % mod, pi.b % mod
     powers: dict[int, tuple[int, int]] = {}
     pairs = {}
@@ -354,10 +331,10 @@ def depths(p: int, k: int, n: int) -> DepthPair:
     one degree n, so B is fixed by n and pi^n comes from binary powering.
 
     Raises UnsupportedPrimeError when the required CM structure does not
-    exist at p, and UsageError for k outside the C2/C3/C3- classes or for
-    n below 1.
+    exist at p, and UsageError for k outside the C2/C3/C3- classes or,
+    after those checks, for n below 1.
     """
+    name, pi, rho0 = _embedding(p, k)
     if n < 1:
         raise UsageError("extension degree must be positive")
-    name, pi, parity = _embedding(p, k)
-    return DepthPair(*_ladder(p, pi, parity, [n])[n], p, n, name)
+    return DepthPair(*_ladder(p, pi, rho0, [n])[n], p, n, name)

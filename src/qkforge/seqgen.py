@@ -159,6 +159,8 @@ class SequenceRecord:
                 i = _json_int(entry["i"])
                 if not isinstance(entry["coeffs"], list):
                     raise TypeError(f"'coeffs' must be a list, got {entry['coeffs']!r}")
+                if len(entry["coeffs"]) > MAX_POLY_DEGREE + 1:
+                    raise ResourceCapError(f"step {i}: degree exceeds the cap of {MAX_POLY_DEGREE}")
                 coeffs = tuple(map(_json_int, entry["coeffs"]))
                 degree = _json_int(entry["degree"])
                 kind = str(entry["kind"])
@@ -190,16 +192,11 @@ def predict_schedule(p: int, k: int, n: int) -> ScheduleReport:
     """Schedule prediction for degree-n starts with multiplier k mod p.
 
     Only classes with an attached quadratic order (C2, C3, C3-) admit a
-    prediction; C1 and Generic multipliers are rejected.
+    prediction; `depths` rejects C1 and Generic multipliers.
     """
-    kc = classify_k(p, k)
-    if kc.spec is None or kc.spec.disc is None:
-        raise UsageError(
-            f"no schedule prediction exists for class {kc.name}; "
-            "supported classes are C2, C3, and C3-"
-        )
-    dp = depths(p, kc.k, n)
-    return ScheduleReport(dp.e0, dp.e1, p, n, kc.name, kc.k, kc.spec.pattern)
+    dp = depths(p, k, n)
+    return ScheduleReport(dp.e0, dp.e1, p, n, dp.class_name, k % p,
+                          CLASSES[dp.class_name].pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +426,8 @@ def verify_against_schedule(record: SequenceRecord) -> list[str]:
     """Check a record against the schedule predict_schedule gives for its
     (p, k) and starting degree; violations are returned as human-readable
     strings, an empty list meaning full conformance.  A record whose
-    multiplier has no schedule (C1) raises UsageError.
+    multiplier has no schedule (C1) raises UsageError; a constant f_0 has no
+    schedule either, so only its certificate violations are returned.
 
     Checks: the irreducibility certificate of every step (f_0 passes Rabin's
     test; a step of double degree equals the transform of its predecessor,
@@ -439,8 +437,10 @@ def verify_against_schedule(record: SequenceRecord) -> list[str]:
     pattern for all steps after s + t.
     """
     n = record.steps[0].degree
-    report = predict_schedule(record.p, record.k, n)
+    report = predict_schedule(record.p, record.k, max(n, 1))  # raises for C1
     violations = _certificate_violations(record)
+    if n < 1:
+        return violations
     s, t = observed_flat_steps(record)
     if s > report.s_bound:
         violations.append(f"observed s={s} exceeds s_bound={report.s_bound}")

@@ -290,9 +290,9 @@ def depth_table(p: int, k: int, degrees: Iterable[int]) -> dict[int, DepthPair]:
     ns = sorted(set(degrees))
     if not ns or ns[0] < 1:
         raise UsageError("extension degree must be positive")
-    name, pi, parity = cm_arith._embedding(p, k)
+    name, pi, rho0 = cm_arith._embedding(p, k)
     return {n: DepthPair(e0, e1, p, n, name)
-            for n, (e0, e1) in cm_arith._ladder(p, pi, parity, ns).items()}
+            for n, (e0, e1) in cm_arith._ladder(p, pi, rho0, ns).items()}
 
 
 def sweep_lemmas_by_multiplier(max_p: int, max_n: int, max_m: int,

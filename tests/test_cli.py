@@ -248,6 +248,24 @@ def test_predict_rejects_classes_without_schedule(capsys):
     assert main(["predict", "--p", "53", "--k", "3", "--n", "5"]) == 2
 
 
+_NO_SCHEDULE = "no schedule prediction exists for class {}; supported classes are C2, C3, and C3-"
+
+
+@pytest.mark.parametrize("p, k, n, err", [
+    (53, "c1", 0, _NO_SCHEDULE.format("C1")),  # the class is checked before n
+    (53, "27", 5, _NO_SCHEDULE.format("C1")),
+    (53, "3", 0, _NO_SCHEDULE.format("Generic")),
+    (53, "0", 5, "the multiplier k must be nonzero mod p"),
+    (53, "15", 0, "extension degree must be positive"),
+    (7, "5", 1, _NO_SCHEDULE.format("Generic")),  # 7 is ramified for C3
+    (3, "c2", 1, "p=3: C2 requires p = 1 (mod 4), got p = 3 (mod 4)"),
+    (65, "c2", 1, "p must be an odd prime, got 65"),
+])
+def test_predict_error_text_is_pinned(p, k, n, err, capsys):
+    assert main(["predict", "--p", str(p), "--k", k, "--n", str(n)]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
 def test_predict_rejects_zero_multiplier(capsys):
     assert main(["predict", "--p", "53", "--k", "0", "--n", "5"]) == 2
     assert main(["predict", "--p", "53", "--k", "53", "--n", "5"]) == 2
@@ -721,9 +739,9 @@ def test_sweep_lemmas_at_the_doubling_cap_runs(capsys):
 def test_sweep_lemmas_builds_one_ladder_per_key(monkeypatch, capsys):
     ladders = []
 
-    def counted(p, pi, parity, ns):
-        ladders.append((pi, parity))
-        return _ladder(p, pi, parity, ns)
+    def counted(p, pi, rho0, ns):
+        ladders.append((pi, rho0))
+        return _ladder(p, pi, rho0, ns)
 
     monkeypatch.setattr(cli, "_ladder", counted)
     monkeypatch.setattr(cli, "depths", _never)
@@ -737,9 +755,9 @@ def _one_wrong_pair(monkeypatch, p, k, n, wrong):
     for the sweep and for `oracle.depth_table`."""
     key = _embedding(p, k)[1:]
 
-    def ladder(q, pi, parity, ns):
-        pairs = _ladder(q, pi, parity, ns)
-        if (pi, parity) == key:
+    def ladder(q, pi, rho0, ns):
+        pairs = _ladder(q, pi, rho0, ns)
+        if (pi, rho0) == key:
             pairs[n] = wrong
         return pairs
 

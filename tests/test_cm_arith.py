@@ -13,10 +13,10 @@ from qkforge.cm_arith import (
     QuadInt,
     count_points,
     _embedding,
+    _frobenius_pi_disc,
     _nu2,
+    _rho0,
     depths,
-    frobenius_pi,
-    rho0_select,
 )
 from qkforge.errors import InternalConsistencyError, UnsupportedPrimeError, UsageError
 from qkforge.ffpoly import is_prime
@@ -49,17 +49,23 @@ def _rho_valuation_exact(z: QuadInt, rho: QuadInt) -> int:
         e += 1
 
 
+def _pi(p: int, name: str) -> QuadInt:
+    """The Frobenius element `_embedding` gives the first multiplier of the
+    class at p."""
+    return _embedding(p, find_k(p, name)[0])[1]
+
+
 def _exact_depths(p: int, k: int, n: int, pi: QuadInt | None = None) -> tuple[int, int]:
     """The depth pair the slow way: pi**n in full, then nu_2 of the norm (C2)
-    or repeated exact division by rho0 (C3, C3-).  pi defaults to the
-    canonical Frobenius element."""
-    if pi is None:
-        pi = frobenius_pi(p, classify_k(p, k).name)
+    or repeated exact division by rho0 (C3, C3-), the prime above 2 that k
+    selects relative to pi.  pi defaults to the canonical Frobenius element."""
+    name, canonical, _ = _embedding(p, k)
+    pi = canonical if pi is None else pi
     z = quad_pow(pi, n)
     below, above = z + QuadInt(-1, 0, pi.disc), z + QuadInt(1, 0, pi.disc)
     if pi.disc == -4:
         return _nu2_exact(below.norm()), _nu2_exact(above.norm())
-    rho = rho0_select(p, k, pi)
+    rho = _rho0(p, k, CLASSES[name].b, pi)
     return _rho_valuation_exact(below, rho), _rho_valuation_exact(above, rho)
 
 
@@ -177,24 +183,26 @@ def test_count_points_unsupported_primes() -> None:
 
 
 def test_frobenius_frozen_values() -> None:
-    assert frobenius_pi(53, "C2") == QuadInt(-7, 2, -4)
-    assert frobenius_pi(5, "C2") == QuadInt(1, 2, -4)
-    assert frobenius_pi(13, "C2") == QuadInt(-3, 2, -4)
-    assert frobenius_pi(11, "C3") == QuadInt(-3, 2, -7)
+    assert _pi(53, "C2") == QuadInt(-7, 2, -4)
+    assert _pi(5, "C2") == QuadInt(1, 2, -4)
+    assert _pi(13, "C2") == QuadInt(-3, 2, -4)
+    assert _pi(11, "C3") == QuadInt(-3, 2, -7)
     # C3 and C3- share the same order, hence the same Frobenius
-    assert frobenius_pi(11, "C3-") == frobenius_pi(11, "C3")
+    assert _pi(11, "C3-") == _pi(11, "C3")
+    # every multiplier of a class at p reads the same pi
+    assert {_embedding(53, k)[1] for k in find_k(53, "C2")} == {QuadInt(-7, 2, -4)}
 
 
 def test_frobenius_norm_and_trace() -> None:
     for p in (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97, 101, 113):
-        pi = frobenius_pi(p, "C2")
+        pi = _pi(p, "C2")
         assert pi.norm() == p
         assert pi.b > 0
         trace = (pi + pi.conj()).a
         assert trace == p + 1 - count_points(CURVE_DISC4, p)
         assert trace * trace <= 4 * p  # Hasse bound
     for p in (11, 23, 29, 37, 43, 53, 67, 71, 79, 107, 109, 113):
-        pi = frobenius_pi(p, "C3")
+        pi = _pi(p, "C3")
         assert pi.norm() == p
         assert pi.b > 0
         trace = (pi + pi.conj()).a
@@ -215,7 +223,8 @@ def _pi_from_point_count(p: int, disc: int) -> QuadInt:
 
 def test_frobenius_matches_point_count_route() -> None:
     # Cornacchia with the sign rules against the O(p) point count, for every
-    # admissible p < 10^4 and both discriminants
+    # admissible p < 10^4 and both discriminants, through one multiplier of
+    # each class
     checked = 0
     for p in range(3, 10**4, 2):
         if not is_prime(p):
@@ -225,22 +234,22 @@ def test_frobenius_matches_point_count_route() -> None:
                 continue
             pi = _pi_from_point_count(p, disc)
             assert pi.norm() == p
-            assert frobenius_pi(p, name) == pi, (p, name)
+            assert _pi(p, name) == pi, (p, name)
             checked += 1
     assert checked == 1216
 
 
-def test_frobenius_rejects_unknown_class() -> None:
-    with pytest.raises(UsageError):
-        frobenius_pi(53, "C1")
-    with pytest.raises(UsageError):
-        frobenius_pi(53, "Generic")
+def test_embedding_rejects_classes_without_an_order() -> None:
+    with pytest.raises(UsageError, match="no schedule prediction exists for class C1"):
+        _embedding(53, 27)
+    with pytest.raises(UsageError, match="no schedule prediction exists for class Generic"):
+        _embedding(53, 3)
 
 
 def test_frobenius_second_coordinate_exact() -> None:
     # the isqrt in the construction must be exact; rerun the identity
     for p in (5, 13, 53, 61):
-        pi = frobenius_pi(p, "C2")
+        pi = _pi(p, "C2")
         assert pi.a * pi.a + pi.b * pi.b == p
         assert pi.b == isqrt(p - pi.a * pi.a)
 
@@ -251,9 +260,8 @@ def test_frobenius_second_coordinate_exact() -> None:
 
 
 def test_rho0_frozen_values() -> None:
-    pi = frobenius_pi(11, "C3")
-    assert rho0_select(11, 3, pi) == QuadInt(0, 1, -7)  # alpha itself
-    assert rho0_select(11, 2, pi) == QuadInt(1, -1, -7)  # the conjugate
+    assert _embedding(11, 3)[2] == QuadInt(0, 1, -7)  # alpha itself
+    assert _embedding(11, 2)[2] == QuadInt(1, -1, -7)  # the conjugate
 
 
 def test_rho0_residue_property() -> None:
@@ -262,28 +270,26 @@ def test_rho0_residue_property() -> None:
     from qkforge.ffpoly import inv_mod
 
     for p in (11, 23, 29, 37, 53, 67):
-        pi = frobenius_pi(p, "C3")
+        pi = _pi(p, "C3")
         alpha_res = (-pi.a) * inv_mod(pi.b, p) % p
         for k in find_k(p, "C3"):
-            rho = rho0_select(p, k, pi)
+            _, pi_k, rho = _embedding(p, k)
+            assert pi_k == pi
             got = (rho.a + rho.b * alpha_res) % p
             assert got == (2 * k + 1) % p
-            assert rho0_select(p, -k, pi) == rho
+            assert _embedding(p, -k) == ("C3-", pi, rho)
 
 
-def test_rho0_rejects_non_c3() -> None:
-    pi = frobenius_pi(53, "C3")
-    with pytest.raises(UsageError):
-        rho0_select(53, 15, pi)  # 15 is C2 at p=53
-    with pytest.raises(UsageError):
-        rho0_select(53, 7, frobenius_pi(53, "C2"))  # wrong order
+def test_embedding_gives_no_rho0_for_c2() -> None:
+    for k in find_k(53, "C2"):  # 15 and 38 = -15
+        assert _embedding(53, k) == ("C2", QuadInt(-7, 2, -4), None)
 
 
 def test_depths_invariant_under_frobenius_conjugation() -> None:
     # recompute each depth pair with conj(pi) in place of pi; results must agree
     for p, k, n in ((53, 15, 1), (53, 15, 4), (13, 4, 3), (11, 3, 1), (11, 3, 2),
                     (53, 7, 5), (23, 16, 2)):
-        pi_bar = frobenius_pi(p, classify_k(p, k).name).conj()
+        pi_bar = _embedding(p, k)[1].conj()
         assert pair(depths(p, k, n)) == _exact_depths(p, k, n, pi_bar)
 
 
@@ -378,7 +384,7 @@ def test_depths_match_exact_route_small_primes() -> None:
             except UnsupportedPrimeError:
                 continue
             for k in ks:
-                pi = frobenius_pi(p, name)
+                pi = _pi(p, name)
                 for n in ns:
                     assert pair(depths(p, k, n)) == _exact_depths(p, k, n, pi), (p, k, n)
                     checked += 1
@@ -405,7 +411,7 @@ def test_depth_table_matches_single_degrees_and_the_exact_route() -> None:
             for k in find_k(p, name):
                 table = depth_table(p, k, degrees)
                 assert sorted(table) == sorted(degrees)
-                pi = frobenius_pi(p, name)
+                pi = _pi(p, name)
                 for n, dp in table.items():
                     assert dp == depths(p, k, n), (p, k, n)
                     if p < 60 and n <= 48:
@@ -427,8 +433,8 @@ def test_depth_table_takes_any_iterable_and_rejects_bad_degrees() -> None:
 
 def test_multipliers_with_one_key_have_one_table() -> None:
     # every multiplier below 600 at the sweep-lemmas defaults (6, 3, 3): the
-    # key (pi, parity) fixes the pairs, C3 k and C3- -k share one, and the
-    # two C3 multipliers at p pick the two roots of x^2 - x + 2
+    # key (pi, rho0) fixes the pairs, C3 k and C3- -k share one, and the
+    # two C3 multipliers at p pick the two primes above 2
     degrees = _sweep_degrees(6, 3, 3)
     keys = 0
     for p in range(3, 600, 2):
@@ -439,12 +445,12 @@ def test_multipliers_with_one_key_have_one_table() -> None:
             if not CLASSES[name].admits(p):
                 continue
             for k in find_k(p, name):
-                got, pi, parity = _embedding(p, k)
-                assert got == name and pi == frobenius_pi(p, name), (p, k)
+                got, pi, rho = _embedding(p, k)
+                assert got == name and pi == _frobenius_pi_disc(p, CLASSES[name].disc), (p, k)
                 pairs = {n: pair(dp) for n, dp in depth_table(p, k, degrees).items()}
-                assert tables.setdefault((pi, parity), pairs) == pairs, (p, k)
+                assert tables.setdefault((pi, rho), pairs) == pairs, (p, k)
                 if name != "C2":
-                    assert _embedding(p, -k)[1:] == (pi, parity), (p, k)
+                    assert _embedding(p, -k)[1:] == (pi, rho), (p, k)
         assert len(tables) == CLASSES["C2"].admits(p) + 2 * CLASSES["C3"].admits(p), p
         keys += len(tables)
     assert keys == 153

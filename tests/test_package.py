@@ -14,8 +14,8 @@ PUBLIC_NAMES = {
     "Step", "TheoremViolationError", "UnsupportedPrimeError", "UsageError", "batch_inverse",
     "build_graph", "classify_k", "component_stats", "count_points", "depths",
     "equal_degree_factorize", "export_dot", "find_k", "format_poly", "format_poly_human",
-    "frobenius_pi", "generate_sequence", "is_irreducible", "is_prime", "observed_flat_steps",
-    "parse_poly", "predict_schedule", "qk_transform", "rho0_select", "smallest_irreducible",
+    "generate_sequence", "is_irreducible", "is_prime", "observed_flat_steps",
+    "parse_poly", "predict_schedule", "qk_transform", "smallest_irreducible",
     "sqrt_mod_p", "verify_against_schedule",
 }
 
@@ -33,14 +33,13 @@ KEPT_FOR_BENCHMARK = {
     "cm_arith.CurveParams",
     "cm_arith.CURVE_DISC4",
     "cm_arith.CURVE_DISC7",
-    "cm_arith.CURVES",
     "ffpoly.Poly.__mul__",
     "ffpoly.Poly.__rmul__",
 }
 
 
 def test_public_names_are_pinned():
-    assert len(qkforge.__all__) == len(PUBLIC_NAMES) == 44
+    assert len(qkforge.__all__) == len(PUBLIC_NAMES) == 42
     assert set(qkforge.__all__) == PUBLIC_NAMES
 
 
@@ -123,3 +122,21 @@ def test_no_module_imports_random():
     for path in sorted(src.glob("*.py")):
         imported = _imported_modules(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
         assert "random" not in {m.split(".")[0] for m in imported}, path.name
+
+
+def test_only_the_cm_resolver_crosses_out_of_cm_arith():
+    # `cm_arith._embedding` is the one route from a multiplier to its class,
+    # pi and rho0; the rest of the package reads depth pairs through it and
+    # the ladder.  The package __init__ only re-exports, so it does not count.
+    allowed = {"_embedding", "_ladder", "depths", "DepthPair"}
+    src = Path(qkforge.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.stem in ("cm_arith", "__init__"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("cm_arith", "qkforge.cm_arith"):
+                names = {alias.name for alias in node.names}
+                assert names <= allowed, (path.name, names - allowed)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                # no module imports cm_arith whole, to reach past the rule
+                assert "cm_arith" not in {alias.name.split(".")[-1] for alias in node.names}, path.name

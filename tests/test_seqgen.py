@@ -4,12 +4,14 @@ record serialization, and orbit analysis."""
 import json
 import random
 import sys
+import time
 
 import pytest
 
 import qkforge.seqgen as seqgen
 from qkforge.cli import main
 from qkforge.cm_arith import DepthPair
+from qkforge.config import MAX_POLY_DEGREE
 from qkforge.errors import (
     MalformedInputError,
     ResourceCapError,
@@ -526,6 +528,25 @@ def test_record_parsing_runs_rabin_only_on_f0(monkeypatch):
     assert rabin == [(F0,)]
 
 
+def test_record_parsing_refuses_a_step_over_the_degree_cap_before_any_transform(monkeypatch):
+    # steps x^(2^i) doubling from degree 1 to twice the cap: the step over the
+    # cap is refused before its Poly is built, so no predecessor's transform
+    # (up to the cap itself) is ever formed
+    def unreachable(*args):
+        raise AssertionError("the reader formed a transform")
+
+    monkeypatch.setattr(seqgen, "qk_transform", unreachable)
+    steps = [{"i": i, "coeffs": [0] * (1 << i) + [1], "degree": 1 << i,
+              "kind": KIND_INITIAL if i == 0 else KIND_DOUBLED}
+             for i in range((2 * MAX_POLY_DEGREE).bit_length())]
+    assert steps[-1]["degree"] == 2 * MAX_POLY_DEGREE
+    data = {"p": 53, "k": 15, "class": "C2", "seed": 0, "rng": RNG_NAME, "steps": steps}
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match=f"step {len(steps) - 1}: .*cap of {MAX_POLY_DEGREE}"):
+        SequenceRecord.from_json_dict(data)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_record_constructor_validates_structure():
     s0 = Step(0, F0, KIND_INITIAL)
     s1 = Step(1, qk_transform(F0, 15), KIND_DOUBLED)
@@ -603,6 +624,17 @@ def test_verify_reports_constant_steps_as_certificate_breaks():
     assert _certificate_failures(forged) == []
     broken = [v for v in verify_against_schedule(forged) if "constant" in v]
     assert broken == ["step 2: a constant is not irreducible", "step 3: a constant is not irreducible"]
+
+
+def test_verify_reports_a_constant_f0_instead_of_raising():
+    # degree 0 has no schedule, so the certificate violations are the report;
+    # a C1 multiplier has none at any degree and still raises
+    one = (Step(0, Poly((1,), 53), KIND_INITIAL),)
+    record = SequenceRecord(p=53, k=15, class_name="C2", seed=0, steps=one)
+    assert verify_against_schedule(record) == ["step 0: polynomial fails the irreducibility test"]
+    c1 = SequenceRecord(p=53, k=27, class_name="C1", seed=0, steps=one)
+    with pytest.raises(UsageError, match="no schedule prediction exists for class C1"):
+        verify_against_schedule(c1)
 
 
 def test_verify_flags_flat_step_outside_the_transform():
