@@ -102,7 +102,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     """Emit the degree-schedule prediction for (p, k, n) as JSON."""
     p = _check_odd_prime(args.p)
     report = predict_schedule(p, _resolve_k(p, args.k), args.n)
-    _, pi, rho0 = _embedding(p, report.k)
+    pi, rho0 = report.pi, report.rho0
     payload: dict = {"a_p": (pi + pi.conj()).a, "pi": [pi.a, pi.b]}
     if rho0 is not None:
         payload["rho0"] = [rho0.a, rho0.b]

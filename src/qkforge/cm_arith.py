@@ -40,7 +40,7 @@ is below the bound of its own degree, hence below B (see `_ladder`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
 
@@ -242,14 +242,16 @@ def _alpha_root_2adic(parity: int, bits: int) -> int:
 
 @dataclass(frozen=True)
 class DepthPair:
-    """The pair (e0, e1) of prime-above-2 valuations of pi^n -+ 1, together
-    with the context (p, n, multiplier class) it was computed for."""
+    """The pair (e0, e1) of prime-above-2 valuations of pi^n -+ 1 and what it
+    is for: (p, n, multiplier class) and, from `depths`, the key (pi, rho0)."""
 
     e0: int
     e1: int
     p: int
     n: int
     class_name: str
+    pi: QuadInt | None = field(default=None, kw_only=True, compare=False)
+    rho0: QuadInt | None = field(default=None, kw_only=True, compare=False)
 
     @property
     def s_bound(self) -> int:
@@ -337,4 +339,4 @@ def depths(p: int, k: int, n: int) -> DepthPair:
     name, pi, rho0 = _embedding(p, k)
     if n < 1:
         raise UsageError("extension degree must be positive")
-    return DepthPair(*_ladder(p, pi, rho0, [n])[n], p, n, name)
+    return DepthPair(*_ladder(p, pi, rho0, [n])[n], p, n, name, pi=pi, rho0=rho0)

@@ -16,9 +16,8 @@ from .errors import InternalConsistencyError, UsageError
 from .ffpoly import (
     ModulusContext,
     Poly,
-    _divmod_raw,
-    _mul_raw,
-    _sub_raw,
+    _digits,
+    _euclid,
     _trim,
     inv_mod,
     is_irreducible,
@@ -80,11 +79,7 @@ class ExtField:
         """Canonical enumeration: base-p digits of j, ascending."""
         if not 0 <= j < self.q:
             raise UsageError(f"element index {j} out of range [0, {self.q})")
-        digits = []
-        for _ in range(self.n):
-            digits.append(j % self.p)
-            j //= self.p
-        return FqElem(self, tuple(digits))
+        return FqElem(self, tuple(_digits(j, self.p, self.n)))
 
     def index_of(self, elem: "FqElem") -> int:
         self._check_member(elem)
@@ -168,22 +163,14 @@ class FqElem:
         return self._wrap(self.field.ctx.powmod(_trim(list(self.rep)), e))
 
     def inverse(self) -> "FqElem":
-        """Multiplicative inverse by the extended Euclidean algorithm."""
+        """Multiplicative inverse by the extended Euclidean algorithm, `_euclid`."""
         if self.is_zero:
             raise UsageError("zero has no multiplicative inverse")
         p = self.field.p
-        r0 = list(self.field.modulus.coeffs)
-        r1 = _trim(list(self.rep))
-        t0: list[int] = []
-        t1: list[int] = [1]
-        while r1:
-            q, r = _divmod_raw(r0, r1, p)
-            r0, r1 = r1, r
-            t0, t1 = t1, _sub_raw(t0, _mul_raw(q, t1, p) if q else [], p)
-        if len(r0) != 1:
+        r, u = _euclid(list(self.field.modulus.coeffs), _trim(list(self.rep)), p, 1)
+        if not r:
             raise InternalConsistencyError("non-unit gcd with an irreducible modulus")
-        c_inv = inv_mod(r0[0], p)
-        return self._wrap([c * c_inv % p for c in t0])
+        return self._wrap(self.field.ctx.mulmod(u, [inv_mod(r[0], p)]))
 
     def frobenius(self) -> "FqElem":
         """The p-th power map, a field automorphism fixing exactly F_p."""

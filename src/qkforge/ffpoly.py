@@ -27,7 +27,7 @@ Three performance tricks keep everything exact but fast in pure Python:
   powering by p and no gcd.  The split of the transform g * g* of an
   irreducible f of degree d sums the orbit of 1 under the twist c of the
   field F_p[y]/(h), h(y) = k^-d f(k y): one table of d rows (d^2 w bytes),
-  d - 1 applications, and one gcd.
+  d - 1 applications, and one Euclid stopped at half the degree d.
 
 Each is cross-checked in the test suite against the plain route it
 replaces: schoolbook products, long division, powering by p.
@@ -39,7 +39,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Iterable
 
 from .config import MAX_POLY_DEGREE, MAX_ROW_TABLE_BYTES
@@ -277,14 +277,18 @@ def _divmod_raw(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int
     return _trim(q), _trim(r[:db])
 
 
-def _gcd_raw(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _divmod_raw(a, b, p)[1]
-    if a:
-        lead_inv = inv_mod(a[-1], p)
-        a = [c * lead_inv % p for c in a]
-    return a
+def _euclid(a: list[int], b: list[int], p: int, stop: int) -> tuple[list[int], list[int]]:
+    """(r, u): the first remainder r of Euclid on a, b (b included) with at
+    most `stop` coefficients, and u b ≡ r (mod a); for deg b < deg a, deg u
+    is deg a minus the degree of the remainder before r.  At stop = 1, r = 0
+    iff gcd(a, b) != 1, else u / r = 1/b mod a; at half of deg a, this is
+    rational reconstruction (von zur Gathen and Gerhard, ch. 5)."""
+    u0, u = [], [1]
+    while len(b) > stop:
+        q, r = _divmod_raw(a, b, p)
+        a, b = b, r
+        u0, u = u, _sub_raw(u0, _mul_raw(q, u, p), p)
+    return b, u
 
 
 def _digits(j: int, p: int, n: int) -> list[int]:
@@ -340,10 +344,7 @@ class Poly:
 
     def __post_init__(self) -> None:
         p = _check_odd_prime(self.p)
-        cs = [c % p for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", tuple(_trim([c % p for c in self.coeffs])))
 
     # -- constructors -------------------------------------------------------
 
@@ -565,16 +566,23 @@ def equal_degree_factorize(f: Poly, k: int) -> list[Poly]:
     (y -> y^p), c = D^((p-1)/2): one table of d packed rows c y^(pj) mod h,
     d^2 w bytes.  The trace of a = w b is T = w S, with
     S = sum_(i<d) L^i(b).  D is a square in K, so T is t mod g and -t mod
-    g*, D S^2 = t^2, and gcd(x^d (T - t), F) = g, where
-    x^d T = (x^2 - 1) x^(d-1) S(x + 1/x).  b runs through y^j, j < d,
-    until t != 0: b -> t is a nonzero linear form on K, so some y^j has
-    t != 0, and for the reference chains b = 1 does.
+    g*, D S^2 = t^2, and w = t / S on the roots of g.  b runs through y^j,
+    j < d, until t != 0: b -> t is a nonzero linear form on K, so some y^j
+    has t != 0, and for the reference chains b = 1 does.
+
+    g is read off one Euclid at degree d (rational reconstruction).  For
+    d = 2m, g = x^m (P(y) + w Q(y)), deg P <= m, deg Q < m, P S ≡ -t Q
+    (mod h); for d = 2m + 1, g = x^m ((x - 1) P(y) + (x + 1) Q(y)), deg P,
+    deg Q <= m, (y - 2) S P ≡ -t Q, as (x - 1) / (x + 1) = (y - 2) / w.
+    `_euclid(h, S or (y - 2) S, p, ceil(d/2))` gives P = -t u, Q = r; any
+    such (P, Q) vanishes on the d roots of g, so it gives a multiple of g.
 
     MalformedInputError when f(2k) f(-2k) = 0 (D not a unit in K), when D S^2
     is not a constant square (the character is -1), or when g fails the
-    degree, g != g* or g * g* == F check.
+    g != g* or g * g* == F check.
     """
     d, p = f.degree, f.p
+    m, odd = divmod(d, 2)
     if d < 1 or not f.is_monic:
         raise UsageError("the split needs a monic polynomial of degree >= 1")
     _row_slot(d, p)  # an oversized table is refused before any work
@@ -600,12 +608,13 @@ def equal_degree_factorize(f: Poly, k: int) -> list[Poly]:
         t = sqrt_mod_p(square[0], p) if len(square) == 1 else None
         if t is None:
             raise reject
-        lift = [0, 0] + _theta_lift(s, d - 1, 1, p)  # x^2 * x^(d-1) S(x + 1/x)
-        lift[: 2 * d - 1] = map(sub, lift, lift[2:])  # x^d T
-        lift[d] -= t
-        big = _theta_lift(fx, d, k, p)
-        g = _gcd_raw(_trim([c % p for c in lift]), big, p)
-        star = _reciprocal_cofactor(g, big, p) if len(g) - 1 == d else None
+        r, u = _euclid(hx, ctx.mulmod(s, [-2 % p, 1]) if odd else s, p, m + odd)
+        # g ~ cq R - cu U, R = x^(m-1+odd) r(x + 1/x), U = x^m u(x + 1/x)
+        cq, cu = ([1, 1], [-t % p, t]) if odd else ([p - 1, 0, 1], [t])
+        g = _sub_raw(_mul_raw(cq, _theta_lift(r, m - 1 + odd, 1, p), p),
+                     _mul_raw(cu, _theta_lift(u, m, 1, p), p), p)
+        g = list(Poly(tuple(g), p).monic().coeffs)
+        star = _reciprocal_cofactor(g, _theta_lift(fx, d, k, p), p)
         if star is None or star == g:
             raise reject
         return [Poly(tuple(h), p) for h in sorted((g, star))]
@@ -615,9 +624,10 @@ def equal_degree_factorize(f: Poly, k: int) -> list[Poly]:
 def smallest_irreducible(p: int, n: int) -> Poly:
     """Lexicographically smallest monic irreducible of degree n over F_p.
 
-    A candidate f with a root in F_p, that is with gcd(x^p - x, f) != 1, is
-    skipped, those with f(0) = 0 before any arithmetic.  At degree n <= 3 a
-    candidate without a root is irreducible; Rabin's test decides the rest.
+    A candidate f with a root in F_p, that is with gcd(x^p - x, f) != 1
+    (`_euclid` to stop 1), is skipped, those with f(0) = 0 before any
+    arithmetic.  At degree n <= 3 a candidate without a root is
+    irreducible; Rabin's test decides the rest.
     """
     if n < 1:
         raise UsageError("degree must be positive")
@@ -629,7 +639,7 @@ def smallest_irreducible(p: int, n: int) -> Poly:
         cs = _digits(idx, p, n) + [1]
         cand = Poly(tuple(cs), p)
         x_to_p = ModulusContext(cand).powmod([0, 1], p)
-        if len(_gcd_raw(cs, _sub_raw(x_to_p, [0, 1], p), p)) > 1:
+        if not _euclid(cs, _sub_raw(x_to_p, [0, 1], p), p, 1)[0]:
             continue
         if n <= 3 or is_irreducible(cand):
             return cand

@@ -196,7 +196,7 @@ def predict_schedule(p: int, k: int, n: int) -> ScheduleReport:
     """
     dp = depths(p, k, n)
     return ScheduleReport(dp.e0, dp.e1, p, n, dp.class_name, k % p,
-                          CLASSES[dp.class_name].pattern)
+                          CLASSES[dp.class_name].pattern, pi=dp.pi, rho0=dp.rho0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,18 @@ field element as an integer node index or as a coefficient list.  The orbit
 walks below work element by element, independently of the exp/log tables,
 the transform character and the factor race that they check.
 
-Also here: polynomial subtraction, addition and long division
-(`poly_sub`, `poly_add`, `poly_divmod`), `random_irreducible` for seeded
-inputs, `check_lemma_kk` for the k versus -k comparison over a whole field,
-exact arithmetic in the CM orders (`quad_mul`, `quad_pow`) for the depth
-pairs the slow way, `depth_table` and `sweep_lemmas_by_multiplier` for the
-depth pairs and the depth-law sweep with one ladder per multiplier, and
-three routes to the split of a reciprocal pair
-g * g* that work modulo the degree-2d input itself: by the trace with a
-degree-2d Frobenius table (`split_by_trace`), by powering and recursion
-(`split_by_powering`), and by divisor search (`reciprocal_pair_by_search`,
-on `irreducible_by_trial_division`).  `reciprocal_pairs` tabulates every
+Also here: polynomial subtraction, addition and long division (`poly_sub`,
+`poly_add`, `poly_divmod`), the plain gcd (`_gcd_raw`),
+`random_irreducible` for seeded inputs, `check_lemma_kk` for the k versus
+-k comparison over a whole field, exact arithmetic in the CM orders
+(`quad_mul`, `quad_pow`) for the depth pairs the slow way, `depth_table`
+and `sweep_lemmas_by_multiplier` for the depth pairs and the depth-law
+sweep with one ladder per multiplier, and three routes to the split of a
+reciprocal pair g * g* that work modulo the degree-2d input itself, each
+with the plain gcd: by the trace with a degree-2d Frobenius table
+(`split_by_trace`), by powering and recursion (`split_by_powering`), and by
+divisor search (`reciprocal_pair_by_search`, on
+`irreducible_by_trial_division`).  `reciprocal_pairs` tabulates every
 reciprocal pair of a small field at once, from the irreducibles of a sieve
 (`monic_irreducibles`).
 """
@@ -38,7 +39,6 @@ from qkforge.ffpoly import (
     Poly,
     _PackedRows,
     _divmod_raw,
-    _gcd_raw,
     _mul_raw,
     _prime_factors,
     _reciprocal_cofactor,
@@ -363,6 +363,20 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         raise UsageError(f"mixed moduli: {a.p} vs {b.p}")
     q, r = _divmod_raw(list(a.coeffs), list(b.coeffs), a.p)
     return Poly(tuple(q), a.p), Poly(tuple(r), a.p)
+
+
+def _gcd_raw(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd of two coefficient lists over F_p (gcd(0, 0) = 0), by
+    Euclid's algorithm on long division run to a zero remainder: the
+    reference that `ffpoly._euclid`, which stops early and tracks a
+    cofactor, is checked against."""
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _divmod_raw(a, b, p)[1]
+    if a:
+        lead_inv = inv_mod(a[-1], p)
+        a = [c * lead_inv % p for c in a]
+    return a
 
 
 def _monic_of_degree(p: int, d: int):

@@ -266,6 +266,25 @@ def test_predict_error_text_is_pinned(p, k, n, err, capsys):
     assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
+def test_predict_resolves_the_multiplier_once(monkeypatch, capsys):
+    # class, pi and rho0 come off one `_embedding`, handed back by `depths`:
+    # one classify_k and one _rho0 for the whole command
+    counts = dict.fromkeys(("_embedding", "classify_k", "_rho0"), 0)
+    for name in counts:
+        original = getattr(cm_arith, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "qkforge" and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    assert main(["predict", "--p", "53", "--k", "7", "--n", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["rho0"] == [0, 1]
+    assert counts == {"_embedding": 1, "classify_k": 1, "_rho0": 1}
+
+
 def test_predict_rejects_zero_multiplier(capsys):
     assert main(["predict", "--p", "53", "--k", "0", "--n", "5"]) == 2
     assert main(["predict", "--p", "53", "--k", "53", "--n", "5"]) == 2
@@ -291,6 +310,17 @@ def test_transform_split_case_prints_factors(capsys):
     assert "irreducible: no" in out
     assert "factor 1:" in out
     assert "factor 2:" in out
+
+
+def test_transform_splits_at_an_odd_degree(capsys):
+    # x^5 + 3x + 1 has character +1 at k = 15: the degree-10 transform splits
+    # into two quintics, read off the split's odd-degree reconstruction
+    assert main(["transform", "--p", "53", "--k", "15", "--f0", "x^5+3*x+1"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "irreducible: no\n"
+        "factor 1:    x^5+50*x^4+32*x^3+31*x^2+39*x+13\n"
+        "factor 2:    x^5+3*x^4+35*x^3+31*x^2+12*x+49\n"
+    )
 
 
 def test_transform_accepts_both_polynomial_syntaxes(capsys):

@@ -20,9 +20,10 @@ from qkforge.ffpoly import (
     _PackedRows,
     _digits,
     _divmod_raw,
-    _gcd_raw,
+    _euclid,
     _kron_mul,
     _school_mul,
+    _sub_raw,
     _trim,
     equal_degree_factorize,
     format_poly,
@@ -39,6 +40,7 @@ from qkforge.qk import find_k, qk_transform, transform_character
 from qkforge.seqgen import generate_sequence
 
 from oracle import (
+    _gcd_raw,
     irreducible_by_trial_division,
     monic_irreducibles,
     poly_add,
@@ -53,7 +55,7 @@ from oracle import (
 
 
 def _gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd of two polynomials over F_p by _gcd_raw (gcd(0, 0) = 0)."""
+    """Monic gcd of two polynomials over F_p by the oracle's _gcd_raw (gcd(0, 0) = 0)."""
     return Poly(tuple(_gcd_raw(list(a.coeffs), list(b.coeffs), a.p)), a.p)
 
 
@@ -210,6 +212,37 @@ def test_poly_gcd_hand_value() -> None:
     b = Poly((1, 0, 1), p) * Poly((4, 1), p)
     assert _gcd(a, b).coeffs == (1, 0, 1)
     assert _gcd(Poly((), p), Poly((), p)).is_zero
+
+
+def test_euclid_stops_at_the_first_short_remainder_with_its_cofactor() -> None:
+    # seeded (a, b) with deg b < deg a, a third of them with a common factor:
+    # r is the first remainder of the plain sequence a, b, a mod b, ... with
+    # at most `stop` coefficients, u b = r (mod a) with deg u = deg a minus
+    # the degree of the remainder before r, and at stop = 1 a zero r comes
+    # exactly when the oracle gcd is not 1
+    rng = random.Random(11)
+    common = 0
+    for _ in range(400):
+        p = rng.choice((3, 5, 53, 113, 2**61 - 1))
+        a = [rng.randrange(p) for _ in range(rng.randint(1, 12))] + [rng.randrange(1, p)]
+        b = _trim([rng.randrange(p) for _ in range(rng.randint(0, len(a) - 1))])
+        if rng.randrange(3) == 0:
+            c = [rng.randrange(p), 1]
+            a, b = _school_mul(a, c, p), _school_mul(b, c, p)
+        remainders = [a, b]
+        while remainders[-1]:
+            remainders.append(_divmod_raw(remainders[-2], remainders[-1], p)[1])
+        gcd_is_one = len(_gcd_raw(a, b, p)) == 1
+        common += not gcd_is_one
+        for stop in range(1, len(a)):
+            r, u = _euclid(a, b, p, stop)
+            i = next(i for i in range(1, len(remainders)) if len(remainders[i]) <= stop)
+            assert r == remainders[i] and len(remainders[i - 1]) > stop
+            assert _divmod_raw(_sub_raw(_school_mul(u, b, p), r, p), a, p)[1] == []
+            assert len(u) == len(a) - len(remainders[i - 1]) + 1
+            if stop == 1:
+                assert (not r) == (not gcd_is_one), (p, a, b)
+    assert 50 < common < 350
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +449,9 @@ def test_rabin_and_splitting_match_powering_on_the_reference_chains() -> None:
 def _seeded_split_inputs(count: int) -> list[tuple[Poly, int]]:
     """(f, k) for `count` seeded monic irreducibles f of degree <= 6 over
     primes p < 160 and C1, C2, C3 or C3- multipliers k with character +1,
-    whose transform is a reciprocal pair g * g*."""
+    whose transform is a reciprocal pair g * g*; then one such (f, k) of
+    each odd degree 5 to 15 at p = 53 and at p = 113, for the split's
+    odd-degree reconstruction."""
     rng = random.Random(3)
     primes = [p for p in range(3, 160) if is_prime(p)]
     out = []
@@ -429,6 +464,13 @@ def _seeded_split_inputs(count: int) -> list[tuple[Poly, int]]:
         f = random_irreducible(p, rng.randint(1, 6), rng)
         if f != Poly.x(p) and transform_character(f, k) == 1:
             out.append((f, k))
+    for p, d in [(p, d) for p in (53, 113) for d in range(5, 16, 2)]:
+        while True:
+            k = rng.choice(find_k(p, rng.choice(("C1", "C2", "C3", "C3-"))))
+            f = random_irreducible(p, d, rng)
+            if transform_character(f, k) == 1:
+                out.append((f, k))
+                break
     return out
 
 
@@ -459,18 +501,19 @@ def test_reference_chain_splits_match_the_trace_oracle() -> None:
         assert got[0].degree == d and got[0] * got[1] == big
 
 
-def test_a_valid_split_takes_one_gcd(monkeypatch) -> None:
+def test_a_valid_split_takes_one_euclid(monkeypatch) -> None:
     # every split of the k = 15 reference chain, d = 10 to 160: the orbit of
     # b = 1 alone, S = sum_(i<d) L^i(1), takes d - 1 applications of the
-    # table, has D S^2 != 0 and needs one gcd, at degree 2d
+    # table, has D S^2 != 0 and needs one Euclid, on h of degree d, stopped
+    # at ceil(d/2) coefficients
     calls, applied = [], []
-    gcd_raw, apply = ffpoly._gcd_raw, _PackedRows.apply
+    euclid, apply = ffpoly._euclid, _PackedRows.apply
 
-    def counted_gcd(a, b, p):
-        calls.append(len(b) - 1)
-        return gcd_raw(a, b, p)
+    def counted_euclid(a, b, p, stop):
+        calls.append((len(a) - 1, stop))
+        return euclid(a, b, p, stop)
 
-    monkeypatch.setattr(ffpoly, "_gcd_raw", counted_gcd)
+    monkeypatch.setattr(ffpoly, "_euclid", counted_euclid)
     monkeypatch.setattr(_PackedRows, "apply", lambda self, cs: applied.append(1) or apply(self, cs))
     splits = _reference_splits()
     assert [f.degree for f in splits] == [10, 10, 20, 40, 80, 160]
@@ -478,7 +521,7 @@ def test_a_valid_split_takes_one_gcd(monkeypatch) -> None:
         calls.clear()
         applied.clear()
         equal_degree_factorize(f, 15)
-        assert calls == [2 * f.degree]
+        assert calls == [(f.degree, (f.degree + 1) // 2)]
         assert len(applied) == f.degree - 1
 
 
@@ -612,7 +655,7 @@ def test_is_irreducible_takes_no_gcd(monkeypatch) -> None:
     def unreachable(*args):
         raise AssertionError("a gcd was taken")
 
-    monkeypatch.setattr(ffpoly, "_gcd_raw", unreachable)
+    monkeypatch.setattr(ffpoly, "_euclid", unreachable)
     for step in chain.steps:
         f = step.poly
         assert is_irreducible(f)
@@ -766,7 +809,7 @@ def test_factorize_rejects_an_irreducible_transform_before_any_gcd(monkeypatch) 
     def unreachable(*args):
         raise AssertionError("a gcd was taken")
 
-    monkeypatch.setattr(ffpoly, "_gcd_raw", unreachable)
+    monkeypatch.setattr(ffpoly, "_euclid", unreachable)
     with pytest.raises(MalformedInputError, match="not a product"):
         equal_degree_factorize(f40, 15)
 

@@ -140,3 +140,27 @@ def test_only_the_cm_resolver_crosses_out_of_cm_arith():
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 # no module imports cm_arith whole, to reach past the rule
                 assert "cm_arith" not in {alias.name.split(".")[-1] for alias in node.names}, path.name
+
+
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def test_one_euclid_in_the_package():
+    # `ffpoly._euclid` is the package's one polynomial Euclid: the split, the
+    # root filter of `smallest_irreducible` and `FqElem.inverse` all call it.
+    # No module defines or reaches a plain gcd, and no other function runs
+    # long division in a loop.
+    src = Path(qkforge.__file__).parent
+    looped = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert "_gcd_raw" not in defined | _referenced_names(tree), path.name
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and any(
+                "_divmod_raw" in _referenced_names(loop)
+                for loop in ast.walk(func) if isinstance(loop, _LOOPS)
+            ):
+                looped.add(f"{path.stem}.{func.name}")
+    assert looped == {"ffpoly._euclid"}
