@@ -33,14 +33,12 @@ from .ffpoly import (
     smallest_irreducible,
     sqrt_mod_p,
 )
-from .qk import KClass, classify_k, find_k, qk_transform
+from .qk import classify_k, find_k, qk_transform
 from .seqgen import (
-    ScheduleReport,
     SequenceRecord,
     Step,
     generate_sequence,
     observed_flat_steps,
-    predict_schedule,
     verify_against_schedule,
 )
 from .dynamics import (
@@ -61,13 +59,11 @@ __all__ = [
     "FqElem",
     "FunctionalGraph",
     "InternalConsistencyError",
-    "KClass",
     "MalformedInputError",
     "Poly",
     "QkforgeError",
     "QuadInt",
     "ResourceCapError",
-    "ScheduleReport",
     "SequenceRecord",
     "Step",
     "TheoremViolationError",
@@ -89,7 +85,6 @@ __all__ = [
     "is_prime",
     "observed_flat_steps",
     "parse_poly",
-    "predict_schedule",
     "qk_transform",
     "smallest_irreducible",
     "sqrt_mod_p",

@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from typing import Optional, Sequence
 
 from .cm_arith import _embedding, _ladder, depths
-from .config import MAX_SWEEP_DOUBLINGS
+from .config import MAX_SWEEP_DEGREE, MAX_SWEEP_DOUBLINGS, MAX_SWEEP_PRIME
 from .dynamics import build_graph, component_stats, export_dot
 from .errors import (
     QkforgeError,
@@ -48,7 +48,6 @@ from .seqgen import (
     _step,
     generate_sequence,
     observed_flat_steps,
-    predict_schedule,
     verify_against_schedule,
 )
 
@@ -101,16 +100,16 @@ def cmd_find_k(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     """Emit the degree-schedule prediction for (p, k, n) as JSON."""
     p = _check_odd_prime(args.p)
-    report = predict_schedule(p, _resolve_k(p, args.k), args.n)
-    pi, rho0 = report.pi, report.rho0
+    dp = depths(p, _resolve_k(p, args.k), args.n)
+    pi, rho0 = dp.pi, dp.rho0
     payload: dict = {"a_p": (pi + pi.conj()).a, "pi": [pi.a, pi.b]}
     if rho0 is not None:
         payload["rho0"] = [rho0.a, rho0.b]
-    payload["e0"] = report.e0
-    payload["e1"] = report.e1
-    payload["s_bound"] = report.s_bound
-    payload["st_bound"] = report.st_bound
-    payload["pattern"] = report.pattern
+    payload["e0"] = dp.e0
+    payload["e1"] = dp.e1
+    payload["s_bound"] = dp.s_bound
+    payload["st_bound"] = dp.st_bound
+    payload["pattern"] = dp.pattern
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -223,10 +222,10 @@ def cmd_verify_example(args: Optional[argparse.Namespace] = None) -> int:
                 f"k={k}: schedule violations: " + "; ".join(violations)
             )
         s, t = observed_flat_steps(record)
-        report = predict_schedule(_EXAMPLE_P, k, f0.degree)
+        dp = depths(_EXAMPLE_P, k, f0.degree)
         print(
             f"k={k}: degrees {','.join(map(str, got))} "
-            f"(s={s}, t={t}, bounds {report.s_bound}/{report.st_bound}) verified"
+            f"(s={s}, t={t}, bounds {dp.s_bound}/{dp.st_bound}) verified"
         )
     print("both reference runs reproduced")
     return 0
@@ -247,7 +246,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
             "n": graph.n,
             "k": graph.k,
             "modulus": list(graph.modulus.coeffs),
-            "class": classify_k(graph.p, graph.k).name,
+            "class": classify_k(graph.p, graph.k),
             "node_count": graph.size,
             "components": [
                 {
@@ -291,16 +290,20 @@ def cmd_sweep_lemmas(args: argparse.Namespace) -> int:
     which fixes (p, disc), and the prime rho0 above 2 (None for C2).  So the
     sweep climbs one ladder per key, and the multipliers sharing it read the
     same pairs.  Any failed identity exits with code 3; negative bounds or
-    a range that checks nothing exit with code 2, and max_i above
-    config.MAX_SWEEP_DOUBLINGS with code 4, before any work.
+    a range that checks nothing exit with code 2, and a bound above its cap
+    in config (MAX_SWEEP_PRIME, MAX_SWEEP_DEGREE, MAX_SWEEP_DOUBLINGS) with
+    code 4, before any work.
     """
     max_p, max_n, max_m, max_i = args.max_p, args.max_n, args.max_m, args.max_i
     if min(max_n, max_m, max_i) < 0:
         raise UsageError(
             f"--max-n, --max-m and --max-i must be >= 0, got {max_n}, {max_m}, {max_i}"
         )
-    if max_i > MAX_SWEEP_DOUBLINGS:
-        raise ResourceCapError(f"--max-i {max_i} exceeds the cap of {MAX_SWEEP_DOUBLINGS}")
+    caps = {"--max-p": (max_p, MAX_SWEEP_PRIME), "--max-n": (max_n, MAX_SWEEP_DEGREE),
+            "--max-m": (max_m, MAX_SWEEP_DEGREE), "--max-i": (max_i, MAX_SWEEP_DOUBLINGS)}
+    for flag, (bound, cap) in caps.items():
+        if bound > cap:
+            raise ResourceCapError(f"{flag} {bound} exceeds the cap of {cap}")
     if not (max_n or max_m):
         raise UsageError("--max-n 0 and --max-m 0 leave no identity to check")
     sweep = _sweep_classes(max_p)

@@ -261,6 +261,11 @@ class DepthPair:
     def st_bound(self) -> int:
         return self.e0 + self.e1
 
+    @property
+    def pattern(self) -> str:
+        """The class's asymptotic doubling pattern, from qk.CLASSES."""
+        return CLASSES[self.class_name].pattern
+
 
 def _embedding(p: int, k: int) -> tuple[str, QuadInt, QuadInt | None]:
     """The class name of k and the key (pi, rho0) through which its depth
@@ -273,15 +278,15 @@ def _embedding(p: int, k: int) -> tuple[str, QuadInt, QuadInt | None]:
     Raises UnsupportedPrimeError when the required CM structure does not
     exist at p, and UsageError for k outside the C2/C3/C3- classes.
     """
-    kc = classify_k(p, k)
-    spec = kc.spec
+    name = classify_k(p, k)
+    spec = CLASSES.get(name)
     if spec is None or spec.disc is None:
         raise UsageError(
-            f"no schedule prediction exists for class {kc.name}; "
+            f"no schedule prediction exists for class {name}; "
             "supported classes are C2, C3, and C3-"
         )
     pi = _frobenius_pi_disc(p, spec.disc)
-    return kc.name, pi, None if spec.disc == -4 else _rho0(p, kc.k, spec.b, pi)
+    return name, pi, None if spec.disc == -4 else _rho0(p, k % p, spec.b, pi)
 
 
 def _ladder(p: int, pi: QuadInt, rho0: QuadInt | None,

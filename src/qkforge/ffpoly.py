@@ -281,8 +281,8 @@ def _euclid(a: list[int], b: list[int], p: int, stop: int) -> tuple[list[int], l
     """(r, u): the first remainder r of Euclid on a, b (b included) with at
     most `stop` coefficients, and u b ≡ r (mod a); for deg b < deg a, deg u
     is deg a minus the degree of the remainder before r.  At stop = 1, r = 0
-    iff gcd(a, b) != 1, else u / r = 1/b mod a; at half of deg a, this is
-    rational reconstruction (von zur Gathen and Gerhard, ch. 5)."""
+    iff gcd(a, b) != 1, else u / r = 1/b mod a, an inverse in F_p[x]/(a); at
+    half of deg a, rational reconstruction (von zur Gathen and Gerhard, ch. 5)."""
     u0, u = [], [1]
     while len(b) > stop:
         q, r = _divmod_raw(a, b, p)
@@ -624,10 +624,8 @@ def equal_degree_factorize(f: Poly, k: int) -> list[Poly]:
 def smallest_irreducible(p: int, n: int) -> Poly:
     """Lexicographically smallest monic irreducible of degree n over F_p.
 
-    A candidate f with a root in F_p, that is with gcd(x^p - x, f) != 1
-    (`_euclid` to stop 1), is skipped, those with f(0) = 0 before any
-    arithmetic.  At degree n <= 3 a candidate without a root is
-    irreducible; Rabin's test decides the rest.
+    A candidate with f(0) = 0 is skipped before any arithmetic; Rabin's
+    test decides the rest.
     """
     if n < 1:
         raise UsageError("degree must be positive")
@@ -636,12 +634,8 @@ def smallest_irreducible(p: int, n: int) -> Poly:
     for idx in range(p**n):
         if idx % p == 0:
             continue
-        cs = _digits(idx, p, n) + [1]
-        cand = Poly(tuple(cs), p)
-        x_to_p = ModulusContext(cand).powmod([0, 1], p)
-        if not _euclid(cs, _sub_raw(x_to_p, [0, 1], p), p, 1)[0]:
-            continue
-        if n <= 3 or is_irreducible(cand):
+        cand = Poly(tuple(_digits(idx, p, n) + [1]), p)
+        if is_irreducible(cand):
             return cand
     raise InternalConsistencyError(f"no irreducible of degree {n} over F_{p}")
 
@@ -658,7 +652,7 @@ def format_poly(f: Poly) -> str:
     return ",".join(str(c) for c in f.coeffs)
 
 
-def format_poly_human(f: Poly, var: str = "x") -> str:
+def format_poly_human(f: Poly) -> str:
     """Readable descending form, e.g. 'x^5+3*x+51'."""
     if f.is_zero:
         return "0"
@@ -670,9 +664,9 @@ def format_poly_human(f: Poly, var: str = "x") -> str:
         if e == 0:
             terms.append(str(c))
         elif e == 1:
-            terms.append(var if c == 1 else f"{c}*{var}")
+            terms.append("x" if c == 1 else f"{c}*x")
         else:
-            terms.append(f"{var}^{e}" if c == 1 else f"{c}*{var}^{e}")
+            terms.append(f"x^{e}" if c == 1 else f"{c}*x^{e}")
     return "+".join(terms)
 
 

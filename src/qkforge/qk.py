@@ -104,30 +104,17 @@ def transform_character(f: Poly, k: int) -> int:
     return legendre(f(2 * k) * f(-2 * k), f.p)
 
 
-@dataclass(frozen=True)
-class KClass:
-    """Classification result for a multiplier: its class name (or
-    'Generic') and the witness k."""
-
-    name: str
-    k: int
-
-    @property
-    def spec(self) -> ClassSpec | None:
-        """The class's row of CLASSES; None for Generic."""
-        return CLASSES.get(self.name)
-
-
-def classify_k(p: int, k: int) -> KClass:
-    """Classify k mod p by the first row of CLASSES whose quadratic k solves
-    and whose congruence p satisfies; the congruence excludes, for example,
-    k = 5 at p = 7, a double root of the C3 quadratic."""
+def classify_k(p: int, k: int) -> str:
+    """The class name of k mod p ('Generic' if none): the first row of
+    CLASSES whose quadratic k solves and whose congruence p satisfies; the
+    congruence excludes, for example, k = 5 at p = 7, a double root of the
+    C3 quadratic."""
     _check_odd_prime(p)
     k = _check_k(k, p)
     for spec in CLASSES.values():
         if (spec.a * k * k + spec.b * k + spec.c) % p == 0 and spec.admits(p):
-            return KClass(spec.name, k)
-    return KClass(GENERIC, k)
+            return spec.name
+    return GENERIC
 
 
 def find_k(p: int, class_name: str) -> list[int]:

@@ -38,11 +38,11 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .config import MAX_POLY_DEGREE
+from .config import MAX_CHAIN_STEPS, MAX_POLY_DEGREE
 from .errors import MalformedInputError, ResourceCapError, TheoremViolationError, UsageError
 from .ffpoly import Poly, _reciprocal_cofactor, equal_degree_factorize, inv_mod, is_irreducible
 from .qk import CLASSES, GENERIC, classify_k, qk_transform, transform_character
-from .cm_arith import DepthPair, depths
+from .cm_arith import depths
 
 KIND_INITIAL = "initial"
 KIND_DOUBLED = "transform-irreducible"
@@ -147,7 +147,7 @@ class SequenceRecord:
             raw_steps = data["steps"]
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInputError(f"record is missing or mistypes a field: {exc}")
-        if class_name != classify_k(p, k).name:
+        if class_name != classify_k(p, k):
             raise MalformedInputError(
                 f"record class {class_name!r} is not the class of k={k} mod p={p}"
             )
@@ -177,26 +177,6 @@ class SequenceRecord:
         if broken:
             raise MalformedInputError("; ".join(broken))
         return record
-
-
-@dataclass(frozen=True)
-class ScheduleReport(DepthPair):
-    """Predicted degree schedule for (p, k, n): the depth pair with the bounds
-    it implies, and the class's asymptotic doubling pattern."""
-
-    k: int
-    pattern: str
-
-
-def predict_schedule(p: int, k: int, n: int) -> ScheduleReport:
-    """Schedule prediction for degree-n starts with multiplier k mod p.
-
-    Only classes with an attached quadratic order (C2, C3, C3-) admit a
-    prediction; `depths` rejects C1 and Generic multipliers.
-    """
-    dp = depths(p, k, n)
-    return ScheduleReport(dp.e0, dp.e1, p, n, dp.class_name, k % p,
-                          CLASSES[dp.class_name].pattern, pi=dp.pi, rho0=dp.rho0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,47 +260,49 @@ def generate_sequence(f0: Poly, k: int, num_steps: int, seed: int = 0) -> Sequen
     _step).  For C2, C3 and C3- the schedule bounds the degrees from below:
     past s + t <= st_bound flat steps every step follows the class pattern
     (_pattern_level), so a num_steps whose degree must pass the cap is
-    refused with ResourceCapError before the first step.
+    refused with ResourceCapError before the first step; so, after that
+    check, is a num_steps above config.MAX_CHAIN_STEPS.
     """
     if num_steps < 0:
         raise UsageError("num_steps must be >= 0")
     _check_irr_input(f0)
     p = f0.p
-    kc = classify_k(p, k)
-    if kc.name == GENERIC:
+    name = classify_k(p, k)
+    if name == GENERIC:
         raise UsageError(
-            f"k={k} mod {p} is {kc.name}; sequences need class C1, C2, C3, or C3-"
+            f"k={k} mod {p} is {name}; sequences need class C1, C2, C3, or C3-"
         )
+    k %= p
     # C1 has no depth pair, so nothing bounds its stalls and it is not raced.
-    racing = kc.spec.disc is not None
+    racing = CLASSES[name].disc is not None
     rounds = 0
     if racing:
-        dp = depths(p, kc.k, f0.degree)
+        dp = depths(p, k, f0.degree)
         rounds = dp.s_bound
         if num_steps > dp.st_bound:
-            level = _pattern_level(kc.spec.pattern, num_steps - dp.st_bound)
+            level = _pattern_level(dp.pattern, num_steps - dp.st_bound)
             # n << level > cap, without forming a huge n << level
             if level >= MAX_POLY_DEGREE.bit_length() or f0.degree << level > MAX_POLY_DEGREE:
                 raise ResourceCapError(
                     f"{num_steps} steps from degree {f0.degree} double the degree at "
                     f"least {level} times, past the degree cap of {MAX_POLY_DEGREE}"
                 )
+    if num_steps > MAX_CHAIN_STEPS:
+        raise ResourceCapError(f"{num_steps} steps exceed the step cap of {MAX_CHAIN_STEPS}")
 
     steps: list[Step] = [Step(0, f0, KIND_INITIAL)]
     while len(steps) <= num_steps:
-        chosen, alternate, kind = _step(steps[-1].poly, kc.k)
+        chosen, alternate, kind = _step(steps[-1].poly, k)
         run = [Step(len(steps), chosen, kind)]
         # A doubling (no alternate) ends the chance to race; a ramified step
         # (both factors equal) leaves nothing to choose and keeps it open.
         if racing and alternate != chosen:
             racing = False
             if alternate is not None:
-                run = _race(steps, run[0], alternate, kc.k, rounds)
+                run = _race(steps, run[0], alternate, k, rounds)
         steps.extend(run[: num_steps + 1 - len(steps)])
 
-    return SequenceRecord(
-        p=p, k=kc.k, class_name=kc.name, seed=seed, steps=tuple(steps)
-    )
+    return SequenceRecord(p=p, k=k, class_name=name, seed=seed, steps=tuple(steps))
 
 
 def _race(
@@ -423,11 +405,11 @@ def _pattern_level(pattern: str, offset: int) -> int:
 
 
 def verify_against_schedule(record: SequenceRecord) -> list[str]:
-    """Check a record against the schedule predict_schedule gives for its
-    (p, k) and starting degree; violations are returned as human-readable
-    strings, an empty list meaning full conformance.  A record whose
-    multiplier has no schedule (C1) raises UsageError; a constant f_0 has no
-    schedule either, so only its certificate violations are returned.
+    """Check a record against the schedule `depths` gives for its (p, k) and
+    starting degree; violations are returned as human-readable strings, an
+    empty list meaning full conformance.  A record whose multiplier has no
+    schedule (C1) raises UsageError; a constant f_0 has no schedule either,
+    so only its certificate violations are returned.
 
     Checks: the irreducibility certificate of every step (f_0 passes Rabin's
     test; a step of double degree equals the transform of its predecessor,
@@ -437,21 +419,21 @@ def verify_against_schedule(record: SequenceRecord) -> list[str]:
     pattern for all steps after s + t.
     """
     n = record.steps[0].degree
-    report = predict_schedule(record.p, record.k, max(n, 1))  # raises for C1
+    dp = depths(record.p, record.k, max(n, 1))  # raises for C1
     violations = _certificate_violations(record)
     if n < 1:
         return violations
     s, t = observed_flat_steps(record)
-    if s > report.s_bound:
-        violations.append(f"observed s={s} exceeds s_bound={report.s_bound}")
-    if s + t > report.st_bound:
-        violations.append(f"observed s+t={s + t} exceeds st_bound={report.st_bound}")
+    if s > dp.s_bound:
+        violations.append(f"observed s={s} exceeds s_bound={dp.s_bound}")
+    if s + t > dp.st_bound:
+        violations.append(f"observed s+t={s + t} exceeds st_bound={dp.st_bound}")
     base = s + t
     for step in record.steps[base + 1:]:
-        expected = n << _pattern_level(report.pattern, step.index - base)
+        expected = n << _pattern_level(dp.pattern, step.index - base)
         if step.degree != expected:
             violations.append(
                 f"step {step.index}: degree {step.degree} deviates from the "
-                f"{report.pattern} pattern (expected {expected})"
+                f"{dp.pattern} pattern (expected {expected})"
             )
     return violations

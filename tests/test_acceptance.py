@@ -27,7 +27,6 @@ from qkforge.seqgen import (
     KIND_INITIAL,
     generate_sequence,
     observed_flat_steps,
-    predict_schedule,
     verify_against_schedule,
 )
 
@@ -109,7 +108,7 @@ def test_acceptance_1_paired_class_reference_run():
     for step in record.steps:
         if not is_irreducible(step.poly):
             failures.append(f"step {step.index} is not irreducible")
-    report = predict_schedule(P_EXAMPLE, 15, F0.degree)
+    report = depths(P_EXAMPLE, 15, F0.degree)
     violations = verify_against_schedule(record)
     if violations:
         failures.append(f"schedule violations: {violations}")
@@ -119,6 +118,8 @@ def test_acceptance_1_paired_class_reference_run():
     if s > report.s_bound or s + t > report.st_bound:
         failures.append(f"(s,t)=({s},{t}) breaks bounds "
                         f"{report.s_bound}/{report.st_bound}")
+    if report.pattern != "pairs-every-two-steps":
+        failures.append(f"pattern {report.pattern!r} is not the C2 pattern")
 
     elapsed = time.monotonic() - start
     if elapsed >= EXAMPLE_TIME_LIMIT:

@@ -22,7 +22,13 @@ import qkforge.cli as cli
 import qkforge.cm_arith as cm_arith
 from qkforge.cli import main
 from qkforge.cm_arith import _embedding, _ladder
-from qkforge.config import MAX_POLY_DEGREE, MAX_SWEEP_DOUBLINGS
+from qkforge.config import (
+    MAX_CHAIN_STEPS,
+    MAX_POLY_DEGREE,
+    MAX_SWEEP_DEGREE,
+    MAX_SWEEP_DOUBLINGS,
+    MAX_SWEEP_PRIME,
+)
 from qkforge.errors import TheoremViolationError
 from qkforge.ffpoly import Poly, format_poly, format_poly_human, sqrt_mod_p
 from qkforge.qk import qk_transform
@@ -517,6 +523,18 @@ def test_generate_past_the_degree_cap_exits_4_at_once(steps, capsys):
     assert f"degree cap of {MAX_POLY_DEGREE}" in captured.err
 
 
+def test_generate_past_the_step_cap_exits_4_at_once(capsys):
+    # a C1 chain from x + 1 stays at degree 1, so only the step cap ends it
+    argv = ["generate", "--p", "53", "--k", "c1", "--f0", "x+52", "--steps"]
+    start = time.perf_counter()
+    assert main([*argv, str(10**9)]) == 4
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {10**9} steps exceed the step cap of {MAX_CHAIN_STEPS}\n"
+    assert main([*argv, str(MAX_CHAIN_STEPS)]) == 0
+
+
 def _never(*args, **kwargs):
     raise AssertionError("the computation ran before the output file was opened")
 
@@ -759,6 +777,18 @@ def test_sweep_lemmas_over_the_doubling_cap_exits_4_at_once(monkeypatch, capsys)
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert str(MAX_SWEEP_DOUBLINGS) in captured.err
     assert main(["sweep-lemmas", "--max-p", "6", "--max-i", str(MAX_SWEEP_DOUBLINGS + 1)]) == 4
+
+
+@pytest.mark.parametrize("flag, cap", [
+    ("--max-p", MAX_SWEEP_PRIME), ("--max-n", MAX_SWEEP_DEGREE), ("--max-m", MAX_SWEEP_DEGREE),
+])
+def test_sweep_lemmas_over_a_range_cap_exits_4_at_once(flag, cap, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_sweep_classes", _never)
+    argv = ["sweep-lemmas", "--max-p", "6", flag]
+    assert main([*argv, str(10**9)]) == 4
+    assert capsys.readouterr() == ("", f"error: {flag} {10**9} exceeds the cap of {cap}\n")
+    with pytest.raises(AssertionError):  # the cap itself passes the check
+        main([*argv, str(cap)])
 
 
 def test_sweep_lemmas_at_the_doubling_cap_runs(capsys):

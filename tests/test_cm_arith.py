@@ -353,7 +353,7 @@ def test_depths_c3_minus_mirrors_negated_k() -> None:
     # k in C3- iff -k in C3, and the pair for k is computed through -k
     for p in (11, 23, 29, 53):
         for k in find_k(p, "C3-"):
-            assert classify_k(p, (-k) % p).name == "C3"
+            assert classify_k(p, (-k) % p) == "C3"
             assert pair(depths(p, k, 1)) == pair(depths(p, (-k) % p, 1))
             assert pair(depths(p, k, 3)) == pair(depths(p, (-k) % p, 3))
 

@@ -9,13 +9,13 @@ import qkforge
 
 PUBLIC_NAMES = {
     "CURVE_DISC4", "CURVE_DISC7", "ComponentStats", "CurveParams", "DepthPair", "ExtField",
-    "FqElem", "FunctionalGraph", "InternalConsistencyError", "KClass", "MalformedInputError",
-    "Poly", "QkforgeError", "QuadInt", "ResourceCapError", "ScheduleReport", "SequenceRecord",
+    "FqElem", "FunctionalGraph", "InternalConsistencyError", "MalformedInputError",
+    "Poly", "QkforgeError", "QuadInt", "ResourceCapError", "SequenceRecord",
     "Step", "TheoremViolationError", "UnsupportedPrimeError", "UsageError", "batch_inverse",
     "build_graph", "classify_k", "component_stats", "count_points", "depths",
     "equal_degree_factorize", "export_dot", "find_k", "format_poly", "format_poly_human",
     "generate_sequence", "is_irreducible", "is_prime", "observed_flat_steps",
-    "parse_poly", "predict_schedule", "qk_transform", "smallest_irreducible",
+    "parse_poly", "qk_transform", "smallest_irreducible",
     "sqrt_mod_p", "verify_against_schedule",
 }
 
@@ -39,7 +39,7 @@ KEPT_FOR_BENCHMARK = {
 
 
 def test_public_names_are_pinned():
-    assert len(qkforge.__all__) == len(PUBLIC_NAMES) == 42
+    assert len(qkforge.__all__) == len(PUBLIC_NAMES) == 39
     assert set(qkforge.__all__) == PUBLIC_NAMES
 
 
@@ -146,8 +146,8 @@ _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.Gener
 
 
 def test_one_euclid_in_the_package():
-    # `ffpoly._euclid` is the package's one polynomial Euclid: the split, the
-    # root filter of `smallest_irreducible` and `FqElem.inverse` all call it.
+    # `ffpoly._euclid` is the package's one polynomial Euclid: the split
+    # calls it at half the degree and `FqElem.inverse` at stop = 1.
     # No module defines or reaches a plain gcd, and no other function runs
     # long division in a loop.
     src = Path(qkforge.__file__).parent

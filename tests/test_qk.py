@@ -15,7 +15,6 @@ from qkforge.ffpoly import (
     is_irreducible,
 )
 from qkforge.qk import (
-    KClass,
     classify_k,
     find_k,
     qk_transform,
@@ -204,7 +203,7 @@ def test_transform_character_matches_rabin() -> None:
         for n in range(1, 7):
             f = random_irreducible(p, n, rng)
             for k in range(1, p):
-                classes.add(classify_k(p, k).name)
+                classes.add(classify_k(p, k))
                 chi = transform_character(f, k)
                 g = qk_transform(f, k)
                 tag = f"p={p} k={k} f={f.coeffs}"
@@ -256,16 +255,15 @@ def test_find_k_rejects_unknown_class() -> None:
 
 
 def test_classify_k_frozen_values() -> None:
-    assert classify_k(53, 27) == KClass("C1", 27)
-    assert classify_k(53, 15).name == "C2"
-    assert classify_k(53, 7).name == "C3"
-    assert classify_k(53, 46).name == "C3-"
-    generic = classify_k(53, 3)
-    assert generic.name == "Generic"
-    assert generic.spec is None
+    assert type(classify_k(53, 27)) is str
+    assert classify_k(53, 27) == "C1"
+    assert classify_k(53, 15) == "C2"
+    assert classify_k(53, 7) == "C3"
+    assert classify_k(53, 46) == "C3-"
+    assert classify_k(53, 3) == "Generic"
     # at p = 7 the C3 congruence has the root k = 5, but the class itself
     # requires p in {1,2,4} mod 7, so the multiplier is still Generic
-    assert classify_k(7, 5).name == "Generic"
+    assert classify_k(7, 5) == "Generic"
 
 
 def test_classify_roundtrips_find() -> None:
@@ -276,9 +274,7 @@ def test_classify_roundtrips_find() -> None:
             except UnsupportedPrimeError:
                 continue
             for k in ks:
-                got = classify_k(p, k)
-                assert got.name == name
-                assert got.k == k % p
+                assert classify_k(p, k) == classify_k(p, k + p) == name
 
 
 def test_classes_disjoint_for_odd_primes() -> None:
@@ -294,7 +290,7 @@ def test_classes_disjoint_for_odd_primes() -> None:
         for k in range(1, p):
             held = [name for name, holds in conditions.items() if holds(p, k)]
             assert len(held) <= 1
-            assert classify_k(p, k).name == (held[0] if held else "Generic")
+            assert classify_k(p, k) == (held[0] if held else "Generic")
 
 
 def test_classify_rejects_zero_k() -> None:

@@ -10,7 +10,7 @@ import pytest
 
 import qkforge.seqgen as seqgen
 from qkforge.cli import main
-from qkforge.cm_arith import DepthPair
+from qkforge.cm_arith import DepthPair, depths
 from qkforge.config import MAX_POLY_DEGREE
 from qkforge.errors import (
     MalformedInputError,
@@ -38,7 +38,6 @@ from qkforge.seqgen import (
     Step,
     generate_sequence,
     observed_flat_steps,
-    predict_schedule,
     verify_against_schedule,
 )
 
@@ -88,9 +87,9 @@ def test_step_kind_vocabulary():
 # ---------------------------------------------------------------------------
 
 
-def test_predict_schedule_for_paired_class():
-    rep = predict_schedule(53, 15, 5)
-    assert (rep.p, rep.k, rep.n) == (53, 15, 5)
+def test_schedule_for_paired_class():
+    rep = depths(53, 15, 5)
+    assert (rep.p, rep.n) == (53, 5)
     assert rep.class_name == "C2"
     assert (rep.e0, rep.e1) == (2, 3)
     assert rep.s_bound == 3
@@ -98,27 +97,28 @@ def test_predict_schedule_for_paired_class():
     assert rep.pattern == PATTERN_C2
 
 
-def test_predict_schedule_for_steady_class():
-    rep = predict_schedule(53, 7, 5)
+def test_schedule_for_steady_class():
+    rep = depths(53, 7, 5)
     assert rep.class_name == "C3"
     assert (rep.e0, rep.e1) == (4, 1)
     assert rep.s_bound == 4
     assert rep.st_bound == 5
     assert rep.pattern == PATTERN_C3
+    assert depths(53, 46, 5).pattern == PATTERN_C3  # C3-
 
 
-def test_predict_schedule_small_fields():
-    rep = predict_schedule(11, 2, 1)
-    assert (rep.class_name, rep.e0, rep.e1) == ("C3", 1, 2)
-    rep = predict_schedule(13, 4, 1)
-    assert (rep.class_name, rep.e0, rep.e1) == ("C2", 2, 3)
+def test_schedule_small_fields():
+    rep = depths(11, 2, 1)
+    assert (rep.class_name, rep.e0, rep.e1, rep.pattern) == ("C3", 1, 2, PATTERN_C3)
+    rep = depths(13, 4, 1)
+    assert (rep.class_name, rep.e0, rep.e1, rep.pattern) == ("C2", 2, 3, PATTERN_C2)
 
 
-def test_predict_schedule_rejects_classes_without_schedule():
+def test_schedule_rejects_classes_without_schedule():
     with pytest.raises(UsageError):
-        predict_schedule(53, 27, 1)  # half-of-one multiplier: no depth pair
+        depths(53, 27, 1)  # half-of-one multiplier: no depth pair
     with pytest.raises(UsageError):
-        predict_schedule(53, 3, 1)  # unclassified multiplier
+        depths(53, 3, 1)  # unclassified multiplier
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +192,7 @@ def test_generate_paired_class_reference_prefix():
         KIND_DOUBLED,
     ]
     assert (rec.p, rec.k, rec.class_name, rec.seed) == (53, 15, "C2", 0)
+    assert generate_sequence(F0, 15 - P, 6) == rec  # the record keeps k mod p
     assert len(rec.steps) - 1 == 6
     assert observed_flat_steps(rec) == (0, 3)
     assert verify_against_schedule(rec) == []
@@ -353,7 +354,7 @@ def _seeded_schedule_starts(count: int) -> list[tuple[int, int, Poly]]:
             f0 = random_irreducible(p, rng.randint(1, 3), rng)
             if f0 == lin(0, p):
                 continue
-        if predict_schedule(p, k, f0.degree).st_bound <= 5:
+        if depths(p, k, f0.degree).st_bound <= 5:
             starts.append((p, k, f0))
     return starts
 
@@ -361,8 +362,7 @@ def _seeded_schedule_starts(count: int) -> list[tuple[int, int, Poly]]:
 def test_seeded_chains_conform_are_prefix_stable_and_race_off_the_cycle():
     raced = on_cycle = 0
     for p, k, f0 in _seeded_schedule_starts(60):
-        report = predict_schedule(p, k, f0.degree)
-        num_steps = report.st_bound + 2
+        num_steps = depths(p, k, f0.degree).st_bound + 2
         rec = generate_sequence(f0, k, num_steps)
         case = (p, k, f0)
         assert verify_against_schedule(rec) == [], case
