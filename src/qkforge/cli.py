@@ -10,10 +10,10 @@ carries the three artifact paths `out_path`, `dot_path` and
 `stats_path` (None unless `--out`, `--dot` or `--stats` set them).
 
 Exit codes: 0 success; 2 usage or congruence errors, or an output file that
-cannot be written (checked before any work); 3 a verified claim failed
-(theorem violation); 4 a resource cap was exceeded.  The construction is
-deterministic: `generate --seed` (default 0) is only recorded in the record,
-and every JSON artifact is byte-stable across runs with identical arguments.
+cannot be written (checked before any work); 3 a verified claim failed or
+internal routes disagreed (a bug); 4 a resource cap was exceeded.  The
+construction is deterministic: `generate --seed` (default 0) is only
+recorded, and every JSON artifact is byte-stable for identical arguments.
 """
 
 from __future__ import annotations
@@ -282,12 +282,12 @@ def _sweep_classes(max_p: int) -> list[tuple[int, str]]:
 def cmd_sweep_lemmas(args: argparse.Namespace) -> int:
     """Check the depth-pair laws for every admissible multiplier below max_p.
 
-    With (f0, f1, inc) the class's depth-law floors in qk.CLASSES: e0 >= f0,
-    e0 = f0 forces e1 >= f1, e0 > f0 forces e1 = f1 - 1, doubling the
-    extension degree sends (e0, e1) to (e0 + e1, f1 - 1), and afterwards each
-    doubling adds exactly inc to e0.  A multiplier's pairs depend on it only
-    through its key from `cm_arith._embedding`: the Frobenius element pi,
-    which fixes (p, disc), and the prime rho0 above 2 (None for C2).  So the
+    With v the class's depth-law constant in qk.CLASSES: e0 >= v, e0 = v
+    forces e1 >= v + 1, e0 > v forces e1 = v, doubling the extension degree
+    sends (e0, e1) to (e0 + e1, v), and afterwards each doubling adds exactly
+    v to e0.  A multiplier's pairs depend on it only through its key from
+    `cm_arith._embedding`: the Frobenius element pi, which fixes (p, disc),
+    and the prime rho0 above 2 (None for C2).  So the
     sweep climbs one ladder per key, and the multipliers sharing it read the
     same pairs.  Any failed identity exits with code 3; negative bounds or
     a range that checks nothing exit with code 2, and a bound above its cap
@@ -322,7 +322,7 @@ def cmd_sweep_lemmas(args: argparse.Namespace) -> int:
     violations: list[str] = []
     checked = 0
     for p, name in sweep:
-        low_e0, low_e1, inc = CLASSES[name].floors
+        v = CLASSES[name].v
         for k in find_k(p, name):
             _, pi, rho0 = _embedding(p, k)
             at, table = ladders.get((pi.disc, rho0), (None, None))
@@ -331,30 +331,30 @@ def cmd_sweep_lemmas(args: argparse.Namespace) -> int:
                 ladders[pi.disc, rho0] = p, table
             for n in range(1, max_n + 1):
                 e0, e1 = table[n]
-                checked += 1 if e0 < low_e0 else 2  # the floor, then one e1 law
-                if e0 < low_e0:
-                    failed = f"e0={e0} < {low_e0}"
-                elif e0 == low_e0 and e1 < low_e1:
-                    failed = f"e0={low_e0} but e1={e1} < {low_e1}"
-                elif e0 > low_e0 and e1 != low_e1 - 1:
-                    failed = f"e0={e0} but e1={e1} != {low_e1 - 1}"
+                checked += 1 if e0 < v else 2  # the floor, then one e1 law
+                if e0 < v:
+                    failed = f"e0={e0} < {v}"
+                elif e0 == v and e1 < v + 1:
+                    failed = f"e0={v} but e1={e1} < {v + 1}"
+                elif e0 > v and e1 != v:
+                    failed = f"e0={e0} but e1={e1} != {v}"
                 else:
                     continue
                 violations.append(f"p={p} k={k} n={n} ({name}): {failed}")
             for m in range(1, max_m + 1):
                 checked += 1 + max_i
                 (e0, e1), doubled = table[m], table[2 * m]
-                if doubled != (e0 + e1, low_e1 - 1):
+                if doubled != (e0 + e1, v):
                     violations.append(
                         f"p={p} k={k} m={m} ({name}): ({e0},{e1}) doubled to "
                         f"({doubled[0]},{doubled[1]})"
                     )
                 for i in range(1, max_i + 1):
                     (e0, e1), upper = table[m << i], table[m << (i + 1)]
-                    if not (upper == (e0 + inc, low_e1 - 1) and e1 == low_e1 - 1):
+                    if not (upper == (e0 + v, v) and e1 == v):
                         violations.append(
                             f"p={p} k={k} m={m} ({name}) i={i}: ({e0},{e1}) -> "
-                            f"({upper[0]},{upper[1]}), expected +{inc}"
+                            f"({upper[0]},{upper[1]}), expected +{v}"
                         )
     print(f"checked {checked} identities below p < {max_p}: "
           f"{len(violations)} violations")

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by the whole package.
 
 Each public error maps to a fixed CLI exit code (see cli.main): usage and
-congruence problems exit 2, violated mathematical guarantees exit 3, and
-resource-cap refusals exit 4.
+congruence problems exit 2, violated mathematical guarantees and internal
+routes that disagree exit 3, and resource-cap refusals exit 4.
 """
 
 
@@ -42,4 +42,4 @@ class ResourceCapError(QkforgeError):
 class InternalConsistencyError(QkforgeError):
     """Two internal routes disagreed; always indicates an upstream bug."""
 
-    exit_code = 1
+    exit_code = 3

@@ -35,6 +35,7 @@ replaces: schoolbook products, long division, powering by p.
 
 from __future__ import annotations
 
+import re
 import sys
 from array import array
 from dataclasses import dataclass
@@ -99,9 +100,11 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
     """Canonical square root of a mod p, or None for a non-residue.
 
     The canonical root is the smaller of the two, i.e. the one lying in
-    [0, (p-1)/2].  p must be an odd prime.  `is_prime` is only a strong
-    probable-prime test above 3.3e24, so the loops below are bounded and the
-    root is checked: a composite p that gets this far raises UsageError.
+    [0, (p-1)/2].  p must be an odd prime.  Tonelli-Shanks (Cohen, Alg.
+    1.5.1) with p - 1 = q 2^s: s - 1 fixed rounds, none when a^q = 1 (every
+    p = 3 mod 4).  `is_prime` is only a strong probable-prime test above
+    3.3e24, so the root is checked: on a composite that passes, the result
+    is a true root, None, or UsageError.
     """
     _check_odd_prime(p)
     a %= p
@@ -109,34 +112,21 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
         return 0
     if legendre(a, p) != 1:
         return None
-    not_prime = UsageError(f"modulus {p} is not prime: no square root of {a} found")
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-    else:
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        # the least non-residue of a prime p is below 2*ln(p)^2 under GRH (Bach)
-        z = next((z for z in range(2, 2 + p.bit_length() ** 2) if legendre(z, p) == -1), None)
-        if z is None:
-            raise not_prime
-        m, c = s, pow(z, q, p)
-        t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
-        while t != 1:
-            # for prime p the order of t is 2^i with i < m, so m falls each round
-            t2, i = t, 0
-            while t2 != 1 and i < m:
-                t2 = t2 * t2 % p
-                i += 1
-            if i == m:
-                raise not_prime
-            b = pow(c, 1 << (m - i - 1), p)
-            m, c = i, b * b % p
-            t = t * c % p
-            r = r * b % p
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    x = pow(a, q >> 1, p)  # a^((q-1)/2): r = a^((q+1)/2) and t = a^q, so r^2 = a t
+    r, t = a * x % p, a * x * x % p
+    if t != 1:
+        # the least non-residue of a prime p is below 2*ln(p)^2 under GRH
+        # (Bach); with none below that bound, z = 1 fails the check below
+        z = next((z for z in range(2, 2 + p.bit_length() ** 2) if legendre(z, p) == -1), 1)
+        c = pow(z, q, p)
+        for i in range(s - 1, 0, -1):  # the order of t divides 2^i; c's is 2^(i+1)
+            if pow(t, 1 << (i - 1), p) != 1:
+                r, t = r * c % p, t * c * c % p
+            c = c * c % p
     if r * r % p != a:
-        raise not_prime
+        raise UsageError(f"modulus {p} is not prime: no square root of {a} found")
     return min(r, p - r)
 
 
@@ -670,6 +660,12 @@ def format_poly_human(f: Poly) -> str:
     return "+".join(terms)
 
 
+# One human-form term: a sign (optional on the first), then c, x, cx, x^e or
+# cx^e up to the next sign, or else the bad term up to it.  \Z, not $, which
+# also matches before a final newline.
+_TERM = re.compile(r"([+-]?)(?:(\d*)(x(?:\^(\d+))?)?(?=[+-]|\Z)|([^+-]*))")
+
+
 def _capped_degree(text: str) -> int:
     """The decimal degree `text`, or ResourceCapError above
     config.MAX_POLY_DEGREE; its length is checked before int() meets it."""
@@ -699,43 +695,19 @@ def parse_poly(text: str, p: int) -> Poly:
     if not compact or compact[0] not in "+-x0123456789" or compact[-1] in "+-":
         raise MalformedInputError(f"cannot parse polynomial: {text!r}")
     coeffs: dict[int, int] = {}
-    i = 0
-    sign = 1
-    if compact[0] in "+-":
-        sign = -1 if compact[0] == "-" else 1
-        i = 1
-    while i < len(compact):
-        j = i
-        while j < len(compact) and compact[j] not in "+-":
-            j += 1
-        term = compact[i:j]
-        if not term:
+    pos = 0
+    while pos < len(compact):
+        term = _TERM.match(compact, pos)
+        pos = term.end()
+        sign, num, x, digits, bad = term.groups()
+        if bad:
+            raise MalformedInputError(f"cannot parse term {bad!r} in {text!r}")
+        if not (num or x):
             raise MalformedInputError(f"cannot parse polynomial: {text!r}")
-        num = ""
-        k = 0
-        while k < len(term) and term[k].isdigit():
-            num += term[k]
-            k += 1
-        if k == len(term):
-            e = 0
-        elif term[k] == "x":
-            num = num or "1"
-            rest = term[k + 1 :]
-            if not rest:
-                e = 1
-            elif rest.startswith("^") and rest[1:].isdigit():
-                e = _capped_degree(rest[1:])
-            else:
-                raise MalformedInputError(f"cannot parse term {term!r} in {text!r}")
-        else:
-            raise MalformedInputError(f"cannot parse term {term!r} in {text!r}")
+        e = _capped_degree(digits) if digits else (1 if x else 0)
         try:
-            c = int(num)
+            c = int(num or "1")
         except ValueError:  # more digits than int() converts
             raise MalformedInputError(f"bad coefficient in {text!r}") from None
-        coeffs[e] = coeffs.get(e, 0) + sign * c
-        if j < len(compact):
-            sign = -1 if compact[j] == "-" else 1
-        i = j + 1
-    deg = max(coeffs)
-    return Poly(tuple(coeffs.get(e, 0) for e in range(deg + 1)), p)
+        coeffs[e] = coeffs.get(e, 0) + (-c if sign == "-" else c)
+    return Poly(tuple(coeffs.get(e, 0) for e in range(max(coeffs) + 1)), p)

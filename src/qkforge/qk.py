@@ -11,8 +11,8 @@ f under the degree-2 map theta(x) = k(x + 1/x) on the projective line.
 
 Multipliers fall into named classes, each defined by a quadratic congruence
 on k and a congruence on p.  The table CLASSES is the one place that states
-them, together with the CM order, doubling pattern and depth-law floors of
-each class.  The classes are pairwise disjoint for every odd prime.
+them, together with the CM order, doubling pattern and depth-law constant
+of each class.  The classes are pairwise disjoint for every odd prime.
 """
 
 from __future__ import annotations
@@ -27,9 +27,13 @@ from .ffpoly import Poly, _check_odd_prime, _theta_lift, inv_mod, legendre, sqrt
 class ClassSpec:
     """One multiplier class: the roots k of a*k^2 + b*k + c mod p, for the
     primes p with p mod `modulus` in `residues`, which are exactly the odd
-    primes where the quadratic has two distinct roots.  Classes with a CM order also carry its
-    discriminant, the asymptotic doubling pattern of their sequences, and
-    the depth-law floors (e0 floor, e1 floor, e0 increment per doubling)."""
+    primes where the quadratic has two distinct roots.  Classes with a CM
+    order also carry its discriminant, the asymptotic doubling pattern of
+    their sequences, and v = nu(2) at the prime above 2 (nu_2 of the norm,
+    2, for C2; 1 for C3 and C3-).  Since pi = 1 modulo that prime, v is the
+    e0 floor and v + 1 the e1 floor; since pi^(2n) + 1 = 2 + (pi^(2n) - 1),
+    each doubling adds v to e0 and leaves e1 = v; past s + t each degree
+    lasts v steps (seqgen._pattern_level)."""
 
     name: str
     a: int
@@ -39,7 +43,7 @@ class ClassSpec:
     residues: tuple[int, ...]
     disc: int | None = None
     pattern: str | None = None
-    floors: tuple[int, int, int] | None = None
+    v: int | None = None
 
     def admits(self, p: int) -> bool:
         return p % self.modulus in self.residues
@@ -55,13 +59,13 @@ class ClassSpec:
 
 # C3 and C3- share the order Z[(1 + sqrt(-7))/2]; their multipliers exist
 # iff -7 is a square mod p, i.e. iff p splits there.
-_DISC7 = dict(modulus=7, residues=(1, 2, 4), disc=-7, pattern="one-per-step", floors=(1, 2, 1))
+_DISC7 = dict(modulus=7, residues=(1, 2, 4), disc=-7, pattern="one-per-step", v=1)
 
 CLASSES = {
     spec.name: spec
     for spec in (
         ClassSpec("C1", 4, 0, -1, 1, (0,)),  # k = +-1/2
-        ClassSpec("C2", 4, 0, 1, 4, (1,), -4, "pairs-every-two-steps", (2, 3, 2)),  # k = +-i/2
+        ClassSpec("C2", 4, 0, 1, 4, (1,), -4, "pairs-every-two-steps", 2),  # k = +-i/2
         ClassSpec("C3", 2, 1, 1, **_DISC7),
         ClassSpec("C3-", 2, -1, 1, **_DISC7),  # the negatives of the C3 multipliers
     )

@@ -280,7 +280,7 @@ def generate_sequence(f0: Poly, k: int, num_steps: int, seed: int = 0) -> Sequen
         dp = depths(p, k, f0.degree)
         rounds = dp.s_bound
         if num_steps > dp.st_bound:
-            level = _pattern_level(dp.pattern, num_steps - dp.st_bound)
+            level = _pattern_level(CLASSES[name].v, num_steps - dp.st_bound)
             # n << level > cap, without forming a huge n << level
             if level >= MAX_POLY_DEGREE.bit_length() or f0.degree << level > MAX_POLY_DEGREE:
                 raise ResourceCapError(
@@ -396,12 +396,11 @@ def _certificate_violations(record: SequenceRecord) -> list[str]:
     return violations
 
 
-def _pattern_level(pattern: str, offset: int) -> int:
+def _pattern_level(v: int, offset: int) -> int:
     """How many times the class pattern has doubled the starting degree at
-    the step `offset` >= 1 steps past the last flat step (index s + t)."""
-    if pattern == CLASSES["C2"].pattern:
-        return (offset + 1) // 2 + 1
-    return offset + 1
+    the step `offset` >= 1 steps past the last flat step (index s + t): 2 at
+    offset 1, and each degree lasts v steps (qk.ClassSpec)."""
+    return 2 + (offset - 1) // v
 
 
 def verify_against_schedule(record: SequenceRecord) -> list[str]:
@@ -430,7 +429,7 @@ def verify_against_schedule(record: SequenceRecord) -> list[str]:
         violations.append(f"observed s+t={s + t} exceeds st_bound={dp.st_bound}")
     base = s + t
     for step in record.steps[base + 1:]:
-        expected = n << _pattern_level(dp.pattern, step.index - base)
+        expected = n << _pattern_level(CLASSES[dp.class_name].v, step.index - base)
         if step.degree != expected:
             violations.append(
                 f"step {step.index}: degree {step.degree} deviates from the "

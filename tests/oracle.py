@@ -8,7 +8,8 @@ walks below work element by element, independently of the exp/log tables,
 the transform character and the factor race that they check.
 
 Also here: polynomial subtraction, addition and long division (`poly_sub`,
-`poly_add`, `poly_divmod`), the plain gcd (`_gcd_raw`),
+`poly_add`, `poly_divmod`), the plain gcd (`_gcd_raw`), a character-scanning
+polynomial parser (`parse_poly_by_scanning`) for the library's regex one,
 `random_irreducible` for seeded inputs, `check_lemma_kk` for the k versus
 -k comparison over a whole field, exact arithmetic in the CM orders
 (`quad_mul`, `quad_pow`) for the depth pairs the slow way, `depth_table`
@@ -32,12 +33,18 @@ from typing import Iterable, Optional
 from qkforge import cm_arith, dynamics
 from qkforge.cm_arith import DepthPair, QuadInt, _power, _product
 from qkforge.config import field_cap
-from qkforge.errors import InternalConsistencyError, ResourceCapError, UsageError
+from qkforge.errors import (
+    InternalConsistencyError,
+    MalformedInputError,
+    ResourceCapError,
+    UsageError,
+)
 from qkforge.extfield import ExtField, FqElem
 from qkforge.ffpoly import (
     ModulusContext,
     Poly,
     _PackedRows,
+    _capped_degree,
     _divmod_raw,
     _mul_raw,
     _prime_factors,
@@ -309,7 +316,7 @@ def sweep_lemmas_by_multiplier(max_p: int, max_n: int, max_m: int,
         for name, spec in CLASSES.items():
             if spec.disc is None or not spec.admits(p):
                 continue
-            low_e0, low_e1, inc = spec.floors
+            low_e0, low_e1, inc = spec.v, spec.v + 1, spec.v
             for k in find_k(p, name):
                 table = depth_table(p, k, degrees)
                 for n in range(1, max_n + 1):
@@ -342,6 +349,66 @@ def sweep_lemmas_by_multiplier(max_p: int, max_n: int, max_m: int,
                             )
     summary = f"checked {checked} identities below p < {max_p}: {len(violations)} violations"
     return summary, violations
+
+
+def parse_poly_by_scanning(text: str, p: int) -> Poly:
+    """`ffpoly.parse_poly` by a scan over characters: the same coefficients,
+    or the same error class and message, for every input."""
+    s = text.strip()
+    if not s:
+        raise MalformedInputError("empty polynomial")
+    if not s.isascii():
+        raise MalformedInputError(f"polynomial text must be ASCII: {text!r}")
+    if all(ch.isdigit() or ch in ",- " for ch in s):
+        _capped_degree(str(s.count(",")))
+        try:
+            return Poly(tuple(int(tok) for tok in s.split(",")), p)
+        except ValueError:
+            raise MalformedInputError(f"bad coefficient list: {text!r}") from None
+    compact = s.replace(" ", "").replace("**", "^").replace("*", "")
+    if not compact or compact[0] not in "+-x0123456789" or compact[-1] in "+-":
+        raise MalformedInputError(f"cannot parse polynomial: {text!r}")
+    coeffs: dict[int, int] = {}
+    i = 0
+    sign = 1
+    if compact[0] in "+-":
+        sign = -1 if compact[0] == "-" else 1
+        i = 1
+    while i < len(compact):
+        j = i
+        while j < len(compact) and compact[j] not in "+-":
+            j += 1
+        term = compact[i:j]
+        if not term:
+            raise MalformedInputError(f"cannot parse polynomial: {text!r}")
+        num = ""
+        k = 0
+        while k < len(term) and term[k].isdigit():
+            num += term[k]
+            k += 1
+        if k == len(term):
+            e = 0
+        elif term[k] == "x":
+            num = num or "1"
+            rest = term[k + 1:]
+            if not rest:
+                e = 1
+            elif rest.startswith("^") and rest[1:].isdigit():
+                e = _capped_degree(rest[1:])
+            else:
+                raise MalformedInputError(f"cannot parse term {term!r} in {text!r}")
+        else:
+            raise MalformedInputError(f"cannot parse term {term!r} in {text!r}")
+        try:
+            c = int(num)
+        except ValueError:
+            raise MalformedInputError(f"bad coefficient in {text!r}") from None
+        coeffs[e] = coeffs.get(e, 0) + sign * c
+        if j < len(compact):
+            sign = -1 if compact[j] == "-" else 1
+        i = j + 1
+    deg = max(coeffs)
+    return Poly(tuple(coeffs.get(e, 0) for e in range(deg + 1)), p)
 
 
 def poly_sub(a: Poly, b: Poly) -> Poly:

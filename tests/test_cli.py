@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import qkforge
 import qkforge.cli as cli
 import qkforge.cm_arith as cm_arith
+import qkforge.dynamics as dynamics
 from qkforge.cli import main
 from qkforge.cm_arith import _embedding, _ladder
 from qkforge.config import (
@@ -29,7 +30,7 @@ from qkforge.config import (
     MAX_SWEEP_DOUBLINGS,
     MAX_SWEEP_PRIME,
 )
-from qkforge.errors import TheoremViolationError
+from qkforge.errors import InternalConsistencyError, TheoremViolationError
 from qkforge.ffpoly import Poly, format_poly, format_poly_human, sqrt_mod_p
 from qkforge.qk import qk_transform
 from qkforge.seqgen import SequenceRecord, generate_sequence
@@ -650,6 +651,19 @@ def test_verify_example_flags_late_splits(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 # explore
 # ---------------------------------------------------------------------------
+
+
+def test_routes_that_disagree_exit_3_and_keep_the_stats_file(tmp_path, monkeypatch, capsys):
+    def disagree(*args):
+        raise InternalConsistencyError("g^3 is not in F_11^*")
+
+    monkeypatch.setattr(dynamics, "_exp_log_tables", disagree)
+    stats = tmp_path / "g.json"
+    stats.write_bytes(b"earlier stats\n")
+    assert main(["explore", "--p", "11", "--k", "3", "--n", "2", "--stats", str(stats)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: g^3 is not in F_11^*\n"
+    assert stats.read_bytes() == b"earlier stats\n"
 
 
 def test_explore_writes_dot_and_stats(tmp_path, capsys):

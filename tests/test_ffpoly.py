@@ -43,6 +43,7 @@ from oracle import (
     _gcd_raw,
     irreducible_by_trial_division,
     monic_irreducibles,
+    parse_poly_by_scanning,
     poly_add,
     poly_divmod,
     poly_sub,
@@ -132,6 +133,47 @@ def test_sqrt_mod_p_ends_on_composites_that_pass_as_prime(monkeypatch) -> None:
                 continue
             assert r is None or r * r % n == a
     assert raised > 0
+
+
+def _two_adic(n: int) -> int:
+    s = 0
+    while n % 2 == 0:
+        n //= 2
+        s += 1
+    return s
+
+
+# p - 1 = q * 2^s with s = 1, 2, 3, 4, 5, 6, 7, 9, 12 and 23
+SQRT_PRIMES = (3, 5, 41, 17, 97, 193, 641, 7681, 12289, 998244353)
+
+
+def test_sqrt_mod_p_at_every_two_adic_valuation() -> None:
+    assert {_two_adic(p - 1) for p in SQRT_PRIMES} >= set(range(1, 8))
+    rng = random.Random(26)
+    for p in SQRT_PRIMES:
+        if p < 2000:
+            roots = {x * x % p: min(x, p - x) for x in range(p)}
+            cases = [(a, roots.get(a)) for a in range(p)]
+        else:
+            # a seeded square and a seeded non-residue times a square
+            z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+            xs = [rng.randrange(1, p) for _ in range(500)]
+            cases = [(x * x % p, min(x, p - x)) for x in xs]
+            cases += [(z * x * x % p, None) for x in xs]
+        for a, root in cases:
+            assert sqrt_mod_p(a, p) == root, (a, p)
+
+
+def test_sqrt_mod_p_needs_no_non_residue_when_a_to_the_q_is_one(monkeypatch) -> None:
+    # 41 = 5 * 2^3 + 1 and a = 10 = 2^8 has a^5 = 1, so r = a^3 is a root at
+    # once and the only character taken is a's; a = 2 has 2^5 != 1 and
+    # needs the search for a non-residue
+    calls = []
+    monkeypatch.setattr(ffpoly, "legendre", lambda a, p: calls.append(a) or legendre(a, p))
+    assert pow(10, 5, 41) == 1 and pow(2, 5, 41) != 1
+    assert sqrt_mod_p(10, 41) == 16 and calls == [10]
+    calls.clear()
+    assert sqrt_mod_p(2, 41) == 17 and len(calls) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -854,6 +896,30 @@ def test_parse_poly_degree_cap() -> None:
     # more digits than int() converts is malformed, not a traceback
     with pytest.raises(MalformedInputError):
         parse_poly("x+" + "9" * 5000, 5)
+
+
+def _parse_outcome(parse, text: str):
+    try:
+        return "parsed", parse(text, 5).coeffs
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_parse_poly_matches_the_scanning_parser() -> None:
+    rng = random.Random(26)
+    alphabet = "x0123456789+-*^ ,"
+    texts = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 14)))
+             for _ in range(100_000)]
+    texts += [f"x^{MAX_POLY_DEGREE + 1}+1", f"x^{MAX_POLY_DEGREE}-x^70000", f"2x^{MAX_POLY_DEGREE}",
+              "x^0007+1", "x^" + "0" * 30 + "3-x", "x+" + "9" * 5000, "9" * 5000 + "*x^2+1",
+              "3x^" + "9" * 5000, "9" * 5000 + "x^70000", "x^2+\u0661", "\u00e9x+1", "x\n*",
+              "x\t+1", "x^", "1x7", "x++1", "x^70000+x^", "+-x", "^2", "*", "x^2^3"]
+    parsed = 0
+    for text in texts:
+        outcome = _parse_outcome(parse_poly, text)
+        assert outcome == _parse_outcome(parse_poly_by_scanning, text), repr(text)
+        parsed += outcome[0] == "parsed"
+    assert parsed > 1000  # the strings reach the parsed terms, not only errors
 
 
 def test_format_roundtrip() -> None:

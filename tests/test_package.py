@@ -5,6 +5,8 @@ import re
 from pathlib import Path
 
 import qkforge
+import qkforge.cli as cli
+import qkforge.errors as errors
 
 
 PUBLIC_NAMES = {
@@ -164,3 +166,21 @@ def test_one_euclid_in_the_package():
             ):
                 looped.add(f"{path.stem}.{func.name}")
     assert looped == {"ffpoly._euclid"}
+
+
+def test_every_exit_code_is_documented(tmp_path, capsys):
+    # the README "Exit codes" table and the cli docstring list exactly the
+    # codes an error class carries, main's code for an artifact path that
+    # cannot be written (OSError), and 0
+    codes = {cls.exit_code for cls in vars(errors).values()
+             if isinstance(cls, type) and issubclass(cls, errors.QkforgeError)
+             and cls is not errors.QkforgeError}
+    unwritable = str(tmp_path / "missing" / "g.json")
+    codes.add(cli.main(["explore", "--p", "11", "--k", "3", "--stats", unwritable]))
+    assert capsys.readouterr().err.startswith("error: ")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    in_readme = {int(code) for code in re.findall(r"^\| (\d+) +\|", table, re.M)}
+    clauses = cli.__doc__.split("Exit codes:", 1)[1].split(".", 1)[0]
+    in_docstring = {int(code) for code in re.findall(r"(?:^|;)\s*(\d+) ", clauses)}
+    assert in_readme == in_docstring == codes | {0}, (in_readme, in_docstring, codes)
