@@ -22,8 +22,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Sequence
 from contextlib import contextmanager
-from typing import Optional, Sequence
 
 from .cm_arith import _embedding, _ladder, depths
 from .config import MAX_SWEEP_DEGREE, MAX_SWEEP_DOUBLINGS, MAX_SWEEP_PRIME
@@ -144,15 +144,18 @@ def _artifacts(args: argparse.Namespace):
     """Check that every artifact path set in args can be written, before any
     work: each is opened for writing without truncation and closed again, so
     an unwritable path fails at once (main maps OSError to exit 2) and an
-    existing file keeps its bytes.  If the block raises, the files this
-    check created are removed."""
+    existing file keeps its bytes; two paths naming one file are a UsageError.
+    If the check or the block raises, the files it created are removed."""
     created = []
+    paths = [path for path in (args.out_path, args.dot_path, args.stats_path) if path]
     try:
-        for path in filter(None, (args.out_path, args.dot_path, args.stats_path)):
+        for i, path in enumerate(paths):
             existed = os.path.lexists(path)
             os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
             if not existed:
                 created.append(path)
+            if any(os.path.samefile(path, other) for other in paths[:i]):
+                raise UsageError(f"two artifacts cannot share the file {path}")
         yield
     except BaseException:
         for path in created:
@@ -160,7 +163,7 @@ def _artifacts(args: argparse.Namespace):
         raise
 
 
-def _emit(path: Optional[str], text: str) -> None:
+def _emit(path: str | None, text: str) -> None:
     """Write text to the artifact at path, truncating it, or to stdout."""
     if path:
         with open(path, "w", encoding="utf-8") as out:
@@ -205,7 +208,7 @@ _EXAMPLE_RUNS = (
 )
 
 
-def cmd_verify_example(args: Optional[argparse.Namespace] = None) -> int:
+def cmd_verify_example(args: argparse.Namespace | None = None) -> int:
     """Reproduce both reference runs over F_53 and verify them end to end;
     a degree trace that differs from the expected one exits with code 3."""
     f0 = Poly(_EXAMPLE_F0, _EXAMPLE_P)
@@ -453,7 +456,7 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.run(args)

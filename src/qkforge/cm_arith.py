@@ -40,12 +40,11 @@ is below the bound of its own degree, hence below B (see `_ladder`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
 
 from .errors import InternalConsistencyError, UnsupportedPrimeError, UsageError
-from .ffpoly import _check_odd_prime, inv_mod, legendre, sqrt_mod_p
+from .ffpoly import _Value, _check_odd_prime, inv_mod, legendre, sqrt_mod_p
 from .qk import CLASSES, classify_k
 
 _SUPPORTED_DISCS = (-4, -7)
@@ -73,18 +72,16 @@ def _power(disc: int, c: int, d: int, e: int, mod: int) -> tuple[int, int]:
     return a, b
 
 
-@dataclass(frozen=True)
-class QuadInt:
+class QuadInt(_Value):
     """An element of Z[i] (disc -4) or Z[alpha] (disc -7), coordinates (a, b)
     over the basis {1, i} respectively {1, alpha}."""
 
-    a: int
-    b: int
-    disc: int
+    __slots__ = ("a", "b", "disc")
 
-    def __post_init__(self) -> None:
-        if self.disc not in _SUPPORTED_DISCS:
-            raise UsageError(f"unsupported discriminant {self.disc}")
+    def __init__(self, a: int, b: int, disc: int):
+        if disc not in _SUPPORTED_DISCS:
+            raise UsageError(f"unsupported discriminant {disc}")
+        self._set(a, b, disc)
 
     def __add__(self, other: "QuadInt") -> "QuadInt":
         if self.disc != other.disc:
@@ -104,14 +101,14 @@ class QuadInt:
         return a * a + a * b + 2 * b * b
 
 
-@dataclass(frozen=True)
-class CurveParams:
+class CurveParams(_Value):
     """Short Weierstrass curve y^2 = x^3 + a4*x + a6 with CM by the order of
     discriminant disc."""
 
-    disc: int
-    a4: int
-    a6: int
+    __slots__ = ("disc", "a4", "a6")
+
+    def __init__(self, disc: int, a4: int, a6: int):
+        self._set(disc, a4, a6)
 
 
 CURVE_DISC4 = CurveParams(-4, 1, 0)
@@ -240,18 +237,16 @@ def _alpha_root_2adic(parity: int, bits: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class DepthPair:
+class DepthPair(_Value):
     """The pair (e0, e1) of prime-above-2 valuations of pi^n -+ 1 and what it
     is for: (p, n, multiplier class) and, from `depths`, the key (pi, rho0)."""
 
-    e0: int
-    e1: int
-    p: int
-    n: int
-    class_name: str
-    pi: QuadInt | None = field(default=None, kw_only=True, compare=False)
-    rho0: QuadInt | None = field(default=None, kw_only=True, compare=False)
+    __slots__ = ("e0", "e1", "p", "n", "class_name", "pi", "rho0")
+    _compared = 5  # equality and hash ignore the key
+
+    def __init__(self, e0: int, e1: int, p: int, n: int, class_name: str, *,
+                 pi: QuadInt | None = None, rho0: QuadInt | None = None):
+        self._set(e0, e1, p, n, class_name, pi, rho0)
 
     @property
     def s_bound(self) -> int:

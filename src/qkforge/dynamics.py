@@ -28,9 +28,7 @@ add and subtract logarithms.  Building the tables takes n field products.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from operator import mul
-from typing import Optional
 
 from .config import field_cap
 from .errors import InternalConsistencyError, ResourceCapError, UsageError
@@ -38,6 +36,7 @@ from .ffpoly import (
     ModulusContext,
     Poly,
     _PackedRows,
+    _Value,
     _check_odd_prime,
     _digits,
     _prime_factors,
@@ -53,15 +52,13 @@ from .qk import _check_k
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FunctionalGraph:
+class FunctionalGraph(_Value):
     """Successor table of x -> k(x + 1/x) on the p^n + 1 projective points."""
 
-    p: int
-    n: int
-    k: int
-    modulus: Poly
-    successors: tuple[int, ...]
+    __slots__ = ("p", "n", "k", "modulus", "successors")
+
+    def __init__(self, p: int, n: int, k: int, modulus: Poly, successors: tuple[int, ...]):
+        self._set(p, n, k, modulus, successors)
 
     @property
     def size(self) -> int:
@@ -87,7 +84,7 @@ def _check_size_cap(p: int, n: int) -> None:
         )
 
 
-def _resolve_modulus(p: int, n: int, modulus: Optional[Poly]) -> Poly:
+def _resolve_modulus(p: int, n: int, modulus: Poly | None) -> Poly:
     if modulus is None:
         return smallest_irreducible(p, n)
     if modulus.p != p:
@@ -99,7 +96,7 @@ def _resolve_modulus(p: int, n: int, modulus: Optional[Poly]) -> Poly:
     return modulus.monic()
 
 
-def _checked_inputs(p: int, n: int, k: int, modulus: Optional[Poly]) -> tuple[int, Poly]:
+def _checked_inputs(p: int, n: int, k: int, modulus: Poly | None) -> tuple[int, Poly]:
     """Validate a graph request; return k mod p and the monic modulus."""
     _check_odd_prime(p)
     if n < 1:
@@ -108,7 +105,7 @@ def _checked_inputs(p: int, n: int, k: int, modulus: Optional[Poly]) -> tuple[in
     return _check_k(k, p), _resolve_modulus(p, n, modulus)
 
 
-def build_graph(p: int, n: int, k: int, modulus: Optional[Poly] = None) -> FunctionalGraph:
+def build_graph(p: int, n: int, k: int, modulus: Poly | None = None) -> FunctionalGraph:
     """Tabulate the successor of every projective point under x -> k(x + 1/x).
 
     Node 0 is infinity; node 1 + j is the field element with canonical index
@@ -208,20 +205,17 @@ def _successors(p: int, exp: array, log: array, k: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComponentStats:
+class ComponentStats(_Value):
     """Shape summary of one connected component."""
 
-    cycle_length: int
-    tree_depth: int
-    node_count: int
-    binary_shape_ok: bool
+    __slots__ = ("cycle_length", "tree_depth", "node_count", "binary_shape_ok")
 
-    def __post_init__(self) -> None:
-        if self.cycle_length < 1:
+    def __init__(self, cycle_length: int, tree_depth: int, node_count: int, binary_shape_ok: bool):
+        if cycle_length < 1:
             raise InternalConsistencyError("every component contains a cycle")
-        if self.node_count < self.cycle_length:
+        if node_count < cycle_length:
             raise InternalConsistencyError("component smaller than its cycle")
+        self._set(cycle_length, tree_depth, node_count, binary_shape_ok)
 
 
 _ON_PATH = -2  # component id of a node on the path being walked

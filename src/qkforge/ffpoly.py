@@ -1,10 +1,10 @@
 """Dense univariate polynomial arithmetic over odd prime fields F_p.
 
-Polynomials are immutable value objects: ascending coefficient tuples with
-every coefficient reduced mod p and no trailing zeros (the zero polynomial has
-an empty tuple).  Hot paths (modular exponentiation, irreducibility testing,
-the split of a reciprocal pair g * g*) work on raw coefficient lists
-internally.
+Polynomials are immutable values (`_Value`, the slotted base of every value
+type of the package): ascending coefficient tuples, each coefficient reduced
+mod p, with no trailing zeros (the zero polynomial is the empty tuple).  Hot
+paths (modular exponentiation, irreducibility testing, the split of a
+reciprocal pair g * g*) work on raw coefficient lists internally.
 
 Three performance tricks keep everything exact but fast in pure Python:
 
@@ -38,10 +38,9 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import lru_cache
-from operator import add, mul
-from typing import Iterable
+from operator import add, attrgetter, mul
 
 from .config import MAX_POLY_DEGREE, MAX_ROW_TABLE_BYTES
 from .errors import InternalConsistencyError, MalformedInputError, ResourceCapError, UsageError
@@ -321,28 +320,54 @@ def _theta_lift(cs: list[int], n: int, k: int, p: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Poly value type
+# value types
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Poly:
+class _Value:
+    """Immutable value: `__init__` sets the `__slots__` once (`_set`).  repr shows
+    them all; equality and hash use the first `_compared`, within one type."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls.__slots__[: getattr(cls, "_compared", None)])
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _set(self, *values) -> None:
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    def __setstate__(self, state) -> None:  # copy and pickle: (None, {slot: value})
+        self._set(*map(state[1].get, self.__slots__))
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        return self._key(self) == other._key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Poly(_Value):
     """Immutable polynomial over F_p; coefficients ascending, reduced, trimmed."""
 
-    coeffs: tuple[int, ...]
-    p: int
+    __slots__ = ("coeffs", "p")
 
-    def __post_init__(self) -> None:
-        p = _check_odd_prime(self.p)
-        object.__setattr__(self, "coeffs", tuple(_trim([c % p for c in self.coeffs])))
-
-    # -- constructors -------------------------------------------------------
+    def __init__(self, coeffs: Iterable[int], p: int):
+        _check_odd_prime(p)
+        self._set(tuple(_trim([c % p for c in coeffs])), p)
 
     @classmethod
     def x(cls, p: int) -> "Poly":
         return cls((0, 1), p)
-
-    # -- basic queries -------------------------------------------------------
 
     @property
     def degree(self) -> int:
@@ -374,16 +399,11 @@ class Poly:
     def coefficient(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def _check_same_field(self, other: "Poly") -> None:
-        if self.p != other.p:
-            raise UsageError(f"mixed moduli: {self.p} vs {other.p}")
-
     def __mul__(self, other):
         if isinstance(other, int):
             return Poly(tuple(c * other % self.p for c in self.coeffs), self.p)
-        self._check_same_field(other)
+        if self.p != other.p:
+            raise UsageError(f"mixed moduli: {self.p} vs {other.p}")
         return Poly(tuple(_mul_raw(list(self.coeffs), list(other.coeffs), self.p)), self.p)
 
     __rmul__ = __mul__
@@ -660,9 +680,9 @@ def format_poly_human(f: Poly) -> str:
     return "+".join(terms)
 
 
-# One human-form term: a sign (optional on the first), then c, x, cx, x^e or
-# cx^e up to the next sign, or else the bad term up to it.  \Z, not $, which
-# also matches before a final newline.
+# One human-form term, after parse_poly drops the '*' of c*x (c opening the term):
+# a sign (optional on the first), then c, x, cx, x^e or cx^e up to the next sign,
+# or else the bad term up to it.  \Z, not $, which also matches before a final newline.
 _TERM = re.compile(r"([+-]?)(?:(\d*)(x(?:\^(\d+))?)?(?=[+-]|\Z)|([^+-]*))")
 
 
@@ -677,8 +697,8 @@ def _capped_degree(text: str) -> int:
 
 def parse_poly(text: str, p: int) -> Poly:
     """Parse either coefficient-list form ('51,3,0,0,0,1', ascending) or the
-    human form ('x^5+3*x+51'); coefficients are reduced mod p.  A degree
-    above config.MAX_POLY_DEGREE raises ResourceCapError."""
+    human form ('x^5+3*x+51', '*' only in c*x); coefficients are reduced mod p.
+    A degree above config.MAX_POLY_DEGREE raises ResourceCapError."""
     s = text.strip()
     if not s:
         raise MalformedInputError("empty polynomial")
@@ -691,7 +711,9 @@ def parse_poly(text: str, p: int) -> Poly:
             return Poly(tuple(int(tok) for tok in s.split(",")), p)
         except ValueError:
             raise MalformedInputError(f"bad coefficient list: {text!r}") from None
-    compact = s.replace(" ", "").replace("**", "^").replace("*", "")
+    compact = re.sub(r"(?<![^+-])(\d+)\*(?=x)", r"\1", s.replace(" ", "").replace("**", "^"))
+    if "*" in compact:
+        raise MalformedInputError(f"'*' stands only between a coefficient and x: {text!r}")
     if not compact or compact[0] not in "+-x0123456789" or compact[-1] in "+-":
         raise MalformedInputError(f"cannot parse polynomial: {text!r}")
     coeffs: dict[int, int] = {}

@@ -17,14 +17,11 @@ of each class.  The classes are pairwise disjoint for every odd prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalConsistencyError, UnsupportedPrimeError, UsageError
-from .ffpoly import Poly, _check_odd_prime, _theta_lift, inv_mod, legendre, sqrt_mod_p
+from .ffpoly import Poly, _Value, _check_odd_prime, _theta_lift, inv_mod, legendre, sqrt_mod_p
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(_Value):
     """One multiplier class: the roots k of a*k^2 + b*k + c mod p, for the
     primes p with p mod `modulus` in `residues`, which are exactly the odd
     primes where the quadratic has two distinct roots.  Classes with a CM
@@ -35,15 +32,11 @@ class ClassSpec:
     each doubling adds v to e0 and leaves e1 = v; past s + t each degree
     lasts v steps (seqgen._pattern_level)."""
 
-    name: str
-    a: int
-    b: int
-    c: int
-    modulus: int
-    residues: tuple[int, ...]
-    disc: int | None = None
-    pattern: str | None = None
-    v: int | None = None
+    __slots__ = ("name", "a", "b", "c", "modulus", "residues", "disc", "pattern", "v")
+
+    def __init__(self, name: str, a: int, b: int, c: int, modulus: int, residues: tuple[int, ...],
+                 disc: int | None = None, pattern: str | None = None, v: int | None = None):
+        self._set(name, a, b, c, modulus, residues, disc, pattern, v)
 
     def admits(self, p: int) -> bool:
         return p % self.modulus in self.residues

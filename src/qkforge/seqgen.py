@@ -35,12 +35,10 @@ which makes it irreducible.  verify_against_schedule and the record reader
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
 
 from .config import MAX_CHAIN_STEPS, MAX_POLY_DEGREE
 from .errors import MalformedInputError, ResourceCapError, TheoremViolationError, UsageError
-from .ffpoly import Poly, _reciprocal_cofactor, equal_degree_factorize, inv_mod, is_irreducible
+from .ffpoly import Poly, _Value, _reciprocal_cofactor, equal_degree_factorize, inv_mod, is_irreducible
 from .qk import CLASSES, GENERIC, classify_k, qk_transform, transform_character
 from .cm_arith import depths
 
@@ -65,14 +63,13 @@ RNG_NAME = "mt19937"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Step:
-    """One entry of a generated sequence: the polynomial f_i and how it was
-    obtained."""
+class Step(_Value):
+    """One entry of a generated sequence: the polynomial f_i and how it was obtained."""
 
-    index: int
-    poly: Poly
-    kind: str
+    __slots__ = ("index", "poly", "kind")
+
+    def __init__(self, index: int, poly: Poly, kind: str):
+        self._set(index, poly, kind)
 
     @property
     def degree(self) -> int:
@@ -86,32 +83,28 @@ def _json_int(value) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class SequenceRecord:
+class SequenceRecord(_Value):
     """A generated sequence f_0, f_1, ..., with provenance per step."""
 
-    p: int
-    k: int
-    class_name: str
-    seed: int
-    steps: tuple[Step, ...]
+    __slots__ = ("p", "k", "class_name", "seed", "steps")
 
-    def __post_init__(self) -> None:
-        if not self.steps:
+    def __init__(self, p: int, k: int, class_name: str, seed: int, steps: tuple[Step, ...]):
+        if not steps:
             raise UsageError("a sequence record needs at least the initial step")
-        for j, step in enumerate(self.steps):
+        for j, step in enumerate(steps):
             if step.index != j:
-                raise UsageError(f"step indices must be 0..{len(self.steps) - 1}")
+                raise UsageError(f"step indices must be 0..{len(steps) - 1}")
             if step.kind not in STEP_KINDS:
                 raise UsageError(f"unknown step kind {step.kind!r}")
-            if step.poly.p != self.p:
+            if step.poly.p != p:
                 raise UsageError("all polynomials must live over the record's prime")
             if not step.poly.is_monic:
                 raise UsageError(f"step {j}: polynomial is not monic")
-        if self.steps[0].kind != KIND_INITIAL:
+        if steps[0].kind != KIND_INITIAL:
             raise UsageError("step 0 must have kind 'initial'")
-        if any(s.kind == KIND_INITIAL for s in self.steps[1:]):
+        if any(s.kind == KIND_INITIAL for s in steps[1:]):
             raise UsageError("only step 0 may have kind 'initial'")
+        self._set(p, k, class_name, seed, steps)
 
     def degrees(self) -> list[int]:
         return [s.degree for s in self.steps]
@@ -195,7 +188,7 @@ def _check_irr_input(f: Poly) -> None:
         raise UsageError("the input polynomial must be irreducible")
 
 
-def _step(f: Poly, k: int) -> tuple[Poly, Optional[Poly], str]:
+def _step(f: Poly, k: int) -> tuple[Poly, Poly | None, str]:
     """One construction step: the transform character of f decides it.
 
     f must be monic, irreducible and not x; no irreducibility test runs.
@@ -348,7 +341,7 @@ def observed_flat_steps(record: SequenceRecord) -> tuple[int, int]:
     return sum(1 for d in degs if d == n), sum(1 for d in degs if d == 2 * n)
 
 
-def _broken_link(prev: Poly, cur: Poly, k: int) -> Optional[str]:
+def _broken_link(prev: Poly, cur: Poly, k: int) -> str | None:
     """Why cur, of degree deg(prev) or 2 deg(prev), is not certified
     irreducible by an irreducible prev; None when it is."""
     chi = transform_character(prev, k)

@@ -353,7 +353,8 @@ def sweep_lemmas_by_multiplier(max_p: int, max_n: int, max_m: int,
 
 def parse_poly_by_scanning(text: str, p: int) -> Poly:
     """`ffpoly.parse_poly` by a scan over characters: the same coefficients,
-    or the same error class and message, for every input."""
+    or the same error class and message, for every input without a misplaced
+    '*'.  This parser deletes every '*'; parse_poly accepts one only in c*x."""
     s = text.strip()
     if not s:
         raise MalformedInputError("empty polynomial")

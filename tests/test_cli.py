@@ -560,6 +560,23 @@ def test_explore_unwritable_artifact_exits_2_before_the_graph(flag, tmp_path, mo
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_explore_refuses_one_file_for_two_artifacts(tmp_path, monkeypatch, capsys):
+    # the DOT text and the stats JSON would overwrite each other: exit 2
+    # before the graph, an existing file keeps its bytes, a created one goes
+    monkeypatch.setattr(cli, "build_graph", _never)
+    monkeypatch.chdir(tmp_path)
+    kept = tmp_path / "kept"
+    kept.write_bytes(b"earlier bytes\n")
+    for dot, stats in (("A", "A"), ("A", "./A"), ("A", str(tmp_path / "A")), ("kept", "./kept")):
+        assert main(["explore", "--p", "5", "--n", "1", "--k", "1",
+                     "--dot", dot, "--stats", stats]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "A").exists()
+    assert kept.read_bytes() == b"earlier bytes\n"
+
+
 def test_failed_generate_keeps_an_existing_out_file(tmp_path, capsys):
     # k = 7 from degree 5 passes the degree cap by step 40: exit 4 after --out was checked
     out = tmp_path / "x.json"

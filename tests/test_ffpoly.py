@@ -905,7 +905,24 @@ def _parse_outcome(parse, text: str):
         return type(exc), str(exc)
 
 
+def _misplaced_star(text: str) -> bool:
+    """Whether the human form `text`, read without spaces and with ** as ^,
+    has a '*' anywhere but in c*x, c the digits that open a term."""
+    s = text.strip().replace(" ", "").replace("**", "^")
+    for i, ch in enumerate(s):
+        if ch == "*":
+            start = i
+            while start > 0 and s[start - 1] in "0123456789":
+                start -= 1
+            opens_term = start == 0 or s[start - 1] in "+-"
+            if start == i or not opens_term or s[i + 1:i + 2] != "x":
+                return True
+    return False
+
+
 def test_parse_poly_matches_the_scanning_parser() -> None:
+    # the scanning parser deletes every '*'; parse_poly refuses a misplaced
+    # one and otherwise agrees with it
     rng = random.Random(26)
     alphabet = "x0123456789+-*^ ,"
     texts = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 14)))
@@ -913,13 +930,22 @@ def test_parse_poly_matches_the_scanning_parser() -> None:
     texts += [f"x^{MAX_POLY_DEGREE + 1}+1", f"x^{MAX_POLY_DEGREE}-x^70000", f"2x^{MAX_POLY_DEGREE}",
               "x^0007+1", "x^" + "0" * 30 + "3-x", "x+" + "9" * 5000, "9" * 5000 + "*x^2+1",
               "3x^" + "9" * 5000, "9" * 5000 + "x^70000", "x^2+\u0661", "\u00e9x+1", "x\n*",
-              "x\t+1", "x^", "1x7", "x++1", "x^70000+x^", "+-x", "^2", "*", "x^2^3"]
-    parsed = 0
+              "x\t+1", "x^", "1x7", "x++1", "x^70000+x^", "+-x", "^2", "*", "x^2^3",
+              "2*3", "x*^2", "*x+1", "x^2*", "x^2*x", "x2*x", "2*x*x", "3**x", "1,2*x",
+              f"x^{MAX_POLY_DEGREE + 1}+2*3", "3 * x ** 2 - 12*x+1", "-2*x^3+x**2"]
+    parsed = misplaced = 0
     for text in texts:
         outcome = _parse_outcome(parse_poly, text)
-        assert outcome == _parse_outcome(parse_poly_by_scanning, text), repr(text)
-        parsed += outcome[0] == "parsed"
+        if _misplaced_star(text):
+            assert outcome[0] is MalformedInputError, repr(text)
+            assert outcome[1].startswith("'*' stands only"), repr(text)
+            misplaced += 1
+        else:
+            assert outcome == _parse_outcome(parse_poly_by_scanning, text), repr(text)
+            parsed += outcome[0] == "parsed"
     assert parsed > 1000  # the strings reach the parsed terms, not only errors
+    assert misplaced > 10_000
+    assert parse_poly("3 * x ** 2 - 12*x+1", 53) == Poly((1, 41, 3), 53)
 
 
 def test_format_roundtrip() -> None:

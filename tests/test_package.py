@@ -1,8 +1,15 @@
 """The package's public names and its layering."""
 
 import ast
+import copy
+import os
+import pickle
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import qkforge
 import qkforge.cli as cli
@@ -184,3 +191,105 @@ def test_every_exit_code_is_documented(tmp_path, capsys):
     clauses = cli.__doc__.split("Exit codes:", 1)[1].split(".", 1)[0]
     in_docstring = {int(code) for code in re.findall(r"(?:^|;)\s*(\d+) ", clauses)}
     assert in_readme == in_docstring == codes | {0}, (in_readme, in_docstring, codes)
+
+
+def test_value_types_keep_their_contract():
+    # the nine value types are immutable, hash as they compare, equal only
+    # an instance of their own type (never the tuple of their fields), copy
+    # and pickle, and keep their repr and their construction-time checks
+    from qkforge.qk import CLASSES, ClassSpec
+    from qkforge.seqgen import KIND_INITIAL
+
+    f = qkforge.Poly((54, 3, 0, 1, 0), 53)
+    graph = qkforge.build_graph(5, 1, 2)
+    record = qkforge.generate_sequence(qkforge.Poly((51, 3, 0, 0, 0, 1), 53), 7, 1)
+    pair = qkforge.depths(53, 7, 4)
+    cases = [
+        (f, lambda: qkforge.Poly([1, 3, 0, 1], 53), ("coeffs", "p"),
+         "Poly(coeffs=(1, 3, 0, 1), p=53)"),
+        (qkforge.QuadInt(-7, 2, -4), lambda: qkforge.QuadInt(-7, 2, -4), ("a", "b", "disc"),
+         "QuadInt(a=-7, b=2, disc=-4)"),
+        (qkforge.CURVE_DISC7, lambda: qkforge.CurveParams(-7, -35, 98), ("disc", "a4", "a6"),
+         "CurveParams(disc=-7, a4=-35, a6=98)"),
+        (pair, lambda: qkforge.DepthPair(6, 1, 53, 4, "C3"),
+         ("e0", "e1", "p", "n", "class_name", "pi", "rho0"),
+         "DepthPair(e0=6, e1=1, p=53, n=4, class_name='C3', pi=QuadInt(a=-7, b=4, disc=-7), "
+         "rho0=QuadInt(a=0, b=1, disc=-7))"),
+        (CLASSES["C1"], lambda: ClassSpec("C1", 4, 0, -1, 1, (0,)),
+         ("name", "a", "b", "c", "modulus", "residues", "disc", "pattern", "v"),
+         "ClassSpec(name='C1', a=4, b=0, c=-1, modulus=1, residues=(0,), disc=None, "
+         "pattern=None, v=None)"),
+        (record.steps[0], lambda: qkforge.Step(0, qkforge.Poly((51, 3, 0, 0, 0, 1), 53),
+                                               KIND_INITIAL),
+         ("index", "poly", "kind"),
+         "Step(index=0, poly=Poly(coeffs=(51, 3, 0, 0, 0, 1), p=53), kind='initial')"),
+        (record, lambda: qkforge.SequenceRecord(p=53, k=7, class_name="C3", seed=0,
+                                                steps=record.steps),
+         ("p", "k", "class_name", "seed", "steps"),
+         "SequenceRecord(p=53, k=7, class_name='C3', seed=0, steps=(Step(index=0, "
+         "poly=Poly(coeffs=(51, 3, 0, 0, 0, 1), p=53), kind='initial'), Step(index=1, "
+         "poly=Poly(coeffs=(1, 0, 5, 0, 40, 35, 40, 0, 5, 0, 1), p=53), "
+         "kind='transform-irreducible')))"),
+        (graph, lambda: qkforge.FunctionalGraph(p=5, n=1, k=2, modulus=qkforge.Poly((0, 1), 5),
+                                                successors=(0, 0, 5, 1, 1, 2)),
+         ("p", "n", "k", "modulus", "successors"),
+         "FunctionalGraph(p=5, n=1, k=2, modulus=Poly(coeffs=(0, 1), p=5), "
+         "successors=(0, 0, 5, 1, 1, 2))"),
+        (qkforge.component_stats(graph)[1],
+         lambda: qkforge.ComponentStats(cycle_length=2, tree_depth=0, node_count=2,
+                                        binary_shape_ok=True),
+         ("cycle_length", "tree_depth", "node_count", "binary_shape_ok"),
+         "ComponentStats(cycle_length=2, tree_depth=0, node_count=2, binary_shape_ok=True)"),
+    ]
+    for value, make, fields, text in cases:
+        twin = make()
+        assert value == twin and not value != twin and hash(value) == hash(twin), text
+        assert repr(value) == text
+        assert value != tuple(getattr(value, name) for name in fields), text
+        for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(copied) is type(value) and copied == value and repr(copied) == text
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert repr(value) == text  # still whole after the refused writes
+    # another type with the same field values is unequal
+    assert qkforge.QuadInt(-7, 2, -4) != qkforge.CurveParams(-7, 2, -4)
+    # a depth pair compares and hashes by (e0, e1, p, n, class) only
+    assert pair.pi is not None and {pair} == {qkforge.DepthPair(6, 1, 53, 4, "C3", pi=None)}
+    assert pair != qkforge.DepthPair(6, 1, 53, 5, "C3", pi=pair.pi, rho0=pair.rho0)
+    # Poly is no tuple: no concatenation and no length
+    with pytest.raises(TypeError):
+        f + f
+    with pytest.raises(TypeError):
+        len(f)
+    checks = [
+        (lambda: qkforge.Poly((1,), 4), qkforge.UsageError, "p must be an odd prime, got 4"),
+        (lambda: qkforge.QuadInt(1, 0, -3), qkforge.UsageError, "unsupported discriminant -3"),
+        (lambda: qkforge.ComponentStats(0, 0, 1, True), errors.InternalConsistencyError,
+         "every component contains a cycle"),
+        (lambda: qkforge.ComponentStats(3, 0, 2, True), errors.InternalConsistencyError,
+         "component smaller than its cycle"),
+        (lambda: qkforge.SequenceRecord(53, 7, "C3", 0, ()), qkforge.UsageError,
+         "a sequence record needs at least the initial step"),
+        (lambda: qkforge.SequenceRecord(53, 7, "C3", 0, record.steps[1:]), qkforge.UsageError,
+         "step indices must be 0..0"),
+        (lambda: qkforge.SequenceRecord(11, 7, "C3", 0, record.steps), qkforge.UsageError,
+         "all polynomials must live over the record's prime"),
+    ]
+    for make, error, message in checks:
+        with pytest.raises(error) as info:
+            make()
+        assert str(info.value) == message
+
+
+def test_the_cli_imports_no_dataclasses_inspect_or_typing():
+    # a fresh process pays for every module the package imports; -S keeps
+    # site-packages hooks from importing any of them first
+    src = str(Path(qkforge.__file__).resolve().parents[1])
+    probe = ("import sys, qkforge.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
