@@ -319,19 +319,20 @@ def cmd_sweep_lemmas(args: argparse.Namespace) -> int:
     for m in range(1, max_m + 1):
         degrees.update(m << i for i in range(max_i + 2))
     ns = sorted(degrees)
-    # The sweep takes p in order, so the ladder of a key (p, disc, rho0) is
-    # kept, under (disc, rho0), only until the next p.
-    ladders: dict[tuple, tuple[int, dict[int, tuple[int, int]]]] = {}
+    # The sweep takes p in order, and within one p, rho0 alone fixes the key
+    # (pi fixes disc, and disc is fixed by whether rho0 is None), so the
+    # ladders are kept under rho0 until the next p.
     violations: list[str] = []
-    checked = 0
+    checked, at = 0, None
     for p, name in sweep:
+        if p != at:
+            at, ladders = p, {}
         v = CLASSES[name].v
         for k in find_k(p, name):
             _, pi, rho0 = _embedding(p, k)
-            at, table = ladders.get((pi.disc, rho0), (None, None))
-            if at != p:
-                table = _ladder(p, pi, rho0, ns)
-                ladders[pi.disc, rho0] = p, table
+            table = ladders.get(rho0)
+            if table is None:
+                table = ladders[rho0] = _ladder(p, pi, rho0, ns)
             for n in range(1, max_n + 1):
                 e0, e1 = table[n]
                 checked += 1 if e0 < v else 2  # the floor, then one e1 law

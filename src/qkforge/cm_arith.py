@@ -1,12 +1,11 @@
-"""Arithmetic in two imaginary-quadratic orders and the depth pairs they induce.
+"""Arithmetic in the paper's two CM orders and the depth pairs they induce.
 
-Supported discriminants:
-
-* -4: the Gaussian integers Z[i], attached to the curve y^2 = x^3 + x.
-  Elements are a + b*i with norm a^2 + b^2.
-* -7: the maximal order Z[alpha] with alpha^2 = alpha - 2 (alpha is
-  (1 + sqrt(-7))/2), attached to y^2 = x^3 - 35x + 98.  Elements are
-  a + b*alpha with norm a^2 + ab + 2b^2.
+Each discriminant D of qk.CLASSES is that of a maximal order Z[w] with
+w = (t + sqrt(D))/2 and t = D mod 2, so w^2 = t*w - s with s = (t - D)/4
+and conj(w) = t - w: one product, norm and conjugate serve both orders.
+D = -4 gives Z[i], attached to y^2 = x^3 + x; D = -7 gives Z[alpha] with
+alpha = (1 + sqrt(-7))/2, attached to y^2 = x^3 - 35x + 98.  2 splits in
+Z[w] iff D = 1 (mod 8): into alpha and conj(alpha); it ramifies in Z[i].
 
 For a prime p split in the order, the Frobenius element pi of the attached
 curve has norm p, so Cornacchia's algorithm (one square root mod p and a
@@ -25,17 +24,18 @@ extension degree n:
 * C3-: the same with k replaced by -k (a C3 multiplier).
 
 `_embedding` is the one route from a multiplier k to its class, pi and
-rho0 (None for C2); k enters its pairs only through the key (pi, rho0), so
-a sweep climbs one ladder per key at p.  The ladder (`_ladder`) never forms
-pi^n, whose coordinates grow like p^(n/2): for a set of degrees it fixes
-one precision B = 2*(p.bit_length() + max_n.bit_length()) + 8 from the
-largest degree and climbs one ladder of powers z_n = pi^n mod 2^B on
-integer pairs, z_n = z_(n-1)*pi or z_(n/2)^2 where the set holds that
-degree.  It reads the C2 depths off N(z_n -+ 1) mod 2^B and the C3 depths
-off x -+ 1 mod 2^B, where x is z_n with alpha sent to the 2-adic root of
-x^2 - x + 2 that lies in rho0 (the completion at rho0 is Z_2).  Every depth
-is below the bound of its own degree, hence below B (see `_ladder`).
-`depths` is the ladder of one degree.
+rho0 (None unless 2 splits); k enters its pairs only through the key
+(pi, rho0), so a sweep climbs one ladder per key at p.  The ladder
+(`_ladder`) never forms pi^n, whose coordinates grow like p^(n/2): for a
+set of degrees it fixes one precision B = 2*(p.bit_length() +
+max_n.bit_length()) + 8 from the largest degree and climbs one ladder of
+powers z_n = pi^n mod 2^B on integer pairs, z_n = z_(n-1)*pi or z_(n/2)^2
+where the set holds that degree.  Without rho0 it reads the depths off
+N(z_n -+ 1) mod 2^B; with rho0, off x -+ 1 mod 2^B, where x is z_n with
+alpha sent to the 2-adic root of x^2 - x + 2 that lies in rho0 (the
+completion at rho0 is Z_2).  Every depth is below the bound of its own
+degree, hence below B (see `_ladder`).  `depths` is the ladder of one
+degree.
 """
 
 from __future__ import annotations
@@ -47,15 +47,21 @@ from .errors import InternalConsistencyError, UnsupportedPrimeError, UsageError
 from .ffpoly import _Value, _check_odd_prime, inv_mod, legendre, sqrt_mod_p
 from .qk import CLASSES, classify_k
 
-_SUPPORTED_DISCS = (-4, -7)
+# D -> (t, s), the trace and norm of w, for each discriminant D of CLASSES.
+_ORDERS = {D: (D % 2, (D % 2 - D) // 4) for D in {spec.disc for spec in CLASSES.values()} - {None}}
 
 
 def _product(disc: int, a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    """Coordinates of (a + b*w)(c + d*w) with w = i (disc -4) or alpha (-7)."""
-    if disc == -4:
-        return a * c - b * d, a * d + b * c
-    # alpha^2 = alpha - 2
-    return a * c - 2 * b * d, a * d + b * c + b * d
+    """Coordinates of (a + b*w)(c + d*w), by w^2 = t*w - s."""
+    t, s = _ORDERS[disc]
+    bd = b * d
+    return a * c - s * bd, a * d + b * c + t * bd
+
+
+def _norm(disc: int, a: int, b: int) -> int:
+    """N(a + b*w) = (a + b*w)(a + b*conj(w)) = a^2 + t*a*b + s*b^2."""
+    t, s = _ORDERS[disc]
+    return a * (a + t * b) + s * b * b
 
 
 def _power(disc: int, c: int, d: int, e: int, mod: int) -> tuple[int, int]:
@@ -73,13 +79,13 @@ def _power(disc: int, c: int, d: int, e: int, mod: int) -> tuple[int, int]:
 
 
 class QuadInt(_Value):
-    """An element of Z[i] (disc -4) or Z[alpha] (disc -7), coordinates (a, b)
-    over the basis {1, i} respectively {1, alpha}."""
+    """a + b*w in the order Z[w] of discriminant disc, one of those of
+    qk.CLASSES: coordinates (a, b) over the basis {1, w}."""
 
     __slots__ = ("a", "b", "disc")
 
     def __init__(self, a: int, b: int, disc: int):
-        if disc not in _SUPPORTED_DISCS:
+        if disc not in _ORDERS:
             raise UsageError(f"unsupported discriminant {disc}")
         self._set(a, b, disc)
 
@@ -89,16 +95,11 @@ class QuadInt(_Value):
         return QuadInt(self.a + other.a, self.b + other.b, self.disc)
 
     def conj(self) -> "QuadInt":
-        if self.disc == -4:
-            return QuadInt(self.a, -self.b, -4)
-        # conjugate of alpha is 1 - alpha
-        return QuadInt(self.a + self.b, -self.b, -7)
+        """a + b*conj(w) = (a + t*b) - b*w."""
+        return QuadInt(self.a + _ORDERS[self.disc][0] * self.b, -self.b, self.disc)
 
     def norm(self) -> int:
-        a, b = self.a, self.b
-        if self.disc == -4:
-            return a * a + b * b
-        return a * a + a * b + 2 * b * b
+        return _norm(self.disc, self.a, self.b)
 
 
 class CurveParams(_Value):
@@ -115,22 +116,18 @@ CURVE_DISC4 = CurveParams(-4, 1, 0)
 CURVE_DISC7 = CurveParams(-7, -35, 98)
 
 
-def _check_split_prime(p: int, disc: int) -> None:
-    """p must split in the order of discriminant disc, i.e. satisfy the
-    congruence of the multiplier classes attached to that order."""
-    _check_odd_prime(p)
-    spec = next(s for s in CLASSES.values() if s.disc == disc)
-    if not spec.admits(p):
-        raise UnsupportedPrimeError(
-            f"p={p} fails the congruence of the disc {disc} order: "
-            f"it {spec.congruence_text()}"
-        )
-
-
 @lru_cache(maxsize=None)
 def count_points(curve: CurveParams, p: int) -> int:
-    """#E(F_p) for the given curve, by a quadratic-character sum in O(p)."""
-    _check_split_prime(p, curve.disc)
+    """#E(F_p) for the given curve, by a quadratic-character sum in O(p).
+    p must split in the curve's order, i.e. satisfy the congruence of the
+    multiplier classes attached to that order."""
+    _check_odd_prime(p)
+    spec = next(s for s in CLASSES.values() if s.disc == curve.disc)
+    if not spec.admits(p):
+        raise UnsupportedPrimeError(
+            f"p={p} fails the congruence of the disc {curve.disc} order: "
+            f"it {spec.congruence_text()}"
+        )
     squares = bytearray(p)
     for x in range(p // 2 + 1):
         squares[x * x % p] = 1
@@ -164,24 +161,20 @@ def _cornacchia(p: int, d: int) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def _frobenius_pi_disc(p: int, disc: int) -> QuadInt:
     """The canonical Frobenius element of norm p and trace t = p + 1 - #E(F_p)
-    in the order of discriminant disc, found without counting points: second
-    coordinate positive, first fixed by t.  Disc -4: p = a^2 + b^2 by
-    Cornacchia, pi = a + b*i with a = t/2 the odd coordinate, a = 1 (mod 4).
-    Disc -7: p = x^2 + 7y^2 by Cornacchia, pi = u + v*alpha with v = 2y,
-    u = (t - v)/2, t = +-2x signed so that legendre(t, 7) = +1 exactly when
-    t = 2 (mod 4)."""
-    _check_split_prime(p, disc)
+    in the order of discriminant disc, found without counting points: 4p =
+    t^2 - disc*v^2 and pi = (t - (disc mod 2)*v)/2 + v*w with v > 0, t signed
+    by the curve's rule.  p must split in the order: `_embedding`, the only
+    caller, has admitted it through classify_k."""
     if disc == -4:
-        # p = a^2 + b^2 with a odd and pi = a + b*i.  For y^2 = x^3 + x the
+        # p = a^2 + v^2 with a odd and pi = a + v*i.  For y^2 = x^3 + x the
         # trace is 2a with a = 1 (mod 4): Ireland-Rosen, A Classical
         # Introduction to Modern Number Theory, 2nd ed., Ch. 18 Sec. 4, on
         # y^2 = x^3 - Dx with D = -1 (the primary pi times the quartic
         # character (-1/pi)_4 = (-1)^((p-1)/4)).
         x, y = _cornacchia(p, 1)
-        a, b = (x, y) if x % 2 else (y, x)
-        pi = QuadInt(a if a % 4 == 1 else -a, b, -4)
+        a, v = (x, y) if x % 2 else (y, x)
+        t = 2 * a if a % 4 == 1 else -2 * a
     else:
-        # 4p = t^2 + 7v^2 with t the trace and pi = u + v*alpha, t = 2u + v.
         # Odd t and v would give t^2 + 7v^2 = 0 (mod 8), so both are even:
         # p = (t/2)^2 + 7(v/2)^2.  Sign rule for y^2 = x^3 - 35x + 98
         # (Rubin-Silverberg, Choosing the correct elliptic curve in the CM
@@ -193,13 +186,14 @@ def _frobenius_pi_disc(p: int, disc: int) -> QuadInt:
         t, v = 2 * x, 2 * y
         if (legendre(t, 7) == 1) != (t % 4 == 2):
             t = -t
-        pi = QuadInt((t - v) // 2, v, -7)
+    pi = QuadInt((t - disc % 2 * v) // 2, v, disc)
     if pi.norm() != p or pi.b <= 0:
         raise InternalConsistencyError(f"bad Frobenius normalization for p={p}")
     return pi
 
 
-_ALPHA, _ALPHA_BAR = QuadInt(0, 1, -7), QuadInt(1, -1, -7)
+_ALPHA = QuadInt(0, 1, -7)
+_ALPHA_BAR = _ALPHA.conj()
 
 
 def _rho0(p: int, k: int, b: int, pi: QuadInt) -> QuadInt:
@@ -265,8 +259,9 @@ class DepthPair(_Value):
 def _embedding(p: int, k: int) -> tuple[str, QuadInt, QuadInt | None]:
     """The class name of k and the key (pi, rho0) through which its depth
     pairs depend on k: pi is the Frobenius element of the order of k's class
-    at p (`_frobenius_pi_disc`), so it fixes (p, disc), and rho0 is None for
-    C2 and for C3 / C3- the prime above 2 that k selects (`_rho0`).  So C3 k
+    at p (`_frobenius_pi_disc`), so it fixes (p, disc), and rho0 is the prime
+    above 2 that k selects (`_rho0`) where 2 splits, i.e. for disc = 1
+    (mod 8): C3 and C3-; None for C2, where 2 ramifies.  So C3 k
     and C3- -k share a key, and multipliers with one key have equal depth
     pairs.  This is the one route from a multiplier to its CM data.
 
@@ -281,7 +276,7 @@ def _embedding(p: int, k: int) -> tuple[str, QuadInt, QuadInt | None]:
             "supported classes are C2, C3, and C3-"
         )
     pi = _frobenius_pi_disc(p, spec.disc)
-    return name, pi, None if spec.disc == -4 else _rho0(p, k % p, spec.b, pi)
+    return name, pi, _rho0(p, k % p, spec.b, pi) if spec.disc % 8 == 1 else None
 
 
 def _ladder(p: int, pi: QuadInt, rho0: QuadInt | None,
@@ -289,7 +284,7 @@ def _ladder(p: int, pi: QuadInt, rho0: QuadInt | None,
     """(e0, e1) at every degree of ns, an ascending list of positive degrees,
     for the key (pi, rho0) of `_embedding` at p, keyed by degree.
 
-    pi and, for disc -7, the 2-adic root of x^2 - x + 2 in rho0 are taken
+    pi and, given rho0, the 2-adic root of x^2 - x + 2 in rho0 are taken
     once, to one precision B set by the largest degree; the root's parity
     is rho0's first coordinate (alpha holds the even root, 1 - alpha the odd
     one).  The powers pi^n mod 2^B climb one ladder in increasing n:
@@ -298,7 +293,6 @@ def _ladder(p: int, pi: QuadInt, rho0: QuadInt | None,
     chains cost one product each.  Every pair is read off its own z_n; none
     is derived from another.
     """
-    disc = pi.disc
     # The valuations at degree n depend only on pi^n mod 2^B.  Lifting the
     # exponent bounds each of them by nu(pi - u) + 2*nu_2(n) + 6 for some
     # unit u of the order, and nu(pi - u) <= log2 N(pi - u) < log2(4p), so
@@ -306,21 +300,21 @@ def _ladder(p: int, pi: QuadInt, rho0: QuadInt | None,
     # B of the largest n exceeds for every n of the set.
     bits = 2 * (p.bit_length() + ns[-1].bit_length()) + 8
     mod = 1 << bits
-    if disc == -7:
+    if rho0 is not None:
         root = _alpha_root_2adic(rho0.a, bits)
     u, v = pi.a % mod, pi.b % mod
     powers: dict[int, tuple[int, int]] = {}
     pairs = {}
     for n in ns:
         if n - 1 in powers:
-            a, b = _product(disc, *powers[n - 1], u, v)
+            a, b = _product(pi.disc, *powers[n - 1], u, v)
         elif n % 2 == 0 and n // 2 in powers:
-            a, b = _product(disc, *powers[n // 2], *powers[n // 2])
+            a, b = _product(pi.disc, *powers[n // 2], *powers[n // 2])
         else:
-            a, b = _power(disc, u, v, n, mod)
+            a, b = _power(pi.disc, u, v, n, mod)
         powers[n] = a, b = a % mod, b % mod
-        if disc == -4:
-            below, above = (a - 1) ** 2 + b * b, (a + 1) ** 2 + b * b
+        if rho0 is None:
+            below, above = _norm(pi.disc, a - 1, b), _norm(pi.disc, a + 1, b)
         else:
             x = a + b * root
             below, above = x - 1, x + 1

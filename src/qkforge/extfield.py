@@ -2,7 +2,8 @@
 
 This is reference arithmetic for the tests and the benchmark: the rest of
 the package holds a field element as an integer index or a coefficient
-list, and no other module of it imports this one.
+list, and only the package `__init__` imports this module, to re-export
+`ExtField`, `FqElem` and `batch_inverse`.
 
 Elements carry a fixed-length coefficient tuple (length n, zero-padded) so
 equality, hashing, and the canonical index enumeration are uniform.  The

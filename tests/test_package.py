@@ -151,6 +151,37 @@ def test_only_the_cm_resolver_crosses_out_of_cm_arith():
                 assert "cm_arith" not in {alias.name.split(".")[-1] for alias in node.names}, path.name
 
 
+def test_only_the_frobenius_sign_rules_name_an_order():
+    # cm_arith reads both orders off the discriminant (w^2 = t*w - s), so the
+    # literals -4 and -7 appear only in the Frobenius sign rules and in the
+    # module's constants.  `_frobenius_pi_disc` does not check p again: its
+    # one caller, `_embedding`, has admitted p through classify_k.
+    src = Path(qkforge.__file__).parent
+    tree = ast.parse((src / "cm_arith.py").read_text(encoding="utf-8"))
+    constants = {"CURVE_DISC4", "CURVE_DISC7", "_ALPHA"}
+    allowed = {id(node) for top in tree.body
+               if isinstance(top, ast.FunctionDef) and top.name == "_frobenius_pi_disc"
+               or isinstance(top, ast.Assign)
+               and all(getattr(target, "id", None) in constants for target in top.targets)
+               for node in ast.walk(top)}
+    literals = [node for node in ast.walk(tree)
+                if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+                and isinstance(node.operand, ast.Constant) and node.operand.value in (4, 7)
+                or isinstance(node, ast.Constant) and node.value in (-4, -7)]
+    assert len(literals) > len(constants)  # the three constants and the sign rules
+    assert [node.lineno for node in literals if id(node) not in allowed] == []
+    for path in sorted(src.glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        inside = {id(node) for top in module.body
+                  if isinstance(top, ast.FunctionDef) and top.name == "_embedding"
+                  and path.stem == "cm_arith" for node in ast.walk(top)}
+        uses = [node for node in ast.walk(module) if "_frobenius_pi_disc" in (
+            getattr(node, "id", None), getattr(node, "attr", None),
+            node.name if isinstance(node, ast.alias) else None)]
+        assert all(id(node) in inside for node in uses), path.name
+        assert len(uses) == (path.stem == "cm_arith"), path.name
+
+
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
